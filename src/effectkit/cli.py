@@ -9,7 +9,9 @@ codes are a stable contract:
   2  validation error (also bad parameters and dimension mismatches)
   3  reconstruction frame does not span the operator space
   4  reconstruction values inconsistent with any linear functional
-  5  internal verification failure (a certificate failed its re-check)
+  5  internal verification failure (a certificate failed its re-check; the
+     stderr line names the failed check). An UNSAT core is re-checked by
+     walking its refutation tree, in time linear in the tree's size.
 
 Seeds default to 0; pass --seed to vary. Output bytes are deterministic
 given (input bytes, flags, seed).
@@ -211,6 +213,10 @@ def cmd_nogo2d(args) -> int:
 
 
 def cmd_dfsearch(args) -> int:
+    if args.max_solutions < 1:
+        raise _CliFailure(EXIT_INVALID, "--max-solutions must be at least 1")
+    if args.budget < 1:
+        raise _CliFailure(EXIT_INVALID, "--budget must be at least 1")
     payload = _load_json(args.contexts)
     obj = jsonio.expect_dict(payload, "context set")
     effects_file = jsonio.expect_str(
@@ -221,8 +227,10 @@ def cmd_dfsearch(args) -> int:
                        args.discover_relations)
     result = search_dispersion_free(cs, max_solutions=args.max_solutions,
                                     node_budget=args.budget)
-    if not verify_certificate(result, cs):
-        print("certificate failed independent re-verification", file=sys.stderr)
+    verdict = verify_certificate(result, cs)
+    if not verdict:
+        print(f"certificate failed independent re-verification: "
+              f"{verdict.reason}", file=sys.stderr)
         return EXIT_VERIFY
     _emit(result.to_json_dict(__version__), args)
     return EXIT_OK
@@ -247,7 +255,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "effect":
         payload = random_effect(args.dim, rng, label="E0").to_json_dict()
     else:
-        outcomes = args.outcomes if args.outcomes else args.dim
+        outcomes = args.dim if args.outcomes is None else args.outcomes
         if outcomes < 1:
             raise _CliFailure(EXIT_INVALID, "--outcomes must be at least 1")
         payload = random_povm(args.dim, outcomes, rng).to_json_dict()

@@ -12,11 +12,16 @@ valuations cannot cover all effects:
 * :func:`search_dispersion_free` runs an exhaustive backtracking search for
   {0,1} assignments satisfying per-context normalization and integer sum
   relations, returning either satisfying assignments or a minimal
-  unsatisfiable core. Real-coefficient mixtures are deliberately outside
-  this discrete model; they belong to the witness route.
+  unsatisfiable core together with a refutation tree for it. Real-coefficient
+  mixtures are deliberately outside this discrete model; they belong to the
+  witness route.
 
 Certificates from the search are re-checked by :func:`verify_certificate`
-in pure integer arithmetic, independent of the solver code path.
+in pure integer arithmetic, independent of the solver code path. An UNSAT
+core is checked by walking its refutation tree: every internal node branches
+on one core label, every leaf names a core constraint whose integer bounds
+exclude its right-hand side under the assignment on the path to it. The
+check costs time linear in the size of the tree, not 2^labels.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -287,6 +292,20 @@ def discover_sum_relations(pool: Mapping[str, Effect],
     return found
 
 
+@dataclass(frozen=True)
+class Branch:
+    """Internal node of a refutation tree: a case split on one label.
+
+    ``zero`` and ``one`` refute the constraints under ``label`` = 0 and
+    ``label`` = 1. Each child is another Branch or a leaf, which is the
+    ConstraintDesc violated on every assignment reaching it.
+    """
+
+    label: str
+    zero: Branch | ConstraintDesc
+    one: Branch | ConstraintDesc
+
+
 @dataclass
 class SearchResult:
     """Outcome of the dispersion-free search.
@@ -294,7 +313,9 @@ class SearchResult:
     ``status`` is "sat", "unsat", or "unknown" (node budget exhausted before
     the search tree was closed — never mislabeled as unsat). Assignments are
     capped; ``total_solutions`` is the exact model count when the search ran
-    to completion, else None.
+    to completion, else None. An UNSAT result carries ``refutation``, a tree
+    of Branch nodes over the core's labels whose leaves are core constraints;
+    it proves the core unsatisfiable and stays out of the JSON output.
     """
 
     status: str
@@ -302,6 +323,7 @@ class SearchResult:
     total_solutions: int | None
     unsat_core: list[ConstraintDesc]
     nodes_explored: int
+    refutation: Branch | ConstraintDesc | None = field(default=None, repr=False)
 
     def to_json_dict(self, toolkit_version: str) -> dict:
         return {
@@ -318,6 +340,7 @@ class SearchResult:
 class _Linear:
     terms: tuple[tuple[int, int], ...]   # (variable index, integer coefficient)
     rhs: int
+    desc: ConstraintDesc
 
 
 def _to_linear(desc: ConstraintDesc, var_index: Mapping[str, int]) -> _Linear:
@@ -335,7 +358,7 @@ def _to_linear(desc: ConstraintDesc, var_index: Mapping[str, int]) -> _Linear:
             coeffs[var_index[desc.target]] -= 1
             rhs = 0
     terms = tuple((vi, c) for vi, c in coeffs.items() if c != 0)
-    return _Linear(terms, rhs)
+    return _Linear(terms, rhs, desc)
 
 
 def _variables_of(constraints: Sequence[ConstraintDesc]) -> list[str]:
@@ -353,11 +376,15 @@ class _Budget(Exception):
 
 
 def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
-           max_store: int, stop_after: int | None = None
-           ) -> tuple[str, list[dict[str, int]], int | None, int]:
+           max_store: int, stop_after: int | None = None, record: bool = False
+           ) -> tuple[str, list[dict[str, int]], int | None, int,
+                      Branch | ConstraintDesc | None]:
     """Exhaustive DFS with unit propagation over {0,1} variables.
 
-    Returns (status, stored assignments, total count or None, nodes).
+    Returns (status, stored assignments, total count or None, nodes,
+    refutation). The refutation tree is built only with ``record`` and only
+    kept for an UNSAT answer; without ``record`` the search allocates nothing
+    for it.
     """
     variables = _variables_of(constraints)
     var_index = {lb: i for i, lb in enumerate(variables)}
@@ -381,13 +408,19 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                 hi += c * x
         return lo, hi
 
-    def propagate(trail: list[int]) -> bool:
+    def propagate(trail: list[int], log: list | None = None) -> bool:
+        # With a log, each forced variable appends (index, constraint) and a
+        # failure appends its conflict last: (None, constraint) when the
+        # constraint's bounds exclude its right-hand side, (index, constraint)
+        # when both values of that variable do.
         changed = True
         while changed:
             changed = False
             for con in linear:
                 lo, hi = bounds(con)
                 if not lo <= con.rhs <= hi:
+                    if log is not None:
+                        log.append((None, con))
                     return False
                 for vi, c in con.terms:
                     if assign[vi] != -1:
@@ -399,10 +432,14 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                         ok0 = lo - c <= con.rhs <= hi
                         ok1 = lo <= con.rhs <= hi + c
                     if not ok0 and not ok1:
+                        if log is not None:
+                            log.append((vi, con))
                         return False
                     if ok0 != ok1:
                         assign[vi] = 0 if ok0 else 1
                         trail.append(vi)
+                        if log is not None:
+                            log.append((vi, con))
                         changed = True
                         lo, hi = bounds(con)
         return True
@@ -412,41 +449,65 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
         if len(solutions) < max_store:
             solutions.append({variables[i]: assign[i] for i in range(nv)})
 
-    def dfs() -> None:
+    def refute(log: list, ok: bool, below: Branch | ConstraintDesc | None
+               ) -> Branch | ConstraintDesc | None:
+        # The refutation of one propagate call followed by ``below`` (the
+        # subtree of the search under it): each forced x := v becomes a
+        # branch on x whose 1-v side is the forcing constraint. Called
+        # before the trail is undone, so ``assign`` still holds each v.
+        node = below
+        if not ok:
+            vi, con = log.pop()
+            node = con.desc if vi is None else Branch(
+                variables[vi], con.desc, con.desc)
+        for vi, con in reversed(log):
+            node = (Branch(variables[vi], node, con.desc) if assign[vi] == 0
+                    else Branch(variables[vi], con.desc, node))
+        return node
+
+    def dfs() -> Branch | ConstraintDesc | None:
         state["nodes"] += 1
         if state["nodes"] > node_budget:
             raise _Budget
         if stop_after is not None and state["total"] >= stop_after:
-            return
+            return None
         vi = next((i for i in range(nv) if assign[i] == -1), None)
         if vi is None:
             record_solution()
-            return
+            return None
+        children = [] if record else None
         for val in (0, 1):
             assign[vi] = val
             trail: list[int] = []
-            if propagate(trail):
-                dfs()
+            log = [] if record else None
+            ok = propagate(trail, log)
+            below = dfs() if ok else None
+            if record:
+                children.append(refute(log, ok, below))
             for t in trail:
                 assign[t] = -1
             assign[vi] = -1
             if stop_after is not None and state["total"] >= stop_after:
-                return
+                return None
+        return Branch(variables[vi], *children) if record else None
 
+    tree = None
     try:
-        trail0: list[int] = []
-        if propagate(trail0):
-            dfs()
+        log0 = [] if record else None
+        ok0 = propagate([], log0)
+        below0 = dfs() if ok0 else None
+        if record:
+            tree = refute(log0, ok0, below0)
         complete = True
     except _Budget:
         complete = False
 
     if state["total"] > 0:
         total = state["total"] if complete and stop_after is None else None
-        return SAT, solutions, total, state["nodes"]
+        return SAT, solutions, total, state["nodes"], None
     if complete:
-        return UNSAT, [], 0, state["nodes"]
-    return UNKNOWN, [], None, state["nodes"]
+        return UNSAT, [], 0, state["nodes"], tree
+    return UNKNOWN, [], None, state["nodes"], None
 
 
 def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
@@ -456,8 +517,8 @@ def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
     nodes = 0
     for desc in list(core):
         trial = [d for d in core if d is not desc]
-        status, _, _, used = _solve(trial, node_budget, max_store=1,
-                                    stop_after=1)
+        status, _, _, used, _ = _solve(trial, node_budget, max_store=1,
+                                       stop_after=1)
         nodes += used
         if status == UNSAT:
             core = trial
@@ -475,15 +536,20 @@ def search_dispersion_free(cs: ContextSet,
     effects mentioned in no constraint are unconstrained and excluded from
     the reported assignments. All arithmetic is exact (integers). On
     unsatisfiable inputs the result carries a minimal core found by
-    deletion-based shrinking; if the node budget is exhausted first, the
-    status is "unknown".
+    deletion-based shrinking and a refutation tree for that core, taken from
+    one more solve of the core alone (its nodes are not counted in
+    ``nodes_explored``); if the node budget is exhausted first, the status is
+    "unknown".
     """
     constraints = cs.constraints()
-    status, solutions, total, nodes = _solve(
+    status, solutions, total, nodes, _ = _solve(
         constraints, node_budget, max_store=max_solutions)
     if status == UNSAT:
         core, extra = _minimize_core(constraints, node_budget)
-        return SearchResult(UNSAT, [], 0, core, nodes + extra)
+        # The core was proved UNSAT within the budget by a solve of this very
+        # list, and the search is deterministic, so this re-solve completes.
+        tree = _solve(core, node_budget, max_store=0, record=True)[4]
+        return SearchResult(UNSAT, [], 0, core, nodes + extra, tree)
     return SearchResult(status, solutions, total, [], nodes)
 
 
@@ -494,43 +560,135 @@ def _eval_constraint(desc: ConstraintDesc, values: Mapping[str, int]) -> bool:
     return total == values[desc.target]
 
 
-def verify_certificate(result: SearchResult, cs: ContextSet) -> bool:
+@dataclass(frozen=True)
+class Verification:
+    """Verdict of :func:`verify_certificate`: true when the certificate holds.
+
+    ``reason`` is None on success, else it names the check that failed.
+    """
+
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.reason is None
+
+
+def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     """Independently re-check a search result in pure integer arithmetic.
 
-    SAT: every returned assignment must satisfy every constraint of the
-    context set with values in {0,1}. UNSAT: the reported core must be made
-    of the set's constraints and must be unsatisfiable under brute-force
-    enumeration (no solver code involved). UNKNOWN asserts nothing and
-    verifies vacuously. Any discrepancy returns False.
+    SAT: every returned assignment must give every label of every constraint
+    of the context set a value in {0,1} and satisfy the constraint. UNSAT:
+    the reported core must be made of the set's constraints, and its
+    refutation tree must refute it; the tree is walked once with bounds
+    arithmetic read from the constraints themselves (no solver code
+    involved), in time linear in its size. UNKNOWN asserts nothing and
+    verifies vacuously. A malformed or wrong certificate gives a false
+    Verification whose reason names the failed check.
     """
-    try:
-        constraints = cs.constraints()
-        if result.status == SAT:
-            if not result.assignments:
-                return False
-            for assignment in result.assignments:
-                if any(v not in (0, 1) for v in assignment.values()):
-                    return False
-                for desc in constraints:
-                    if not _eval_constraint(desc, assignment):
-                        return False
-            return True
-        if result.status == UNSAT:
-            available = {(d.kind, d.labels, d.target) for d in constraints}
-            for desc in result.unsat_core:
-                if (desc.kind, desc.labels, desc.target) not in available:
-                    return False
-            variables = _variables_of(result.unsat_core)
-            for bits in itertools.product((0, 1), repeat=len(variables)):
-                values = dict(zip(variables, bits))
-                if all(_eval_constraint(d, values) for d in result.unsat_core):
-                    return False
-            return True
-        if result.status == UNKNOWN:
-            return True
-        return False
-    except Exception:
-        return False
+    constraints = cs.constraints()
+    if result.status == SAT:
+        if not result.assignments:
+            return Verification("sat result stores no assignment")
+        for i, assignment in enumerate(result.assignments):
+            for lb, v in assignment.items():
+                if v not in (0, 1):
+                    return Verification(
+                        f"assignment #{i} gives v({lb}) = {v!r}, not 0 or 1")
+            for desc in constraints:
+                needed = desc.labels
+                if desc.kind == "relation" and desc.target != "I":
+                    needed += (desc.target,)
+                missing = [lb for lb in needed if lb not in assignment]
+                if missing:
+                    return Verification(
+                        f"assignment #{i} has no value for {missing[0]!r}")
+                if not _eval_constraint(desc, assignment):
+                    return Verification(
+                        f"assignment #{i} breaks {desc.describe()}")
+        return Verification()
+    if result.status == UNSAT:
+        available = set(constraints)
+        for k, desc in enumerate(result.unsat_core):
+            if not isinstance(desc, ConstraintDesc) or desc not in available:
+                return Verification(
+                    f"core entry #{k} ({desc!r}) is not a constraint of the "
+                    "context set")
+        if result.refutation is None:
+            return Verification("unsat result carries no refutation tree")
+        return Verification(
+            _refutation_problem(result.refutation, result.unsat_core))
+    if result.status == UNKNOWN:
+        return Verification()
+    return Verification(f"unknown status {result.status!r}")
+
+
+def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
+    """Why ``tree`` does not refute ``core``, or None when it does.
+
+    Each core constraint is read as sum(c_l * v(l)) = rhs with coefficients
+    netted per label, so a repeated label counts twice and a label that is
+    both addend and target counts zero. The walk keeps the assignment of the
+    current path; a leaf holds when its constraint's integer bounds under
+    that assignment exclude rhs.
+    """
+    rows: dict[ConstraintDesc, tuple[dict[str, int], int]] = {}
+    for desc in core:
+        coeffs: dict[str, int] = {}
+        for lb in desc.labels:
+            coeffs[lb] = coeffs.get(lb, 0) + 1
+        rhs = 1
+        if desc.kind == "relation" and desc.target != "I":
+            coeffs[desc.target] = coeffs.get(desc.target, 0) - 1
+            rhs = 0
+        rows[desc] = (coeffs, rhs)
+    core_labels = {lb for coeffs, _ in rows.values() for lb in coeffs}
+
+    values: dict[str, int] = {}
+    path: list[str] = []
+    # (node, depth of its parent, label := value on the edge into it)
+    stack: list[tuple[object, int, str | None, int]] = [(tree, 0, None, 0)]
+    while stack:
+        node, depth, label, value = stack.pop()
+        while len(path) > depth:
+            del values[path.pop()]
+        if label is not None:
+            values[label] = value
+            path.append(label)
+            depth += 1
+        if isinstance(node, Branch):
+            if node.label not in core_labels:
+                return (f"branch at depth {depth} on {node.label!r}, a label "
+                        "outside the core")
+            if node.label in values:
+                return (f"branch at depth {depth} on {node.label!r}, already "
+                        "assigned on its path")
+            stack.append((node.one, depth, node.label, 1))
+            stack.append((node.zero, depth, node.label, 0))
+        elif isinstance(node, ConstraintDesc):
+            row = rows.get(node)
+            if row is None:
+                return (f"leaf at depth {depth} names {node.describe()}, which "
+                        "is not in the core")
+            coeffs, rhs = row
+            lo = hi = 0
+            for lb, c in coeffs.items():
+                x = values.get(lb)
+                if x is not None:
+                    lo += c * x
+                    hi += c * x
+                elif c > 0:
+                    hi += c
+                else:
+                    lo += c
+            if lo <= rhs <= hi:
+                return (f"leaf at depth {depth}: {node.describe()} has bounds "
+                        f"[{lo}, {hi}] on its path, which admit {rhs}")
+        elif label is None:
+            return "the refutation tree is neither a Branch nor a constraint"
+        else:
+            return (f"branch at depth {depth - 1} on {label!r} has no child "
+                    f"for value {value}")
+    return None
 
 
 def context_set_from_json(obj, effects: Iterable[Effect],

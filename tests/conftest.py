@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from effectkit import (
+    AdditivityRelation,
     ContextSet,
     Effect,
     HermitianOperator,
@@ -65,7 +68,6 @@ def random_context_set(rng: np.random.Generator, max_effects: int = 12
                 a, b = distinct[0], distinct[1]
                 combined = Effect(effects[a].op + effects[b].op, "g")
                 effects[combined.label] = combined
-                from effectkit import AdditivityRelation
                 relations.append(AdditivityRelation((a, b), "g"))
                 break
 
@@ -76,3 +78,38 @@ def random_context_set(rng: np.random.Generator, max_effects: int = 12
             effects[e.label] = e
 
     return build_context_set(effects.values(), contexts, relations)
+
+
+def brute_force_solutions(cs):
+    """All satisfying {0,1} assignments, enumerated directly."""
+    variables: dict[str, None] = {}
+    for ctx in cs.contexts:
+        for lb in ctx:
+            variables.setdefault(lb)
+    for rel in cs.sum_relations:
+        for lb in rel.addends:
+            variables.setdefault(lb)
+        if rel.target != "I":
+            variables.setdefault(rel.target)
+    names = list(variables)
+    solutions = []
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        values = dict(zip(names, bits))
+        ok = all(sum(values[lb] for lb in ctx) == 1 for ctx in cs.contexts)
+        for rel in cs.sum_relations:
+            if not ok:
+                break
+            lhs = sum(values[lb] for lb in rel.addends)
+            rhs = 1 if rel.target == "I" else values[rel.target]
+            ok = lhs == rhs
+        if ok:
+            solutions.append(values)
+    return solutions
+
+
+def constraint_subset_as_context_set(cs, descs):
+    """Rebuild a context set exposing only the given constraints."""
+    contexts = [d.labels for d in descs if d.kind == "context"]
+    relations = [AdditivityRelation(d.labels, d.target)
+                 for d in descs if d.kind == "relation"]
+    return build_context_set(cs.effects.values(), contexts, relations)

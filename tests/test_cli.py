@@ -18,6 +18,7 @@ from effectkit import (
     jsonio,
     validate_povm,
 )
+from effectkit import cli
 from effectkit.cli import main
 from effectkit.valuation import SampleRecord, _design_matrix
 
@@ -265,6 +266,37 @@ class TestDfsearch:
         # the contexts, so the count is unchanged
         assert payload["total_solutions"] == 4
 
+    @pytest.mark.parametrize("flags", [["--max-solutions", "0"],
+                                       ["--budget", "0"],
+                                       ["--budget", "-5"]])
+    def test_bounds_below_one_are_parameter_errors(self, tmp_path, capsys,
+                                                   flags):
+        contexts = projective_context_files(tmp_path)
+        code, payload = run_cli(["dfsearch", contexts, *flags], capsys)
+        assert code == 2
+        assert payload is None
+
+    def test_failed_recheck_names_the_check(self, tmp_path, capsys,
+                                            monkeypatch):
+        contexts = half_identity_context_files(tmp_path)
+        search = cli.search_dispersion_free
+
+        def leaf_at_root(cs, **kwargs):
+            # the [H, H] context alone cannot be a leaf: with H unassigned
+            # its bounds [0, 2] admit 1
+            result = search(cs, **kwargs)
+            result.refutation = result.unsat_core[0]
+            return result
+
+        monkeypatch.setattr(cli, "search_dispersion_free", leaf_at_root)
+        code = main(["dfsearch", contexts])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert "leaf at depth 0" in captured.err
+        assert "v(H) + v(H) = 1" in captured.err
+        assert "[0, 2]" in captured.err
+
 
 class TestSampleAndGen:
     def test_sample_eigenstate(self, tmp_path, capsys):
@@ -310,6 +342,12 @@ class TestSampleAndGen:
                      "--out", out], capsys)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_gen_zero_outcomes_is_a_parameter_error(self, capsys):
+        code, payload = run_cli(["gen", "--kind", "povm", "--dim", "2",
+                                 "--outcomes", "0"], capsys)
+        assert code == 2
+        assert payload is None
 
     def test_bad_shot_count(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())

@@ -1,7 +1,5 @@
 """No-go machinery: witness construction, context sets, and the search."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,13 @@ from effectkit import (
     witness_2d,
 )
 
-from conftest import char_poly_eigs_2x2, pauli_op, random_context_set
+from conftest import (
+    brute_force_solutions,
+    char_poly_eigs_2x2,
+    constraint_subset_as_context_set,
+    pauli_op,
+    random_context_set,
+)
 
 
 def zhat():
@@ -39,33 +43,6 @@ def zhat():
 
 def xhat():
     return BlochVector((1.0, 0.0, 0.0))
-
-
-def brute_force_solutions(cs):
-    """All satisfying {0,1} assignments, enumerated directly."""
-    variables: dict[str, None] = {}
-    for ctx in cs.contexts:
-        for lb in ctx:
-            variables.setdefault(lb)
-    for rel in cs.sum_relations:
-        for lb in rel.addends:
-            variables.setdefault(lb)
-        if rel.target != "I":
-            variables.setdefault(rel.target)
-    names = list(variables)
-    solutions = []
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        values = dict(zip(names, bits))
-        ok = all(sum(values[lb] for lb in ctx) == 1 for ctx in cs.contexts)
-        for rel in cs.sum_relations:
-            if not ok:
-                break
-            lhs = sum(values[lb] for lb in rel.addends)
-            rhs = 1 if rel.target == "I" else values[rel.target]
-            ok = lhs == rhs
-        if ok:
-            solutions.append(values)
-    return solutions
 
 
 def half_identity_context_set():
@@ -302,7 +279,7 @@ class TestSearch:
             # dropping any single member of the core makes it satisfiable
             for k in range(len(core)):
                 rest = [c for i, c in enumerate(core) if i != k]
-                sub = _constraint_subset_as_context_set(cs, rest)
+                sub = constraint_subset_as_context_set(cs, rest)
                 assert brute_force_solutions(sub), "core not minimal"
         assert seen_unsat >= 3
 
@@ -339,14 +316,6 @@ class TestSearch:
                 lhs = sum(v(cs.effects[lb].op) for lb in rel.addends)
                 rhs = 1.0 if rel.target == "I" else v(cs.effects[rel.target].op)
                 assert abs(lhs - rhs) <= 1e-8
-
-
-def _constraint_subset_as_context_set(cs, descs):
-    """Rebuild a context set exposing only the given constraints."""
-    contexts = [d.labels for d in descs if d.kind == "context"]
-    relations = [AdditivityRelation(d.labels, d.target)
-                 for d in descs if d.kind == "relation"]
-    return build_context_set(cs.effects.values(), contexts, relations)
 
 
 class TestVerifyCertificate:
@@ -388,4 +357,18 @@ class TestVerifyCertificate:
             status="sat",
             assignments=[{"P": 2, "Pp": -1, "Q": 1, "Qp": 0}],
             total_solutions=1, unsat_core=[], nodes_explored=1)
+        assert not verify_certificate(bad, cs)
+
+    def test_missing_label_fails_with_reason(self):
+        cs = projective_pair_context_set()
+        bad = SearchResult(status="sat", assignments=[{"P": 1, "Pp": 0, "Q": 1}],
+                           total_solutions=1, unsat_core=[], nodes_explored=1)
+        verdict = verify_certificate(bad, cs)
+        assert not verdict
+        assert verdict.reason == "assignment #0 has no value for 'Qp'"
+
+    def test_unknown_status_string_fails(self):
+        cs = projective_pair_context_set()
+        bad = SearchResult(status="maybe", assignments=[], total_solutions=None,
+                           unsat_core=[], nodes_explored=0)
         assert not verify_certificate(bad, cs)

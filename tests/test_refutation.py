@@ -1,0 +1,286 @@
+"""UNSAT certificates: refutation trees on Kochen-Specker sets, tampering,
+and agreement with brute-force enumeration."""
+
+import dataclasses
+import itertools
+import time
+
+import numpy as np
+import pytest
+
+from effectkit import (
+    AdditivityRelation,
+    ConstraintDesc,
+    Effect,
+    HermitianOperator,
+    build_context_set,
+    random_povm,
+    rng_from_seed,
+    search_dispersion_free,
+    verify_certificate,
+)
+from effectkit.nogo import Branch
+
+from conftest import (
+    brute_force_solutions,
+    constraint_subset_as_context_set,
+    pauli_op,
+    random_context_set,
+)
+
+
+def peres_rays():
+    """Peres's 24 rays in C^4 (J. Phys. A 24, L175, 1991).
+
+    Every ray of the form (1,0,0,0), (1,+-1,0,0) or (1,+-1,+-1,+-1) up to
+    permutation, with first nonzero entry +1. Listed form by form, sign
+    pattern by sign pattern, each pattern's distinct permutations in
+    descending order.
+    """
+    rays = []
+    for form in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        support = sum(1 for x in form if x)
+        for signs in itertools.product((1, -1), repeat=support - 1):
+            signed = (1,) + signs + (0,) * (4 - support)
+            for perm in sorted(set(itertools.permutations(signed)), reverse=True):
+                lead = next(x for x in perm if x)
+                ray = tuple(lead * x for x in perm)
+                if ray not in rays:
+                    rays.append(ray)
+    return rays
+
+
+def orthogonal_tetrads(rays):
+    """Every set of four mutually orthogonal rays, in lexicographic order."""
+    return [t for t in itertools.combinations(range(len(rays)), 4)
+            if all(np.dot(rays[a], rays[b]) == 0
+                   for a, b in itertools.combinations(t, 2))]
+
+
+def ks_context_set(rays, tetrads):
+    labels = [f"r{i:02d}" for i in range(len(rays))]
+    effects = [Effect(HermitianOperator.from_array(np.outer(v, v) / np.dot(v, v)),
+                      lb) for lb, v in zip(labels, np.array(rays, dtype=float))]
+    return build_context_set(effects, [[labels[i] for i in t] for t in tetrads])
+
+
+def parity_tetrads(tetrads, size=9):
+    """``size`` tetrads in which every ray they touch lies in exactly two.
+
+    Then the contexts sum to an odd count of ones while every ray is counted
+    twice, so no {0,1} assignment exists. Backtracking: a ray seen once must
+    be completed by a tetrad still to come.
+    """
+    def extend(chosen, counts):
+        if len(chosen) == size:
+            return chosen if all(c in (0, 2) for c in counts.values()) else None
+        odd = sorted(r for r, c in counts.items() if c == 1)
+        if odd:
+            options = [t for t in tetrads if odd[0] in t and t not in chosen]
+        else:
+            options = [t for t in tetrads if not chosen or t > chosen[-1]]
+        for t in options:
+            if any(counts.get(r, 0) == 2 for r in t):
+                continue
+            for r in t:
+                counts[r] = counts.get(r, 0) + 1
+            found = extend(chosen + [t], counts)
+            for r in t:
+                counts[r] -= 1
+            if found:
+                return found
+        return None
+
+    return extend([], {})
+
+
+def halving_context_set(rng):
+    """One random POVM context whose outcomes E are each, with probability
+    3/4, split into equal halves w by the relation w + w = E, next to an
+    unrelated POVM context. If every outcome is split, every v(E) is even
+    and the context cannot hold its single 1: unsat with a core of the
+    context and all its relations."""
+    dim = int(rng.integers(2, 4))
+    povm = random_povm(dim, int(rng.integers(2, 6)), rng, label_prefix="E")
+    other = random_povm(dim, 2, rng, label_prefix="F")
+    effects = list(povm.effects) + list(other.effects)
+    relations = []
+    for e in povm.effects:
+        if rng.random() < 0.75:
+            effects.append(Effect(e.op * 0.5, "w" + e.label))
+            relations.append(AdditivityRelation(("w" + e.label,) * 2, e.label))
+    return build_context_set(effects, [list(other.labels), list(povm.labels)],
+                             relations)
+
+
+def core_labels(result):
+    return {lb for c in result.unsat_core for lb in c.labels}
+
+
+def leaves(tree):
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Branch):
+            stack += [node.zero, node.one]
+        else:
+            found.append(node)
+    return found
+
+
+def replace_leftmost_leaf(tree, leaf):
+    if not isinstance(tree, Branch):
+        return leaf
+    return dataclasses.replace(tree, zero=replace_leftmost_leaf(tree.zero, leaf))
+
+
+def leftmost_path(tree):
+    path = []
+    while isinstance(tree, Branch):
+        path.append(tree.label)
+        tree = tree.zero
+    return path
+
+
+@pytest.fixture(scope="module")
+def peres():
+    rays = peres_rays()
+    tetrads = orthogonal_tetrads(rays)
+    cs = ks_context_set(rays, tetrads)
+    return cs, search_dispersion_free(cs)
+
+
+class TestKnownAnswers:
+    def test_peres_24_rays(self, peres):
+        cs, result = peres
+        assert len(cs.effects) == 24
+        assert len(cs.contexts) == 24
+        assert result.status == "unsat"
+        assert len(result.unsat_core) == 11
+        assert len(core_labels(result)) == 20
+        start = time.perf_counter()
+        verdict = verify_certificate(result, cs)
+        elapsed = time.perf_counter() - start
+        assert verdict, verdict.reason
+        assert elapsed < 0.5
+
+    def test_cabello_estebaranz_garcia_alcaine_18_rays(self):
+        rays = peres_rays()
+        chosen = parity_tetrads(orthogonal_tetrads(rays))
+        counts = np.bincount(np.ravel(chosen), minlength=len(rays))
+        assert len(chosen) == 9
+        assert sorted(set(counts.tolist())) == [0, 2]
+        assert int(np.count_nonzero(counts)) == 18
+        cs = ks_context_set(rays, chosen)
+        result = search_dispersion_free(cs)
+        assert result.status == "unsat"
+        assert len(result.unsat_core) == 9
+        assert len(core_labels(result)) == 18
+        assert verify_certificate(result, cs)
+
+    def test_netted_coefficients(self):
+        # [Z, H, H] reads v(Z) + 2 v(H) = 1; the relation A + Z = A reads
+        # v(Z) = 0 because A is both addend and target. Together: unsat.
+        zero = Effect(0.0 * HermitianOperator.identity(2), "Z")
+        half = Effect(0.5 * HermitianOperator.identity(2), "H")
+        a = Effect(pauli_op(0, 0, 1), "A")
+        cs = build_context_set([zero, half, a], [["Z", "H", "H"]],
+                               [AdditivityRelation(("A", "Z"), "A")])
+        result = search_dispersion_free(cs)
+        assert result.status == "unsat"
+        assert len(result.unsat_core) == 2
+        verdict = verify_certificate(result, cs)
+        assert verdict, verdict.reason
+
+
+class TestTampering:
+    def test_dropped_child(self, peres):
+        cs, result = peres
+        bad = dataclasses.replace(
+            result, refutation=dataclasses.replace(result.refutation, one=None))
+        verdict = verify_certificate(bad, cs)
+        assert not verdict
+        assert "no child for value 1" in verdict.reason
+
+    def test_leaf_at_admitting_constraint(self, peres):
+        cs, result = peres
+        path = set(leftmost_path(result.refutation))
+        untouched = next(c for c in result.unsat_core
+                         if not path.intersection(c.labels))
+        for tree in (untouched,
+                     replace_leftmost_leaf(result.refutation, untouched)):
+            verdict = verify_certificate(
+                dataclasses.replace(result, refutation=tree), cs)
+            assert not verdict
+            assert "[0, 4]" in verdict.reason and "admit 1" in verdict.reason
+
+    def test_leaf_at_non_core_constraint(self, peres):
+        cs, result = peres
+        outside = next(c for c in cs.constraints() if c not in result.unsat_core)
+        for leaf in (outside, ConstraintDesc("context", ("r00", "r01"))):
+            tree = replace_leftmost_leaf(result.refutation, leaf)
+            verdict = verify_certificate(
+                dataclasses.replace(result, refutation=tree), cs)
+            assert not verdict
+            assert "not in the core" in verdict.reason
+
+    def test_branch_on_foreign_label(self, peres):
+        cs, result = peres
+        unused = sorted(set(cs.effects) - core_labels(result))
+        assert unused
+        for label in (unused[0], "nowhere"):
+            tree = Branch(label, result.refutation, result.refutation)
+            verdict = verify_certificate(
+                dataclasses.replace(result, refutation=tree), cs)
+            assert not verdict
+            assert "outside the core" in verdict.reason
+
+    def test_branch_on_assigned_label(self, peres):
+        cs, result = peres
+        root = result.refutation
+        tree = Branch(root.label, root, root)
+        verdict = verify_certificate(
+            dataclasses.replace(result, refutation=tree), cs)
+        assert not verdict
+        assert "already assigned" in verdict.reason
+
+    def test_unsat_without_tree(self, peres):
+        cs, result = peres
+        verdict = verify_certificate(
+            dataclasses.replace(result, refutation=None), cs)
+        assert not verdict
+        assert "no refutation tree" in verdict.reason
+
+    def test_tree_is_not_serialised(self, peres):
+        _, result = peres
+        assert "refutation" not in result.to_json_dict("0")
+
+
+class TestAgainstBruteForce:
+    def test_tree_checker_agrees_with_enumeration(self):
+        # every instance has at most 14 labels, so brute force stays cheap
+        rng = rng_from_seed(504)
+        instances = [random_context_set(rng, max_effects=12) for _ in range(40)]
+        instances += [halving_context_set(rng) for _ in range(40)]
+        checked = multi = 0
+        for cs in instances:
+            result = search_dispersion_free(cs, max_solutions=1)
+            if result.status != "unsat":
+                continue
+            checked += 1
+            multi += len(result.unsat_core) > 1
+            core = result.unsat_core
+            assert not brute_force_solutions(
+                constraint_subset_as_context_set(cs, core))
+            verdict = verify_certificate(result, cs)
+            assert verdict, verdict.reason
+            cited = leaves(result.refutation)
+            # each proper sub-core is satisfiable, so the tree must fail it
+            for k in range(len(core)):
+                rest = [c for i, c in enumerate(core) if i != k]
+                assert brute_force_solutions(
+                    constraint_subset_as_context_set(cs, rest))
+                assert core[k] in cited
+                assert not verify_certificate(
+                    dataclasses.replace(result, unsat_core=rest), cs)
+        assert checked >= 10 and multi >= 5
