@@ -32,18 +32,15 @@ from .errors import (  # noqa: F401
     ValuesInconsistent,
 )
 from .operators import (  # noqa: F401
-    ComplexMatrix,
+    TOL,
     EigenDecomposition,
     HermitianOperator,
-    adjoint,
     eig_hermitian,
     eigenvalues_of,
     frobenius_distance,
     frobenius_inner,
-    frobenius_norm,
     is_psd,
     operator_norm,
-    trace,
 )
 from .effects import (  # noqa: F401
     BlochVector,
@@ -51,11 +48,10 @@ from .effects import (  # noqa: F401
     Povm,
     bloch_to_operator,
     complement,
+    effect_checks,
     is_projection,
     operator_to_bloch,
     spectral_split,
-    validate_effect,
-    validate_povm,
 )
 from .valuation import (  # noqa: F401
     AdditivityRelation,
@@ -77,6 +73,7 @@ from .valuation import (  # noqa: F401
     project_to_density,
     reconstruct_density,
     sample_outcomes,
+    state_checks,
 )
 from .nogo import (  # noqa: F401
     ConstraintDesc,

@@ -24,15 +24,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, jsonio
 from .effects import (
     BlochVector,
     Effect,
     Povm,
+    effect_checks,
     effects_from_json_dict,
-    validate_povm,
 )
 from .errors import (
     EffectKitError,
@@ -47,15 +45,16 @@ from .nogo import (
     verify_certificate,
     witness_2d,
 )
-from .operators import HermitianOperator, eigenvalues_of
+from .operators import HermitianOperator
 from .valuation import (
     DensityOperator,
-    SampleRecord,
     ValuationTable,
     born,
     check_effect_valuation,
+    p1_in_range,
     reconstruct_density,
     sample_outcomes,
+    state_checks,
 )
 
 EXIT_OK = 0
@@ -132,11 +131,7 @@ def cmd_validate(args) -> int:
                       "effect.label")
         op = _schema_guard(HermitianOperator.from_json_dict,
                            _schema_guard(jsonio.expect_key, obj, "op", "effect"))
-        vals = eigenvalues_of(op)
-        check("hermitian_drift", op.herm_deviation <= op.tol,
-              deviation=op.herm_deviation)
-        check("positive", vals[0] >= -1e-9, min_eig=float(vals[0]))
-        check("below_identity", vals[-1] <= 1.0 + 1e-9, max_eig=float(vals[-1]))
+        checks.extend(effect_checks(op))
     elif args.kind == "povm":
         try:
             povm = _schema_guard(Povm.from_json_dict, payload)
@@ -146,12 +141,7 @@ def cmd_validate(args) -> int:
                   detail=str(exc))
     elif args.kind == "state":
         op = _schema_guard(HermitianOperator.from_json_dict, payload)
-        vals = eigenvalues_of(op)
-        tr = float(np.trace(op.array).real)
-        check("hermitian_drift", op.herm_deviation <= op.tol,
-              deviation=op.herm_deviation)
-        check("positive", vals[0] >= -1e-9, min_eig=float(vals[0]))
-        check("unit_trace", abs(tr - 1.0) <= 1e-9, trace=tr)
+        checks.extend(state_checks(op))
     elif args.kind == "valuation":
         obj = jsonio.expect_dict(payload, "valuation table")
         entries = jsonio.expect_list(
@@ -163,7 +153,7 @@ def cmd_validate(args) -> int:
                 jsonio.expect_key(item, "value", "entry"), "entry.value")
             label = jsonio.expect_str(
                 jsonio.expect_key(item, "label", "entry"), "entry.label")
-            if not -1e-12 <= value <= 1.0 + 1e-12:
+            if not p1_in_range(value):
                 bad.append(label)
         check("p1_range", not bad, out_of_range=bad)
         if args.effects:
@@ -213,10 +203,6 @@ def cmd_nogo2d(args) -> int:
 
 
 def cmd_dfsearch(args) -> int:
-    if args.max_solutions < 1:
-        raise _CliFailure(EXIT_INVALID, "--max-solutions must be at least 1")
-    if args.budget < 1:
-        raise _CliFailure(EXIT_INVALID, "--budget must be at least 1")
     payload = _load_json(args.contexts)
     obj = jsonio.expect_dict(payload, "context set")
     effects_file = jsonio.expect_str(

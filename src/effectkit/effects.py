@@ -26,18 +26,13 @@ from .errors import (
     TraceNotOne,
 )
 from .operators import (
-    ComplexMatrix,
+    TOL,
     HermitianOperator,
     eig_hermitian,
     eigenvalues_of,
     frobenius_distance,
+    hermitian_drift,
 )
-
-EFFECT_TOL = 1e-9
-POVM_TOL_PER_DIM = 1e-8
-PROJECTION_TOL = 1e-8
-SPECTRAL_GAP_TOL = 1e-9
-DUPLICATE_OP_TOL = 1e-10
 
 # Standard Pauli convention; sigma_y = [[0, -i], [i, 0]].
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -47,22 +42,37 @@ for _s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _s.setflags(write=False)
 
 
+def effect_checks(op: HermitianOperator, tol: float = TOL.spectrum
+                  ) -> list[dict]:
+    """The effect checks ``hermitian_drift``, ``positive`` (minimum
+    eigenvalue >= -tol) and ``below_identity`` (maximum eigenvalue
+    <= 1 + tol), in that order."""
+    vals = eigenvalues_of(op)
+    lo, hi = float(vals[0]), float(vals[-1])
+    return [hermitian_drift(op),
+            {"name": "positive", "ok": lo >= -tol, "min_eig": lo},
+            {"name": "below_identity", "ok": hi <= 1.0 + tol, "max_eig": hi}]
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Labeled operator with spectrum inside [0, 1] (within ``tol``)."""
+    """Labeled operator with spectrum inside [0, 1] (within ``tol``); raises
+    NotPositive or ExceedsIdentity from the first failed spectral check of
+    :func:`effect_checks`, whose ``hermitian_drift`` it does not enforce."""
 
     op: HermitianOperator
     label: str
-    tol: float = EFFECT_TOL
+    tol: float = TOL.spectrum
 
     def __post_init__(self):
-        vals = eigenvalues_of(self.op)
-        lo, hi = float(vals[0]), float(vals[-1])
-        if lo < -self.tol:
+        _, positive, below = effect_checks(self.op, self.tol)
+        if not positive["ok"]:
+            lo = positive["min_eig"]
             raise NotPositive(
                 f"effect {self.label!r}: minimum eigenvalue {lo:.6e} < 0",
                 min_eig=lo)
-        if hi > 1.0 + self.tol:
+        if not below["ok"]:
+            hi = below["max_eig"]
             raise ExceedsIdentity(
                 f"effect {self.label!r}: maximum eigenvalue {hi:.6e} > 1",
                 max_eig=hi)
@@ -102,7 +112,7 @@ class Povm:
         for e in self.effects:
             total = total + e.op.array
         residual = float(np.linalg.norm(total - np.eye(self.dim)))
-        if residual > POVM_TOL_PER_DIM * self.dim:
+        if residual > TOL.povm_sum_per_dim * self.dim:
             raise SumNotIdentity(
                 f"effects sum to I only within {residual:.6e} (Frobenius)",
                 residual=residual)
@@ -153,22 +163,7 @@ class BlochVector:
         return cls(tuple(jsonio.expect_number(c, "bloch.a[i]") for c in comps))
 
 
-def validate_effect(op: HermitianOperator, label: str = "E",
-                    tol: float = EFFECT_TOL) -> Effect:
-    """Return a labeled Effect, or raise NotPositive / ExceedsIdentity."""
-    return Effect(op, label, tol)
-
-
-def validate_povm(effects, dim: int | None = None) -> Povm:
-    """Assemble a Povm from effects, or raise SumNotIdentity / DimMismatch."""
-    effects = tuple(effects)
-    if not effects:
-        raise SumNotIdentity("a POVM needs at least one effect")
-    d = dim if dim is not None else effects[0].dim
-    return Povm(effects, d)
-
-
-def is_projection(e: Effect, tol: float = PROJECTION_TOL) -> bool:
+def is_projection(e: Effect, tol: float = TOL.projection) -> bool:
     """True iff ||E^2 - E||_F <= tol (idempotent effect)."""
     arr = e.op.array
     return bool(np.linalg.norm(arr @ arr - arr) <= tol)
@@ -193,10 +188,11 @@ def bloch_to_operator(a: BlochVector) -> HermitianOperator:
     m[1, 1] = 1.0 - (0.5 + 0.5 * az)
     m[0, 1] = 0.5 * ax - 0.5j * ay
     m[1, 0] = 0.5 * ax + 0.5j * ay
-    return HermitianOperator(ComplexMatrix(m))
+    return HermitianOperator(m)
 
 
-def operator_to_bloch(h: HermitianOperator, trace_tol: float = 1e-9) -> BlochVector:
+def operator_to_bloch(h: HermitianOperator,
+                      trace_tol: float = TOL.unit_trace) -> BlochVector:
     """Extract a_k = tr[h sigma_k] from a trace-1 qubit operator.
 
     Round-trips with :func:`bloch_to_operator` to 1e-12.
@@ -213,7 +209,7 @@ def operator_to_bloch(h: HermitianOperator, trace_tol: float = 1e-9) -> BlochVec
     return BlochVector((ax, ay, az))
 
 
-def spectral_split(e: Effect, gap_tol: float = SPECTRAL_GAP_TOL
+def spectral_split(e: Effect, gap_tol: float = TOL.spectral_gap
                    ) -> list[tuple[float, Effect]]:
     """Decompose an effect as sum_i lambda_i P_i over its distinct eigenvalues.
 
@@ -221,9 +217,10 @@ def spectral_split(e: Effect, gap_tol: float = SPECTRAL_GAP_TOL
     and each group's spectral projector is returned as an Effect labeled
     ``"<label>:proj<i>"``. Groups come back in ascending eigenvalue order.
 
-    Postconditions enforced here: the projectors are idempotent to 1e-8,
-    mutually orthogonal, complete (sum to I), and reassemble the input to
-    1e-9; violations raise ConvergenceFailure via the eigensolver checks.
+    Postconditions enforced here: the projectors are effects within
+    ``TOL.projection``, mutually orthogonal, complete (sum to I), and
+    reassemble the input to ``TOL.eig``; violations raise
+    ConvergenceFailure via the eigensolver checks.
     """
     decomp = eig_hermitian(e.op)
     vals, vecs = decomp.eigenvalues, decomp.eigenvectors
@@ -236,9 +233,9 @@ def spectral_split(e: Effect, gap_tol: float = SPECTRAL_GAP_TOL
     out: list[tuple[float, Effect]] = []
     for gi, idxs in enumerate(groups):
         v = vecs[:, idxs]
-        proj = HermitianOperator.from_array(v @ v.conj().T)
+        proj = HermitianOperator(v @ v.conj().T)
         value = float(np.mean(vals[idxs]))
-        out.append((value, Effect(proj, f"{e.label}:proj{gi}", tol=1e-8)))
+        out.append((value, Effect(proj, f"{e.label}:proj{gi}", tol=TOL.projection)))
     return out
 
 
@@ -257,7 +254,7 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     return dim, effects
 
 
-def warn_duplicate_operators(effects, tol: float = DUPLICATE_OP_TOL) -> None:
+def warn_duplicate_operators(effects, tol: float = TOL.same_operator) -> None:
     """Warn when two distinct labels carry numerically identical operators."""
     items = list(effects)
     for i in range(len(items)):

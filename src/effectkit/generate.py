@@ -4,7 +4,8 @@ All randomness flows through numpy's PCG64 generator (128-bit state, 64-bit
 outputs), so every artifact is bit-reproducible from its seed. Unitaries are
 Haar-distributed (QR of a complex Ginibre sample with the standard phase
 fix); POVMs are built by symmetric normalization of random positive
-operators, which gives full-support outcome sets.
+operators, which gives full-support outcome sets. Each generator checks its
+dimension against ``MAX_DIM`` before it draws anything.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .effects import Effect, Povm
-from .operators import HermitianOperator
+from .operators import HermitianOperator, check_dim
 from .valuation import DensityOperator
 
 
@@ -27,6 +28,7 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    check_dim(dim)
     q, r = np.linalg.qr(_ginibre(dim, rng))
     phases = np.diagonal(r).copy()
     phases = phases / np.abs(phases)
@@ -35,8 +37,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator,
                      scale: float = 1.0) -> HermitianOperator:
+    check_dim(dim)
     g = _ginibre(dim, rng) * scale
-    return HermitianOperator.from_array((g + g.conj().T) / 2.0)
+    return HermitianOperator((g + g.conj().T) / 2.0)
 
 
 def random_effect(dim: int, rng: np.random.Generator,
@@ -44,30 +47,34 @@ def random_effect(dim: int, rng: np.random.Generator,
     """U diag(u_1..u_d) U^dagger with u_i uniform in [0, 1], U Haar."""
     u = haar_unitary(dim, rng)
     diag = rng.uniform(0.0, 1.0, size=dim)
-    op = HermitianOperator.from_array((u * diag) @ u.conj().T)
+    op = HermitianOperator((u * diag) @ u.conj().T)
     return Effect(op, label)
 
 
 def random_psd(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    check_dim(dim)
     g = _ginibre(dim, rng)
-    return HermitianOperator.from_array(g @ g.conj().T)
+    return HermitianOperator(g @ g.conj().T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    check_dim(dim)
     g = _ginibre(dim, rng)
     a = g @ g.conj().T
-    return DensityOperator(HermitianOperator.from_array(a / np.trace(a).real))
+    return DensityOperator(HermitianOperator(a / np.trace(a).real))
 
 
 def random_pure_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    check_dim(dim)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi = psi / np.linalg.norm(psi)
-    return DensityOperator(HermitianOperator.from_array(np.outer(psi, psi.conj())))
+    return DensityOperator(HermitianOperator(np.outer(psi, psi.conj())))
 
 
 def random_povm(dim: int, outcomes: int, rng: np.random.Generator,
                 label_prefix: str = "E") -> Povm:
     """Normalize random positive operators A_i by S^{-1/2} A_i S^{-1/2}."""
+    check_dim(dim)
     if outcomes < 1:
         raise ValueError("a POVM needs at least one outcome")
     ops = []
@@ -82,7 +89,7 @@ def random_povm(dim: int, outcomes: int, rng: np.random.Generator,
     effects = []
     for i, a in enumerate(ops):
         e = inv_sqrt @ a @ inv_sqrt
-        effects.append(Effect(HermitianOperator.from_array(e),
+        effects.append(Effect(HermitianOperator(e),
                               f"{label_prefix}{i}"))
     return Povm(tuple(effects), dim)
 

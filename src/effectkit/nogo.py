@@ -54,12 +54,8 @@ from .errors import (
     SumNotIdentity,
     UnknownLabel,
 )
-from .operators import HermitianOperator, eigenvalues_of
+from .operators import TOL, HermitianOperator, eigenvalues_of
 from .valuation import AdditivityRelation
-
-UNIT_TOL = 1e-9
-MIN_ANGLE = 1e-6
-RELATION_TOL = 1e-10
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -104,13 +100,14 @@ class Witness2D:
 def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
     """Build the mixture witness E = lam*P + (1-lam)*Q on a qubit.
 
-    Requires unit Bloch vectors separated by more than 1e-6 rad and a mixing
-    weight strictly inside (0, 1); additionally the mixture vector c must
-    satisfy |c| < 1 - 1e-9, else the larger spectral weight degenerates to 1
-    and there is no contradiction to certify.
+    Requires unit Bloch vectors (within ``TOL.unit_vector``) separated by
+    more than ``TOL.min_angle`` rad and a mixing weight strictly inside
+    (0, 1); additionally the mixture vector c must satisfy
+    |c| < 1 - ``TOL.mixture_margin``, else the larger spectral weight
+    degenerates to 1 and there is no contradiction to certify.
     """
     for name, vec in (("n", n), ("m", m)):
-        if abs(vec.norm - 1.0) > UNIT_TOL:
+        if abs(vec.norm - 1.0) > TOL.unit_vector:
             raise NotUnitVectors(
                 f"{name} has norm {vec.norm:.12g}, expected a unit vector")
     lam = float(lam)
@@ -118,12 +115,12 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
         raise DegenerateLambda(f"mixing weight {lam:g} must lie strictly in (0, 1)")
     dot = sum(a * b for a, b in zip(n.a, m.a))
     angle = math.acos(min(1.0, max(-1.0, dot)))
-    if angle <= MIN_ANGLE:
+    if angle <= TOL.min_angle:
         raise ParallelVectors(
             f"directions subtend only {angle:.3e} rad; the mixture is "
             "(numerically) a projection and carries no contradiction")
     c = BlochVector(tuple(lam * a + (1.0 - lam) * b for a, b in zip(n.a, m.a)))
-    if c.norm >= 1.0 - 1e-9:
+    if c.norm >= 1.0 - TOL.mixture_margin:
         raise ParallelVectors(
             f"|c| = {c.norm:.12g} is too close to 1; the spectral weights "
             "degenerate and no contradiction arises")
@@ -133,11 +130,11 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
     e = Effect(lam * p.op + (1.0 - lam) * q.op, "E")
     mu = (1.0 + c.norm) / 2.0
     top = float(eigenvalues_of(e.op)[-1])
-    if abs(mu - top) > 1e-9:
+    if abs(mu - top) > TOL.eig:
         raise ConvergenceFailure(
             f"closed-form weight {mu:.15g} disagrees with eigensolver {top:.15g}")
 
-    if c.norm <= 1e-12:
+    if c.norm <= TOL.zero:
         # E is maximally degenerate (E = I/2); any complementary projection
         # pair is a spectral pair, fix the z axis by convention.
         chat = (0.0, 0.0, 1.0)
@@ -181,7 +178,7 @@ class ContextSet:
 
     Every context is a POVM over the shared effect pool (labels may repeat
     within a context) and every sum relation's operator identity holds to
-    1e-10 in Frobenius norm.
+    ``TOL.same_operator`` in Frobenius norm.
     """
 
     effects: dict[str, Effect]
@@ -208,10 +205,10 @@ def build_context_set(effects: Iterable[Effect],
     """Validate a context set, optionally auto-discovering sum relations.
 
     Raises BadContext when a declared context is not a POVM and BadRelation
-    when a claimed operator identity fails at 1e-10. With ``discover``,
-    pairs of effects are scanned against every effect target and the
-    identity, and triples against the identity only (O(k^3) checks); deeper
-    scans are intentionally not attempted.
+    when a claimed operator identity fails at ``TOL.same_operator``. With
+    ``discover``, pairs of effects are scanned against every effect target
+    and the identity, and triples against the identity only (O(k^3)
+    checks); deeper scans are intentionally not attempted.
     """
     pool: dict[str, Effect] = {}
     for e in effects:
@@ -262,14 +259,15 @@ def _check_relation_identity(rel: AdditivityRelation, resolve) -> None:
     else:
         target_op = resolve(rel.target).op
     dev = float(np.linalg.norm(total.array - target_op.array))
-    if dev > RELATION_TOL:
+    if dev > TOL.same_operator:
         raise BadRelation(
             f"claimed identity {rel.describe()} fails: Frobenius deviation "
-            f"{dev:.3e} > {RELATION_TOL:g}")
+            f"{dev:.3e} > {TOL.same_operator:g}")
 
 
 def discover_sum_relations(pool: Mapping[str, Effect],
-                           tol: float = RELATION_TOL) -> list[AdditivityRelation]:
+                           tol: float = TOL.same_operator
+                           ) -> list[AdditivityRelation]:
     """Scan pairs (against every target and I) and triples (against I)."""
     labels = list(pool)
     arrays = {lb: pool[lb].op.array for lb in labels}
@@ -539,8 +537,13 @@ def search_dispersion_free(cs: ContextSet,
     deletion-based shrinking and a refutation tree for that core, taken from
     one more solve of the core alone (its nodes are not counted in
     ``nodes_explored``); if the node budget is exhausted first, the status is
-    "unknown".
+    "unknown". ``max_solutions`` and ``node_budget`` below 1 raise
+    ValueError.
     """
+    if max_solutions < 1:
+        raise ValueError("max_solutions must be at least 1")
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1")
     constraints = cs.constraints()
     status, solutions, total, nodes, _ = _solve(
         constraints, node_budget, max_store=max_solutions)

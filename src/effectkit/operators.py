@@ -1,10 +1,12 @@
-"""Dense complex linear algebra on small Hilbert spaces.
+"""Hermitian operators on small Hilbert spaces, and the tolerance table.
 
-Hermitian operators are the carriers for effects, states, and observables.
-Everything here is immutable after construction and every operation is a pure
-function, so values can be shared freely across threads. Dimensions are
-capped at :data:`MAX_DIM` (rebind it before constructing larger matrices);
-the dense O(d^3) routines below are meant for desk-scale work.
+:class:`HermitianOperator` is the package's one matrix type: the carrier
+for effects, states, and observables. Everything here is immutable after
+construction and every operation is a pure function, so values can be
+shared freely across threads. Dimensions are capped at :data:`MAX_DIM`
+(rebind it before constructing larger matrices); the dense O(d^3) routines
+below are meant for desk-scale work. :data:`TOL` holds every numerical
+tolerance of the package.
 """
 
 from __future__ import annotations
@@ -18,34 +20,83 @@ from . import jsonio
 
 MAX_DIM = 64
 
-EIG_RESIDUAL_RTOL = 1e-9
-DEFAULT_HERM_TOL = 1e-10
-DEFAULT_PSD_TOL = 1e-9
+
+class TOL:
+    """Every numerical tolerance of the package, named by what it guards.
+    Bounds are absolute unless the comment says otherwise; matrix norms are
+    Frobenius."""
+
+    # Eigensolver residual (relative to 1 + ||M||), orthonormality of the
+    # eigenvectors, and agreement with a closed-form eigenvalue.
+    eig = 1e-9
+    hermitian = 1e-10         # herm_deviation that validation accepts
+    spectrum = 1e-9           # eigenvalue slack below 0 and above 1
+    unit_trace = 1e-9         # |tr - 1| of a state or Bloch operator
+    spectral_gap = 1e-9       # eigenvalues merged by spectral_split
+    projection = 1e-8         # ||P^2 - P||; spectral projector slack
+    povm_sum_per_dim = 1e-8   # ||sum E_i - I||, per dimension
+    same_operator = 1e-10     # duplicate operators, sum identities
+    zero = 1e-12              # |eigenvalue| or norm at most this is 0
+    p1_slack = 1e-12          # values accepted in [-s, 1 + s]
+    # Sums of values: (P2), (P3), and Born probabilities over a POVM.
+    check = 1e-8
+    sv_cutoff = 1e-10         # singular values, relative to the largest
+    residual = 1e-6           # ||design @ coords - values||_2
+    unit_vector = 1e-9        # ||n| - 1| of a Bloch direction
+    min_angle = 1e-6          # radians between two Bloch directions
+    mixture_margin = 1e-9     # |c| of a witness stays below 1 - margin
+
+
+def check_dim(d: int) -> None:
+    """Raise ValueError unless 1 <= d <= MAX_DIM; cheap, so callers can run
+    it before allocating anything of size d."""
+    if d < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds MAX_DIM={MAX_DIM}")
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexMatrix:
-    """Immutable square complex matrix with finite entries."""
+class HermitianOperator:
+    """A Hermitian matrix, canonically symmetrized at construction.
+
+    The input must be a finite square array with 1 <= d <= MAX_DIM, else
+    ValueError. It is replaced by (M + M^dagger)/2, stored read-only, and
+    the worst entrywise deviation |M[i][j] - conj(M[j][i])| of the input is
+    kept in ``herm_deviation`` so float drift in files is visible instead of
+    being silently absorbed; construction never rejects for drift.
+    """
 
     array: np.ndarray
+    herm_deviation: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.complex128)
+        arr = np.asarray(self.array, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        d = arr.shape[0]
-        if d < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if d > MAX_DIM:
-            raise ValueError(f"dimension {d} exceeds MAX_DIM={MAX_DIM}")
-        if not np.all(np.isfinite(arr)):
+        check_dim(arr.shape[0])
+        adj = arr.conj().T
+        # The symmetrized matrix is the only copy made; it is non-finite
+        # exactly when the input is, or when the sum overflows.
+        sym = (arr + adj) / 2.0
+        if not np.isfinite(sym).all():
             raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+        sym.setflags(write=False)
+        object.__setattr__(self, "array", sym)
+        object.__setattr__(self, "herm_deviation",
+                           float(np.max(np.abs(arr - adj))))
 
     @property
     def dim(self) -> int:
         return self.array.shape[0]
+
+    @classmethod
+    def identity(cls, dim: int) -> "HermitianOperator":
+        return cls(np.eye(dim, dtype=np.complex128))
+
+    @classmethod
+    def zero(cls, dim: int) -> "HermitianOperator":
+        return cls(np.zeros((dim, dim), dtype=np.complex128))
 
     def to_json_dict(self) -> dict:
         """Wire format: ``{"dim": d, "entries": [[re, im], ...]}`` row-major."""
@@ -56,7 +107,7 @@ class ComplexMatrix:
         }
 
     @classmethod
-    def from_json_dict(cls, obj) -> "ComplexMatrix":
+    def from_json_dict(cls, obj) -> "HermitianOperator":
         obj = jsonio.expect_dict(obj, "matrix")
         d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
         entries = jsonio.expect_list(
@@ -76,80 +127,31 @@ class ComplexMatrix:
             flat[k] = complex(re, im)
         return cls(flat.reshape(d, d))
 
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A Hermitian matrix, canonically symmetrized at construction.
-
-    The input is replaced by (M + M^dagger)/2 and the worst entrywise
-    deviation |M[i][j] - conj(M[j][i])| of the original input is kept in
-    ``herm_deviation`` so float drift in files is visible instead of being
-    silently absorbed. ``tol`` records the hermiticity tolerance the caller
-    considers acceptable; construction never rejects.
-    """
-
-    matrix: ComplexMatrix
-    tol: float = DEFAULT_HERM_TOL
-    herm_deviation: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError("hermiticity tolerance must be non-negative")
-        arr = self.matrix.array
-        dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        sym = (arr + arr.conj().T) / 2.0
-        object.__setattr__(self, "matrix", ComplexMatrix(sym))
-        object.__setattr__(self, "herm_deviation", dev)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @classmethod
-    def from_array(cls, arr, tol: float = DEFAULT_HERM_TOL) -> "HermitianOperator":
-        return cls(ComplexMatrix(np.asarray(arr, dtype=np.complex128)), tol)
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(ComplexMatrix(np.eye(dim, dtype=np.complex128)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(ComplexMatrix(np.zeros((dim, dim), dtype=np.complex128)))
-
-    @classmethod
-    def from_json_dict(cls, obj, tol: float = DEFAULT_HERM_TOL) -> "HermitianOperator":
-        return cls(ComplexMatrix.from_json_dict(obj), tol)
-
-    def to_json_dict(self) -> dict:
-        return self.matrix.to_json_dict()
-
     # Hermitian operators are closed under real-linear combinations; these
     # are the only arithmetic dunders provided on purpose (a product of
     # Hermitian operators is generally not Hermitian).
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         _require_same_dim(self, other)
-        return HermitianOperator.from_array(self.array + other.array)
+        return HermitianOperator(self.array + other.array)
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         _require_same_dim(self, other)
-        return HermitianOperator.from_array(self.array - other.array)
+        return HermitianOperator(self.array - other.array)
 
     def __mul__(self, scalar) -> "HermitianOperator":
-        return HermitianOperator.from_array(self.array * float(scalar))
+        return HermitianOperator(self.array * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator.from_array(-self.array)
+        return HermitianOperator(-self.array)
 
-    def allclose(self, other: "HermitianOperator", tol: float = 1e-12) -> bool:
-        _require_same_dim(self, other)
-        return frobenius_distance(self, other) <= tol
+
+def hermitian_drift(h: HermitianOperator) -> dict:
+    """Check ``herm_deviation <= TOL.hermitian``. Every check is a dict
+    ``{"name", "ok", <measured values>}``, the form ``validate`` prints."""
+    return {"name": "hermitian_drift", "ok": h.herm_deviation <= TOL.hermitian,
+            "deviation": h.herm_deviation}
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,17 +180,6 @@ def _require_same_dim(a, b) -> None:
         raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def adjoint(m: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return ComplexMatrix(m.array.conj().T)
-
-
-def trace(m: ComplexMatrix | HermitianOperator) -> complex:
-    """Sum of diagonal entries."""
-    arr = m.array if isinstance(m, HermitianOperator) else m.array
-    return complex(np.trace(arr))
-
-
 def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian operator.
 
@@ -201,8 +192,8 @@ def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
     ------
     ConvergenceFailure
         If the solver fails, or the reconstruction residual
-        ||sum_i l_i v_i v_i^H - M||_F exceeds 1e-9 * (1 + ||M||_F), or the
-        eigenvectors are not orthonormal to 1e-9.
+        ||sum_i l_i v_i v_i^H - M||_F exceeds ``TOL.eig`` * (1 + ||M||_F),
+        or the eigenvectors are not orthonormal to ``TOL.eig``.
     """
     arr = h.array
     try:
@@ -212,11 +203,11 @@ def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
     decomp = EigenDecomposition(vals, vecs)
     norm = np.linalg.norm(arr)
     residual = np.linalg.norm(decomp.reassemble() - arr)
-    if residual > EIG_RESIDUAL_RTOL * (1.0 + norm):
+    if residual > TOL.eig * (1.0 + norm):
         raise ConvergenceFailure(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance")
     gram_dev = np.max(np.abs(vecs.conj().T @ vecs - np.eye(h.dim)))
-    if gram_dev > 1e-9:
+    if gram_dev > TOL.eig:
         raise ConvergenceFailure(
             f"eigenvectors not orthonormal (deviation {gram_dev:.3e})")
     return decomp
@@ -230,7 +221,7 @@ def eigenvalues_of(h: HermitianOperator) -> np.ndarray:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
 
 
-def is_psd(h: HermitianOperator, tol: float = DEFAULT_PSD_TOL) -> bool:
+def is_psd(h: HermitianOperator, tol: float = TOL.spectrum) -> bool:
     """True iff the minimum eigenvalue is >= -tol."""
     return bool(eigenvalues_of(h)[0] >= -tol)
 
@@ -245,10 +236,6 @@ def frobenius_inner(a: HermitianOperator, b: HermitianOperator) -> float:
     """tr[a b], which is real for Hermitian operands."""
     _require_same_dim(a, b)
     return float(np.einsum("ij,ji->", a.array, b.array).real)
-
-
-def frobenius_norm(h: HermitianOperator) -> float:
-    return float(np.linalg.norm(h.array))
 
 
 def frobenius_distance(a: HermitianOperator, b: HermitianOperator) -> float:

@@ -36,39 +36,49 @@ from .errors import (
     ValuesInconsistent,
 )
 from .operators import (
+    TOL,
     HermitianOperator,
     eig_hermitian,
     eigenvalues_of,
     frobenius_inner,
+    hermitian_drift,
     is_psd,
     operator_norm,
 )
 
-P1_SLACK = 1e-12
-CHECK_TOL = 1e-8
-JORDAN_ZERO_TOL = 1e-12
-SV_CUTOFF = 1e-10
-RESIDUAL_TOL = 1e-6
+
+def state_checks(op: HermitianOperator) -> list[dict]:
+    """The state checks ``hermitian_drift``, ``positive`` (minimum eigenvalue
+    >= -TOL.spectrum) and ``unit_trace`` (|tr - 1| <= TOL.unit_trace), in
+    that order."""
+    lo = float(eigenvalues_of(op)[0])
+    tr = float(np.trace(op.array).real)
+    return [hermitian_drift(op),
+            {"name": "positive", "ok": lo >= -TOL.spectrum, "min_eig": lo},
+            {"name": "unit_trace", "ok": abs(tr - 1.0) <= TOL.unit_trace,
+             "trace": tr}]
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive, trace-1 operator; pass validate=False only for diagnostics
-    of reconstructions that are allowed to be slightly infeasible."""
+    of reconstructions that are allowed to be slightly infeasible. Raises
+    NotPositive or TraceNotOne from the first failed check of
+    :func:`state_checks`, whose ``hermitian_drift`` it does not enforce."""
 
     op: HermitianOperator
     validate: bool = True
 
     def __post_init__(self):
         if self.validate:
-            vals = eigenvalues_of(self.op)
-            if vals[0] < -1e-9:
-                raise NotPositive(
-                    f"state has negative eigenvalue {vals[0]:.6e}",
-                    min_eig=float(vals[0]))
-            tr = float(np.trace(self.op.array).real)
-            if abs(tr - 1.0) > 1e-9:
-                raise TraceNotOne(f"state trace {tr:.12g} is not 1")
+            _, positive, unit_trace = state_checks(self.op)
+            if not positive["ok"]:
+                lo = positive["min_eig"]
+                raise NotPositive(f"state has negative eigenvalue {lo:.6e}",
+                                  min_eig=lo)
+            if not unit_trace["ok"]:
+                raise TraceNotOne(
+                    f"state trace {unit_trace['trace']:.12g} is not 1")
 
     @property
     def dim(self) -> int:
@@ -94,7 +104,7 @@ class ValuationTable:
 
     Construction does not reject out-of-range values: a table may encode a
     *candidate* valuation, and the axiom checkers below are the judges. A
-    valid table has every value in [-1e-12, 1 + 1e-12].
+    valid table has every value in [-TOL.p1_slack, 1 + TOL.p1_slack].
     """
 
     def __init__(self, dim: int, entries: Iterable[TableEntry]):
@@ -284,22 +294,26 @@ class SampleRecord:
         return cls(tuple(labels), tuple(counts), n, seed)
 
 
-def born(rho: DensityOperator, e: Effect) -> float:
-    """tr[rho E], clamped to [0, 1] against float drift."""
-    if rho.dim != e.dim:
-        raise DimMismatch(f"state dim {rho.dim} vs effect dim {e.dim}")
-    return min(1.0, max(0.0, frobenius_inner(rho.op, e.op)))
-
-
 def born_functional(rho: DensityOperator) -> Callable[[HermitianOperator], float]:
-    """The Born valuation of ``rho`` as a callable on effect operators."""
+    """The Born valuation of ``rho`` as a callable on effect operators:
+    tr[rho E], clamped to [0, 1] against float drift."""
 
     def v(op: HermitianOperator) -> float:
         if op.dim != rho.dim:
-            raise DimMismatch(f"state dim {rho.dim} vs operator dim {op.dim}")
+            raise DimMismatch(f"state dim {rho.dim} vs effect dim {op.dim}")
         return min(1.0, max(0.0, frobenius_inner(rho.op, op)))
 
     return v
+
+
+def born(rho: DensityOperator, e: Effect) -> float:
+    """tr[rho E], clamped to [0, 1]: :func:`born_functional` at ``e``."""
+    return born_functional(rho)(e.op)
+
+
+def p1_in_range(value: float) -> bool:
+    """Axiom (P1) for one value: it lies in [0, 1] within ``TOL.p1_slack``."""
+    return -TOL.p1_slack <= value <= 1.0 + TOL.p1_slack
 
 
 def _identity_value(v: ValuationTable, tol: float) -> tuple[str, float] | None:
@@ -312,19 +326,19 @@ def _identity_value(v: ValuationTable, tol: float) -> tuple[str, float] | None:
 
 def check_gpm(v: ValuationTable,
               relations: Sequence[AdditivityRelation],
-              tol: float = CHECK_TOL) -> AxiomReport:
+              tol: float = TOL.check) -> AxiomReport:
     """Check axioms (P1)-(P3) of a candidate valuation table.
 
     P1 is the range check on every stored value; P2 is checked when some
     label carries the identity operator; P3 checks each supplied additivity
-    relation. A relation whose operator sum exceeds I (within 1e-8) asserts
+    relation. A relation whose operator sum exceeds I (within ``tol``) asserts
     nothing and is recorded under ``ill_posed`` instead of being evaluated.
     The relations themselves are caller-asserted claims: resolve labels
     carefully, since an unknown label raises UnknownLabel.
     """
     report = AxiomReport()
     for label, entry in v.items():
-        if not (-P1_SLACK <= entry.value <= 1.0 + P1_SLACK):
+        if not p1_in_range(entry.value):
             report.p1_ok = False
             bound = min(max(entry.value, 0.0), 1.0)
             report.violations.append(Violation(
@@ -362,7 +376,7 @@ def check_gpm(v: ValuationTable,
 
 
 def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
-                           tol: float = CHECK_TOL) -> AxiomReport:
+                           tol: float = TOL.check) -> AxiomReport:
     """Check the POVM form of the axioms: v >= 0 and sum v(E_i) = 1.
 
     Nonnegativity failures land on the p1 flag, normalization failures on
@@ -371,7 +385,7 @@ def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
     """
     report = AxiomReport()
     for label, entry in v.items():
-        if entry.value < -P1_SLACK:
+        if entry.value < -TOL.p1_slack:
             report.p1_ok = False
             report.violations.append(Violation(
                 f"nonnegativity: v({label})", entry.value, 0.0, -entry.value))
@@ -388,7 +402,7 @@ def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
 
 def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
                        a: HermitianOperator,
-                       psd_tol: float = 1e-9) -> float:
+                       psd_tol: float = TOL.spectrum) -> float:
     """Extend a valuation from effects to a positive operator by scaling.
 
     Writes A = alpha E with alpha = max(||A||, 1), so E = A/alpha is an
@@ -402,11 +416,11 @@ def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
             f"operator has negative eigenvalue {vals[0]:.6e}",
             min_eig=float(vals[0]))
     alpha = max(operator_norm(a), 1.0)
-    scaled = HermitianOperator.from_array(a.array / alpha)
+    scaled = HermitianOperator(a.array / alpha)
     return alpha * v_effect(scaled)
 
 
-def jordan_split(c: HermitianOperator, zero_tol: float = JORDAN_ZERO_TOL
+def jordan_split(c: HermitianOperator, zero_tol: float = TOL.zero
                  ) -> tuple[HermitianOperator, HermitianOperator]:
     """Split C = C+ - C- along its spectrum; both parts are positive.
 
@@ -419,8 +433,7 @@ def jordan_split(c: HermitianOperator, zero_tol: float = JORDAN_ZERO_TOL
     neg = np.where(vals < -zero_tol, -vals, 0.0)
     c_pos = (vecs * pos) @ vecs.conj().T
     c_neg = (vecs * neg) @ vecs.conj().T
-    return (HermitianOperator.from_array(c_pos),
-            HermitianOperator.from_array(c_neg))
+    return HermitianOperator(c_pos), HermitianOperator(c_neg)
 
 
 def extend_to_selfadjoint(v_effect: Callable[[HermitianOperator], float],
@@ -516,13 +529,13 @@ def project_to_density(h: HermitianOperator) -> DensityOperator:
         raise NotPositive("operator has no positive spectral weight to keep")
     clipped /= total
     arr = (decomp.eigenvectors * clipped) @ decomp.eigenvectors.conj().T
-    return DensityOperator(HermitianOperator.from_array(arr))
+    return DensityOperator(HermitianOperator(arr))
 
 
 def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
                         min_norm: bool = False, project_psd: bool = False,
-                        sv_cutoff: float = SV_CUTOFF,
-                        residual_tol: float = RESIDUAL_TOL
+                        sv_cutoff: float = TOL.sv_cutoff,
+                        residual_tol: float = TOL.residual
                         ) -> tuple[DensityOperator, ReconstructionDiagnostics]:
     """Solve tr[rho E_k] = v_k for a Hermitian rho.
 
@@ -549,7 +562,7 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
         if e.dim != dim:
             raise DimMismatch(f"effect {e.label!r} has dim {e.dim}, frame dim {dim}")
     vals = np.asarray([float(x) for x in values], dtype=np.float64)
-    if np.any(vals < -P1_SLACK) or np.any(vals > 1.0 + P1_SLACK):
+    if not all(p1_in_range(x) for x in vals):
         raise ValueError("reconstruction values must lie in [0, 1]")
 
     basis = hermitian_basis(dim)
@@ -568,8 +581,7 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
             f"values violate linearity: residual {residual:.3e} > "
             f"{residual_tol:g}", residual=residual)
 
-    solution = HermitianOperator.from_array(
-        np.einsum("b,bij->ij", coords, basis))
+    solution = HermitianOperator(np.einsum("b,bij->ij", coords, basis))
     sol_eigs = eigenvalues_of(solution)
     diag = ReconstructionDiagnostics(
         residual=residual,
@@ -614,7 +626,7 @@ def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
         raise ValueError("shot count must be at least 1")
     probs = np.array([born(rho, e) for e in povm.effects])
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > TOL.check:
         raise ProbabilityDeficit(
             f"outcome probabilities sum to {total:.12g}, not 1")
     probs = probs / total

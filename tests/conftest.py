@@ -23,7 +23,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def pauli_op(ax: float, ay: float, az: float) -> HermitianOperator:
     """(I + a.sigma)/2 assembled entry by entry, independent of the package."""
     arr = 0.5 * (np.eye(2, dtype=complex) + ax * SX + ay * SY + az * SZ)
-    return HermitianOperator.from_array(arr)
+    return HermitianOperator(arr)
 
 
 def char_poly_eigs_2x2(arr: np.ndarray) -> tuple[float, float]:

@@ -16,9 +16,8 @@ from effectkit import (
     estimate_valuation,
     hermitian_basis,
     jsonio,
-    validate_povm,
 )
-from effectkit import cli
+from effectkit import cli, generate, operators
 from effectkit.cli import main
 from effectkit.valuation import SampleRecord, _design_matrix
 
@@ -31,12 +30,12 @@ def write(path, payload):
 
 
 def ground_state_payload():
-    return HermitianOperator.from_array(np.diag([1.0, 0.0])).to_json_dict()
+    return HermitianOperator(np.diag([1.0, 0.0])).to_json_dict()
 
 
 def z_povm_payload():
-    povm = validate_povm([Effect(pauli_op(0, 0, 1), "up"),
-                          Effect(pauli_op(0, 0, -1), "down")])
+    povm = Povm((Effect(pauli_op(0, 0, 1), "up"),
+                 Effect(pauli_op(0, 0, -1), "down")), 2)
     return povm.to_json_dict()
 
 
@@ -86,8 +85,7 @@ class TestValidate:
         assert code == 0 and report["valid"]
 
     def test_invalid_state(self, tmp_path, capsys):
-        payload = HermitianOperator.from_array(
-            np.diag([1.5, -0.5])).to_json_dict()
+        payload = HermitianOperator(np.diag([1.5, -0.5])).to_json_dict()
         path = write(tmp_path / "s.json", payload)
         code, report = run_cli(["validate", path, "--kind", "state"], capsys)
         assert code == 2
@@ -342,6 +340,17 @@ class TestSampleAndGen:
                      "--out", out], capsys)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("kind", ["state", "effect", "povm"])
+    def test_gen_above_max_dim_draws_nothing(self, capsys, monkeypatch, kind):
+        def no_draws(dim, rng):
+            raise AssertionError(f"drew a {dim}x{dim} sample")
+
+        monkeypatch.setattr(generate, "_ginibre", no_draws)
+        code, payload = run_cli(["gen", "--kind", kind, "--dim",
+                                 str(operators.MAX_DIM + 1)], capsys)
+        assert code == 2
+        assert payload is None
 
     def test_gen_zero_outcomes_is_a_parameter_error(self, capsys):
         code, payload = run_cli(["gen", "--kind", "povm", "--dim", "2",

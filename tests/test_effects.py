@@ -14,6 +14,7 @@ from effectkit import (
     HermitianOperator,
     NotDimTwo,
     NotPositive,
+    Povm,
     SumNotIdentity,
     TraceNotOne,
     bloch_to_operator,
@@ -24,8 +25,6 @@ from effectkit import (
     random_effect,
     rng_from_seed,
     spectral_split,
-    validate_effect,
-    validate_povm,
 )
 from effectkit.effects import warn_duplicate_operators
 
@@ -33,29 +32,29 @@ from conftest import char_poly_eigs_2x2, pauli_op
 
 
 def diag_effect(*values, label="E"):
-    return Effect(HermitianOperator.from_array(np.diag(values).astype(complex)),
+    return Effect(HermitianOperator(np.diag(values).astype(complex)),
                   label)
 
 
 class TestValidateEffect:
     def test_half_identity(self):
-        e = validate_effect(0.5 * HermitianOperator.identity(2))
+        e = Effect(0.5 * HermitianOperator.identity(2), "E")
         assert e.dim == 2
 
     def test_exceeds_identity(self):
-        op = HermitianOperator.from_array(np.diag([1.2, 0.0]).astype(complex))
+        op = HermitianOperator(np.diag([1.2, 0.0]).astype(complex))
         with pytest.raises(ExceedsIdentity) as info:
-            validate_effect(op)
+            Effect(op, "E")
         assert info.value.max_eig == pytest.approx(1.2, abs=1e-12)
 
     def test_not_positive(self):
-        op = HermitianOperator.from_array(np.diag([-0.1, 0.5]).astype(complex))
+        op = HermitianOperator(np.diag([-0.1, 0.5]).astype(complex))
         with pytest.raises(NotPositive) as info:
-            validate_effect(op)
+            Effect(op, "E")
         assert info.value.min_eig == pytest.approx(-0.1, abs=1e-12)
 
     def test_tilted_effect(self):
-        e = validate_effect(pauli_op(0.5, 0.0, 0.5))
+        e = Effect(pauli_op(0.5, 0.0, 0.5), "E")
         lo, hi = char_poly_eigs_2x2(e.op.array)
         assert lo == pytest.approx(0.146447, abs=1e-6)
         assert hi == pytest.approx(0.853553, abs=1e-6)
@@ -63,24 +62,23 @@ class TestValidateEffect:
 
 class TestValidatePovm:
     def test_projective_pair(self):
-        p = validate_povm([diag_effect(1.0, 0.0, label="up"),
-                           diag_effect(0.0, 1.0, label="down")])
+        p = Povm((diag_effect(1.0, 0.0, label="up"),
+                  diag_effect(0.0, 1.0, label="down")), 2)
         assert p.labels == ("up", "down")
 
     def test_trivial_unsharp(self):
         half = 0.5 * HermitianOperator.identity(2)
-        validate_povm([Effect(half, "a"), Effect(half, "b")])
+        Povm((Effect(half, "a"), Effect(half, "b")), 2)
 
     def test_single_projection_fails(self):
         with pytest.raises(SumNotIdentity) as info:
-            validate_povm([Effect(pauli_op(0, 0, 1), "P")])
+            Povm((Effect(pauli_op(0, 0, 1), "P"),), 2)
         assert info.value.residual > 0.1
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            validate_povm([diag_effect(0.5, 0.5),
-                           Effect(0.5 * HermitianOperator.identity(3), "f")],
-                          dim=2)
+            Povm((diag_effect(0.5, 0.5),
+                  Effect(0.5 * HermitianOperator.identity(3), "f")), 2)
 
 
 class TestIsProjection:
@@ -131,7 +129,7 @@ class TestBlochMaps:
             assert complex(np.trace(op.array)).real == 1.0
 
     def test_extract_north_pole(self):
-        b = operator_to_bloch(HermitianOperator.from_array(np.diag([1.0, 0.0])))
+        b = operator_to_bloch(HermitianOperator(np.diag([1.0, 0.0])))
         assert b.a == (0.0, 0.0, 1.0)
 
     def test_extract_center(self):
@@ -249,7 +247,7 @@ class TestRandomEffectFamily:
             e = random_effect(3, rng, "a")
             f = random_effect(3, rng, "b")
             lam = float(rng.uniform())
-            validate_effect(lam * e.op + (1 - lam) * f.op)
+            Effect(lam * e.op + (1 - lam) * f.op, "E")
 
 
 def test_duplicate_operator_guard():

@@ -1,8 +1,11 @@
 """Seeded generators: distribution sanity and bit reproducibility."""
 
 import numpy as np
+import pytest
 
 from effectkit import (
+    Effect,
+    Povm,
     haar_unitary,
     is_psd,
     random_density,
@@ -10,9 +13,8 @@ from effectkit import (
     random_povm,
     random_pure_density,
     rng_from_seed,
-    validate_effect,
-    validate_povm,
 )
+from effectkit import generate, operators
 
 
 def test_haar_unitaries_are_unitary():
@@ -26,14 +28,14 @@ def test_random_effects_validate():
     rng = rng_from_seed(1)
     for _ in range(100):
         e = random_effect(4, rng)
-        validate_effect(e.op, e.label)
+        Effect(e.op, e.label)
 
 
 def test_random_povms_validate():
     rng = rng_from_seed(2)
     for _ in range(50):
         povm = random_povm(3, 4, rng)
-        validate_povm(povm.effects)
+        Povm(povm.effects, 3)
 
 
 def test_random_densities_are_states():
@@ -58,3 +60,18 @@ def test_same_seed_same_artifacts():
         assert np.array_equal(ea.op.array, eb.op.array)
     c = random_povm(3, 4, rng_from_seed(8))
     assert not np.array_equal(a.effects[0].op.array, c.effects[0].op.array)
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("haar_unitary", ()), ("random_hermitian", ()), ("random_effect", ()),
+    ("random_psd", ()), ("random_density", ()), ("random_pure_density", ()),
+    ("random_povm", (2,)), ("random_frame", (2,))])
+def test_dimension_is_checked_before_drawing(monkeypatch, name, extra):
+    class NoDraws:
+        def __getattr__(self, attr):
+            raise AssertionError(f"{name} drew from the generator ({attr})")
+
+    monkeypatch.setattr(operators, "MAX_DIM", 3)
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match="at least 1|MAX_DIM"):
+            getattr(generate, name)(dim, *extra, NoDraws())

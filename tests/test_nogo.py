@@ -236,6 +236,13 @@ class TestSearch:
         assert result.total_solutions is None
         assert verify_certificate(result, cs)
 
+    @pytest.mark.parametrize("bounds", [{"max_solutions": 0},
+                                        {"node_budget": 0},
+                                        {"node_budget": -5}])
+    def test_bounds_below_one_are_rejected(self, bounds):
+        with pytest.raises(ValueError, match="at least 1"):
+            search_dispersion_free(projective_pair_context_set(), **bounds)
+
     def test_max_solutions_caps_storage_not_count(self):
         cs = projective_pair_context_set()
         result = search_dispersion_free(cs, max_solutions=2)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from effectkit import (
-    ComplexMatrix,
     ConvergenceFailure,
+    DensityOperator,
     DimMismatch,
+    Effect,
     HermitianOperator,
-    adjoint,
+    born,
     eig_hermitian,
     frobenius_inner,
     is_psd,
     operator_norm,
-    trace,
+    state_checks,
 )
 from effectkit import operators
 
@@ -21,33 +22,33 @@ from conftest import SX, SY, SZ, char_poly_eigs_2x2, pauli_op
 
 
 def herm(arr) -> HermitianOperator:
-    return HermitianOperator.from_array(np.asarray(arr, dtype=complex))
+    return HermitianOperator(np.asarray(arr, dtype=complex))
 
 
 class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            ComplexMatrix(np.zeros((2, 3)))
+            HermitianOperator(np.zeros((2, 3)))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ComplexMatrix(np.zeros((0, 0)))
+            HermitianOperator(np.zeros((0, 0)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            ComplexMatrix(np.array([[np.nan, 0], [0, 1]]))
+            HermitianOperator(np.array([[np.nan, 0], [0, 1]]))
 
     def test_rejects_above_max_dim(self):
         with pytest.raises(ValueError, match="MAX_DIM"):
-            ComplexMatrix(np.eye(operators.MAX_DIM + 1))
+            HermitianOperator(np.eye(operators.MAX_DIM + 1))
 
     def test_max_dim_is_configurable(self, monkeypatch):
         monkeypatch.setattr(operators, "MAX_DIM", 4)
         with pytest.raises(ValueError, match="MAX_DIM"):
-            ComplexMatrix(np.eye(5))
+            HermitianOperator(np.eye(5))
 
     def test_entries_are_immutable(self):
-        m = ComplexMatrix(np.eye(2))
+        m = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             m.array[0, 0] = 2.0
 
@@ -64,46 +65,58 @@ class TestConstruction:
 
 
 class TestAdjoint:
+    """Adjoints as the package takes them: the stored array is the
+    Hermitian part (M + M^dagger)/2 of the input."""
+
     def test_identity_is_self_adjoint(self):
-        m = ComplexMatrix(np.eye(2))
-        assert np.array_equal(adjoint(m).array, np.eye(2))
+        h = herm(np.eye(2))
+        assert np.array_equal(h.array, np.eye(2))
+        assert h.herm_deviation == 0.0
 
     def test_real_nilpotent_transposes(self):
-        m = ComplexMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert np.array_equal(adjoint(m).array,
-                              np.array([[0, 0], [1, 0]], dtype=complex))
+        h = herm(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(h.array,
+                              np.array([[0, 0.5], [0.5, 0]], dtype=complex))
+        assert h.herm_deviation == 1.0
 
     def test_pauli_y_is_hermitian(self):
-        m = ComplexMatrix(SY)
-        assert np.array_equal(adjoint(m).array, SY)
+        assert np.array_equal(herm(SY).array, SY)
 
     def test_involution(self):
         rng = np.random.default_rng(11)
         arr = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = ComplexMatrix(arr)
-        assert np.array_equal(adjoint(adjoint(m)).array, m.array)
+        h = herm(arr)
+        assert np.array_equal(h.array, h.array.conj().T)
+        again = herm(h.array)
+        assert np.array_equal(again.array, h.array)
+        assert again.herm_deviation == 0.0
 
 
 class TestTrace:
+    """Traces as the package computes them: the unit-trace state check and
+    the Born inner product tr[a b]."""
+
     def test_identity(self):
-        assert trace(ComplexMatrix(np.eye(3))) == 3.0
+        assert state_checks(herm(np.eye(3)))[2]["trace"] == 3.0
 
     def test_probability_vector(self):
-        assert trace(ComplexMatrix(np.diag([0.3, 0.7]).astype(complex))) == 1.0
+        unit_trace = state_checks(herm(np.diag([0.3, 0.7])))[2]
+        assert unit_trace["trace"] == 1.0 and unit_trace["ok"]
 
     def test_state_times_effect(self):
         # rho = |0><0|, E = (I + sigma_x)/2: the product is [[.5, .5], [0, 0]]
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        product = ComplexMatrix(rho @ pauli_op(1, 0, 0).array)
-        assert trace(product) == pytest.approx(0.5, abs=1e-15)
+        rho = DensityOperator(herm(np.diag([1.0, 0.0])))
+        assert born(rho, Effect(pauli_op(1, 0, 0), "E")) == \
+            pytest.approx(0.5, abs=1e-15)
 
     def test_cyclic_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            tab = trace(ComplexMatrix(a @ b))
-            tba = trace(ComplexMatrix(b @ a))
+            ha, hb = herm(a + a.conj().T), herm(b + b.conj().T)
+            tab = frobenius_inner(ha, hb)
+            tba = frobenius_inner(hb, ha)
             assert abs(tab - tba) <= 1e-10 * max(1.0, abs(tab))
 
 
@@ -226,16 +239,16 @@ class TestMatrixJson:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         arr = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = ComplexMatrix(arr)
-        again = ComplexMatrix.from_json_dict(m.to_json_dict())
+        m = HermitianOperator(arr)
+        again = HermitianOperator.from_json_dict(m.to_json_dict())
         assert np.array_equal(m.array, again.array)
 
     def test_entry_count_is_enforced(self):
         from effectkit import SchemaError
         with pytest.raises(SchemaError, match="pairs"):
-            ComplexMatrix.from_json_dict({"dim": 2, "entries": [[1.0, 0.0]]})
+            HermitianOperator.from_json_dict({"dim": 2, "entries": [[1.0, 0.0]]})
 
     def test_dim_must_be_positive(self):
         from effectkit import SchemaError
         with pytest.raises(SchemaError):
-            ComplexMatrix.from_json_dict({"dim": 0, "entries": []})
+            HermitianOperator.from_json_dict({"dim": 0, "entries": []})

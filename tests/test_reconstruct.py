@@ -137,8 +137,7 @@ class TestPsdProjection:
 
     def test_projection_is_idempotent(self):
         rng = rng_from_seed(10)
-        op = HermitianOperator.from_array(
-            np.diag([1.2, -0.1, -0.1]).astype(complex))
+        op = HermitianOperator(np.diag([1.2, -0.1, -0.1]).astype(complex))
         once = project_to_density(op)
         twice = project_to_density(once.op)
         assert np.allclose(once.op.array, twice.op.array, atol=1e-15)

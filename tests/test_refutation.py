@@ -59,7 +59,7 @@ def orthogonal_tetrads(rays):
 
 def ks_context_set(rays, tetrads):
     labels = [f"r{i:02d}" for i in range(len(rays))]
-    effects = [Effect(HermitianOperator.from_array(np.outer(v, v) / np.dot(v, v)),
+    effects = [Effect(HermitianOperator(np.outer(v, v) / np.dot(v, v)),
                       lb) for lb, v in zip(labels, np.array(rays, dtype=float))]
     return build_context_set(effects, [[labels[i] for i in t] for t in tetrads])
 

@@ -21,19 +21,18 @@ from effectkit import (
     random_povm,
     rng_from_seed,
     sample_outcomes,
-    validate_povm,
 )
 
 from conftest import SZ, pauli_op
 
 
 def z_povm() -> Povm:
-    return validate_povm([Effect(pauli_op(0, 0, 1), "up"),
-                          Effect(pauli_op(0, 0, -1), "down")])
+    return Povm((Effect(pauli_op(0, 0, 1), "up"),
+                 Effect(pauli_op(0, 0, -1), "down")), 2)
 
 
 def ground_state() -> DensityOperator:
-    return DensityOperator(HermitianOperator.from_array(np.diag([1.0, 0.0])))
+    return DensityOperator(HermitianOperator(np.diag([1.0, 0.0])))
 
 
 class TestSampleOutcomes:
@@ -45,7 +44,7 @@ class TestSampleOutcomes:
     def test_symmetric_coin(self):
         rho = DensityOperator(HermitianOperator.identity(2) * 0.5)
         half = 0.5 * HermitianOperator.identity(2)
-        povm = validate_povm([Effect(half, "a"), Effect(half, "b")])
+        povm = Povm((Effect(half, "a"), Effect(half, "b")), 2)
         n = 40_000
         record = sample_outcomes(rho, povm, n, seed=7)
         assert abs(record.counts[0] - n / 2) <= 5 * np.sqrt(n / 4)
@@ -73,9 +72,9 @@ class TestSampleOutcomes:
         # a POVM that passes the sum-to-identity tolerance but whose Born
         # probabilities for |0><0| drift from 1 by more than 1e-8
         delta = 1.2e-8
-        e0 = Effect(HermitianOperator.from_array(0.5 * np.eye(2) + 0.5 * delta * SZ), "a")
-        e1 = Effect(HermitianOperator.from_array(0.5 * np.eye(2) + 0.5 * delta * SZ), "b")
-        povm = validate_povm([e0, e1])
+        e0 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "a")
+        e1 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "b")
+        povm = Povm((e0, e1), 2)
         with pytest.raises(ProbabilityDeficit):
             sample_outcomes(ground_state(), povm, 10, seed=0)
 

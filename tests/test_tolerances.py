@@ -1,0 +1,123 @@
+"""The tolerance table: one home for every tolerance, and one validation path.
+
+Every numerical tolerance lives in ``operators.TOL``; a float literal
+in (0, 1e-5] anywhere else in the package is a tolerance that escaped the
+table. The effect and state checks that ``effectkit validate`` prints are
+the ones ``Effect`` and ``DensityOperator`` raise from, so the library and
+the CLI must agree right at the tolerance boundary.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+
+import effectkit
+from effectkit import TOL, DensityOperator, Effect, HermitianOperator, jsonio
+from effectkit.cli import main
+
+PACKAGE = Path(effectkit.__file__).parent
+TABLE_MODULE, TABLE_CLASS = "operators.py", "TOL"
+SMALLEST_NON_TOLERANCE = 1e-5
+
+
+def _small_floats(tree: ast.AST) -> list[ast.Constant]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0.0 < node.value <= SMALLEST_NON_TOLERANCE]
+
+
+def test_no_tolerance_literal_outside_the_table():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == TABLE_CLASS]
+        allowed = {id(c) for node in table for c in _small_floats(node)}
+        stray += [f"{path.name}:{c.lineno}: {c.value!r}"
+                  for c in _small_floats(tree) if id(c) not in allowed]
+        if path.name == TABLE_MODULE:
+            assert len(table) == 1, "the tolerance table is missing"
+            assert allowed, "the tolerance table holds no small constant"
+    assert not stray, "tolerance literals outside the table:\n" + "\n".join(stray)
+
+
+def test_every_table_entry_is_used():
+    source = "\n".join(p.read_text(encoding="utf-8")
+                       for p in PACKAGE.glob("*.py"))
+    entries = [name for name, value in vars(TOL).items()
+               if isinstance(value, float)]
+    assert entries
+    assert not [name for name in entries if f"TOL.{name}" not in source]
+
+
+def _validate(tmp_path, kind: str, payload) -> dict:
+    path = tmp_path / f"{kind}.json"
+    jsonio.dump(payload, path)
+    out = tmp_path / "report.json"
+    code = main(["validate", str(path), "--kind", kind, "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == (0 if report["valid"] else 2)
+    return report
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except effectkit.EffectKitError:
+        return False
+    return True
+
+
+def _effect_boundary_cases(rng):
+    """Diagonal operators with one eigenvalue 1e-12 inside or outside the
+    slack below 0 or above 1, and whether that is an effect."""
+    tol = TOL.spectrum
+    for edge, inside in ((-tol - 1e-12, False), (-tol + 1e-12, True),
+                         (1.0 + tol - 1e-12, True), (1.0 + tol + 1e-12, False)):
+        for _ in range(3):
+            dim = int(rng.integers(2, 5))
+            diag = rng.uniform(0.0, 1.0, size=dim)
+            diag[rng.integers(dim)] = edge
+            yield diag, inside
+
+
+def test_effect_and_validate_agree_at_the_boundary(tmp_path):
+    for diag, inside in _effect_boundary_cases(np.random.default_rng(20)):
+        op = HermitianOperator(np.diag(diag))
+        assert _accepts(lambda: Effect(op, "E")) is inside, diag
+        report = _validate(tmp_path, "effect",
+                           {"label": "E", "op": op.to_json_dict()})
+        assert report["valid"] is inside, diag
+
+
+def _state_boundary_cases(rng):
+    """Diagonal operators whose trace misses 1, or whose smallest eigenvalue
+    misses 0, by 1e-12 less or more than the slack, and whether that is a
+    state."""
+    tol = TOL.unit_trace
+    for excess, inside in ((tol - 1e-12, True), (tol + 1e-12, False),
+                           (-tol + 1e-12, True), (-tol - 1e-12, False)):
+        for _ in range(3):
+            dim = int(rng.integers(2, 5))
+            diag = rng.uniform(0.1, 1.0, size=dim)
+            diag /= diag.sum()
+            diag[0] += excess
+            yield diag, inside
+    tol = TOL.spectrum
+    for edge, inside in ((-tol - 1e-12, False), (-tol + 1e-12, True)):
+        for _ in range(3):
+            dim = int(rng.integers(2, 5))
+            diag = rng.uniform(0.1, 1.0, size=dim)
+            diag[0] = edge
+            diag[1:] *= (1.0 - edge) / diag[1:].sum()
+            yield diag, inside
+
+
+def test_density_operator_and_validate_agree_at_the_boundary(tmp_path):
+    for diag, inside in _state_boundary_cases(np.random.default_rng(21)):
+        op = HermitianOperator(np.diag(diag))
+        assert _accepts(lambda: DensityOperator(op)) is inside, diag
+        report = _validate(tmp_path, "state", op.to_json_dict())
+        assert report["valid"] is inside, diag

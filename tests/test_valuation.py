@@ -10,6 +10,7 @@ from effectkit import (
     Effect,
     HermitianOperator,
     NotPositive,
+    Povm,
     TraceNotOne,
     UnknownLabel,
     ValuationTable,
@@ -26,7 +27,6 @@ from effectkit import (
     random_povm,
     random_psd,
     rng_from_seed,
-    validate_povm,
 )
 from effectkit.valuation import TableEntry
 
@@ -34,7 +34,7 @@ from conftest import SZ, pauli_op
 
 
 def state(*diag) -> DensityOperator:
-    return DensityOperator(HermitianOperator.from_array(np.diag(diag).astype(complex)))
+    return DensityOperator(HermitianOperator(np.diag(diag).astype(complex)))
 
 
 def half_identity(d=2) -> DensityOperator:
@@ -51,7 +51,7 @@ class TestDensityOperator:
             state(0.6, 0.6)
 
     def test_unvalidated_escape_hatch(self):
-        op = HermitianOperator.from_array(np.diag([1.5, -0.5]).astype(complex))
+        op = HermitianOperator(np.diag([1.5, -0.5]).astype(complex))
         rho = DensityOperator(op, validate=False)
         assert rho.dim == 2
 
@@ -59,7 +59,7 @@ class TestDensityOperator:
 class TestBorn:
     def test_eigenstate(self):
         rho = state(1.0, 0.0)
-        e = Effect(HermitianOperator.from_array(np.diag([1.0, 0.0])), "P")
+        e = Effect(HermitianOperator(np.diag([1.0, 0.0])), "P")
         assert born(rho, e) == 1.0
 
     def test_maximally_mixed_gives_half_trace(self):
@@ -158,7 +158,7 @@ class TestCheckEffectValuation:
     def test_double_one_assignment_fails(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
-        povm = validate_povm([e, f])
+        povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.0), TableEntry(f, 1.0)])
         report = check_effect_valuation(table, [povm])
         assert not report.p3_ok
@@ -167,7 +167,7 @@ class TestCheckEffectValuation:
     def test_eigenstate_on_z_povm(self):
         rho = state(1.0, 0.0)
         up, down = Effect(pauli_op(0, 0, 1), "up"), Effect(pauli_op(0, 0, -1), "down")
-        povm = validate_povm([up, down])
+        povm = Povm((up, down), 2)
         table = ValuationTable.from_born(rho, povm.effects)
         # explicit traces: tr[diag(1,0)(I+sz)/2] = 1, tr[diag(1,0)(I-sz)/2] = 0
         assert table.value("up") == pytest.approx(1.0, abs=1e-15)
@@ -177,7 +177,7 @@ class TestCheckEffectValuation:
     def test_negative_value_flagged(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
-        povm = validate_povm([e, f])
+        povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.2), TableEntry(f, -0.2)])
         report = check_effect_valuation(table, [povm])
         assert not report.p1_ok
@@ -191,7 +191,7 @@ class TestExtendToPositive:
 
     def test_above_effect_range(self):
         v = born_functional(state(1.0, 0.0))
-        a = HermitianOperator.from_array(np.diag([1.5, 0.5]).astype(complex))
+        a = HermitianOperator(np.diag([1.5, 0.5]).astype(complex))
         assert extend_to_positive(v, a) == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_operator(self):
@@ -201,7 +201,7 @@ class TestExtendToPositive:
     def test_rejects_indefinite(self):
         v = born_functional(half_identity())
         with pytest.raises(NotPositive):
-            extend_to_positive(v, HermitianOperator.from_array(np.diag([-1.0, 0.0])))
+            extend_to_positive(v, HermitianOperator(np.diag([-1.0, 0.0])))
 
     def test_homogeneity(self):
         rng = rng_from_seed(40)
@@ -238,7 +238,7 @@ class TestExtendToPositive:
 class TestExtendToSelfadjoint:
     def test_sigma_z(self):
         v = born_functional(state(1.0, 0.0))
-        c = HermitianOperator.from_array(SZ)
+        c = HermitianOperator(SZ)
         assert extend_to_selfadjoint(v, c) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero(self):
