@@ -25,7 +25,6 @@ from .errors import (  # noqa: F401
     ProbabilityDeficit,
     RecordMismatch,
     SchemaError,
-    SumExceedsIdentity,
     SumNotIdentity,
     TraceNotOne,
     UnknownLabel,
@@ -68,7 +67,7 @@ from .valuation import (  # noqa: F401
     estimate_valuation,
     extend_to_positive,
     extend_to_selfadjoint,
-    hermitian_basis,
+    hermitian_coords,
     jordan_split,
     project_to_density,
     reconstruct_density,

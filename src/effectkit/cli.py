@@ -40,6 +40,8 @@ from .errors import (
 )
 from .generate import random_density, random_effect, random_povm, rng_from_seed
 from .nogo import (
+    DEFAULT_MAX_SOLUTIONS,
+    DEFAULT_NODE_BUDGET,
     context_set_from_json,
     search_dispersion_free,
     verify_certificate,
@@ -88,23 +90,16 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _schema_guard(fn, *fn_args):
-    try:
-        return fn(*fn_args)
-    except SchemaError as exc:
-        raise _CliFailure(EXIT_PARSE, str(exc)) from exc
-
-
 def _load_state(path: str) -> DensityOperator:
-    return DensityOperator(
-        _schema_guard(HermitianOperator.from_json_dict, _load_json(path)))
+    return DensityOperator(HermitianOperator.from_json_dict(_load_json(path)))
+
 
 def _load_povm(path: str) -> Povm:
-    return _schema_guard(Povm.from_json_dict, _load_json(path))
+    return Povm.from_json_dict(_load_json(path))
 
 
 def _load_effects(path: str) -> tuple[int, list[Effect]]:
-    return _schema_guard(effects_from_json_dict, _load_json(path))
+    return effects_from_json_dict(_load_json(path))
 
 
 def _parse_vec(text: str, flag: str) -> BlochVector:
@@ -125,22 +120,23 @@ def cmd_validate(args) -> int:
         checks.append({"name": name, "ok": bool(ok), **detail})
 
     if args.kind == "effect":
-        obj = _schema_guard(jsonio.expect_dict, payload, "effect")
-        _schema_guard(jsonio.expect_str,
-                      _schema_guard(jsonio.expect_key, obj, "label", "effect"),
-                      "effect.label")
-        op = _schema_guard(HermitianOperator.from_json_dict,
-                           _schema_guard(jsonio.expect_key, obj, "op", "effect"))
+        obj = jsonio.expect_dict(payload, "effect")
+        jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
+                          "effect.label")
+        op = HermitianOperator.from_json_dict(
+            jsonio.expect_key(obj, "op", "effect"))
         checks.extend(effect_checks(op))
     elif args.kind == "povm":
         try:
-            povm = _schema_guard(Povm.from_json_dict, payload)
+            povm = Povm.from_json_dict(payload)
             check("sum_to_identity", True, dim=povm.dim, outcomes=len(povm))
+        except SchemaError:
+            raise
         except EffectKitError as exc:
             check("sum_to_identity", False, error=type(exc).__name__,
                   detail=str(exc))
     elif args.kind == "state":
-        op = _schema_guard(HermitianOperator.from_json_dict, payload)
+        op = HermitianOperator.from_json_dict(payload)
         checks.extend(state_checks(op))
     elif args.kind == "valuation":
         obj = jsonio.expect_dict(payload, "valuation table")
@@ -159,7 +155,7 @@ def cmd_validate(args) -> int:
         if args.effects:
             _, effects = _load_effects(args.effects)
             by_label = {e.label: e for e in effects}
-            table = _schema_guard(ValuationTable.from_json_dict, payload, by_label)
+            table = ValuationTable.from_json_dict(payload, by_label)
             check("labels_resolve", True)
             for povm_path in args.povm or []:
                 povm = _load_povm(povm_path)
@@ -186,7 +182,7 @@ def cmd_reconstruct(args) -> int:
     _, frame = _load_effects(args.frame)
     table_raw = _load_json(args.values)
     by_label = {e.label: e for e in frame}
-    table = _schema_guard(ValuationTable.from_json_dict, table_raw, by_label)
+    table = ValuationTable.from_json_dict(table_raw, by_label)
     values = [table.value(e.label) for e in frame]
     state, diag = reconstruct_density(
         frame, values, min_norm=args.min_norm, project_psd=args.project_psd)
@@ -209,8 +205,7 @@ def cmd_dfsearch(args) -> int:
         jsonio.expect_key(obj, "effects_file", "context set"), "effects_file")
     effects_path = Path(args.contexts).parent / effects_file
     _, effects = _load_effects(str(effects_path))
-    cs = _schema_guard(context_set_from_json, payload, effects,
-                       args.discover_relations)
+    cs = context_set_from_json(payload, effects, args.discover_relations)
     result = search_dispersion_free(cs, max_solutions=args.max_solutions,
                                     node_budget=args.budget)
     verdict = verify_certificate(result, cs)
@@ -225,16 +220,12 @@ def cmd_dfsearch(args) -> int:
 def cmd_sample(args) -> int:
     rho = _load_state(args.state)
     povm = _load_povm(args.povm)
-    if args.shots < 1:
-        raise _CliFailure(EXIT_INVALID, "--shots must be at least 1")
     record = sample_outcomes(rho, povm, args.shots, args.seed)
     _emit(record.to_json_dict(), args)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    if args.dim < 1:
-        raise _CliFailure(EXIT_INVALID, "--dim must be at least 1")
     rng = rng_from_seed(args.seed)
     if args.kind == "state":
         payload = random_density(args.dim, rng).to_json_dict()
@@ -242,8 +233,6 @@ def cmd_gen(args) -> int:
         payload = random_effect(args.dim, rng, label="E0").to_json_dict()
     else:
         outcomes = args.dim if args.outcomes is None else args.outcomes
-        if outcomes < 1:
-            raise _CliFailure(EXIT_INVALID, "--outcomes must be at least 1")
         payload = random_povm(args.dim, outcomes, rng).to_json_dict()
     _emit(payload, args)
     return EXIT_OK
@@ -285,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-norm", action="store_true", dest="min_norm",
                    help="allow rank-deficient frames (minimum-norm solution)")
     p.add_argument("--project-psd", action="store_true", dest="project_psd",
-                   help="project the solution to the nearest density operator")
+                   help="replace the solution by the nearest density "
+                        "operator in Frobenius norm")
     common(p)
     p.set_defaults(func=cmd_reconstruct)
 
@@ -303,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for dispersion-free valuations over a "
                             "context set")
     p.add_argument("contexts", help="context-set JSON file")
-    p.add_argument("--max-solutions", type=int, default=64, dest="max_solutions")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_SOLUTIONS,
+                   dest="max_solutions")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search node budget")
     p.add_argument("--discover-relations", action="store_true",
                    dest="discover_relations",

@@ -163,10 +163,10 @@ class BlochVector:
         return cls(tuple(jsonio.expect_number(c, "bloch.a[i]") for c in comps))
 
 
-def is_projection(e: Effect, tol: float = TOL.projection) -> bool:
-    """True iff ||E^2 - E||_F <= tol (idempotent effect)."""
+def is_projection(e: Effect) -> bool:
+    """True iff ||E^2 - E||_F <= ``TOL.projection`` (idempotent effect)."""
     arr = e.op.array
-    return bool(np.linalg.norm(arr @ arr - arr) <= tol)
+    return bool(np.linalg.norm(arr @ arr - arr) <= TOL.projection)
 
 
 def complement(e: Effect, label: str | None = None) -> Effect:
@@ -191,17 +191,18 @@ def bloch_to_operator(a: BlochVector) -> HermitianOperator:
     return HermitianOperator(m)
 
 
-def operator_to_bloch(h: HermitianOperator,
-                      trace_tol: float = TOL.unit_trace) -> BlochVector:
-    """Extract a_k = tr[h sigma_k] from a trace-1 qubit operator.
+def operator_to_bloch(h: HermitianOperator) -> BlochVector:
+    """Extract a_k = tr[h sigma_k] from a qubit operator whose trace is 1
+    within ``TOL.unit_trace``.
 
     Round-trips with :func:`bloch_to_operator` to 1e-12.
     """
     if h.dim != 2:
         raise NotDimTwo(f"Bloch extraction needs a 2x2 operator, got dim {h.dim}")
     tr = np.trace(h.array)
-    if abs(tr - 1.0) > trace_tol:
-        raise TraceNotOne(f"trace {tr:.12g} is not 1 within {trace_tol:g}")
+    if abs(tr - 1.0) > TOL.unit_trace:
+        raise TraceNotOne(
+            f"trace {tr:.12g} is not 1 within {TOL.unit_trace:g}")
     arr = h.array
     ax = float(np.einsum("ij,ji->", arr, SIGMA_X).real)
     ay = float(np.einsum("ij,ji->", arr, SIGMA_Y).real)
@@ -209,13 +210,12 @@ def operator_to_bloch(h: HermitianOperator,
     return BlochVector((ax, ay, az))
 
 
-def spectral_split(e: Effect, gap_tol: float = TOL.spectral_gap
-                   ) -> list[tuple[float, Effect]]:
+def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
     """Decompose an effect as sum_i lambda_i P_i over its distinct eigenvalues.
 
-    Eigenvalues closer than ``gap_tol`` are merged into one group (chained),
-    and each group's spectral projector is returned as an Effect labeled
-    ``"<label>:proj<i>"``. Groups come back in ascending eigenvalue order.
+    Eigenvalues closer than ``TOL.spectral_gap`` are merged into one group
+    (chained), and each group's spectral projector is returned as an Effect
+    labeled ``"<label>:proj<i>"``. Groups come back in ascending eigenvalue order.
 
     Postconditions enforced here: the projectors are effects within
     ``TOL.projection``, mutually orthogonal, complete (sum to I), and
@@ -226,7 +226,7 @@ def spectral_split(e: Effect, gap_tol: float = TOL.spectral_gap
     vals, vecs = decomp.eigenvalues, decomp.eigenvectors
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= gap_tol:
+        if vals[i] - vals[groups[-1][-1]] <= TOL.spectral_gap:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -254,17 +254,18 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     return dim, effects
 
 
-def warn_duplicate_operators(effects, tol: float = TOL.same_operator) -> None:
-    """Warn when two distinct labels carry numerically identical operators."""
+def warn_duplicate_operators(effects) -> None:
+    """Warn when two distinct labels carry operators closer than
+    ``TOL.same_operator`` in Frobenius norm."""
     items = list(effects)
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             a, b = items[i], items[j]
             if a.label == b.label or a.dim != b.dim:
                 continue
-            if frobenius_distance(a.op, b.op) < tol:
+            if frobenius_distance(a.op, b.op) < TOL.same_operator:
                 warnings.warn(
                     f"labels {a.label!r} and {b.label!r} carry the same "
-                    f"operator (Frobenius distance < {tol:g})",
+                    f"operator (Frobenius distance < {TOL.same_operator:g})",
                     DuplicateOperatorWarning,
                     stacklevel=2)

@@ -57,10 +57,6 @@ class UnknownLabel(EffectKitError):
     """A label was referenced that is absent from the effect collection."""
 
 
-class SumExceedsIdentity(EffectKitError):
-    """An additivity relation's operator sum exceeds the identity."""
-
-
 class FrameDeficient(EffectKitError):
     """The reconstruction frame does not span the operator space."""
 

@@ -265,10 +265,10 @@ def _check_relation_identity(rel: AdditivityRelation, resolve) -> None:
             f"{dev:.3e} > {TOL.same_operator:g}")
 
 
-def discover_sum_relations(pool: Mapping[str, Effect],
-                           tol: float = TOL.same_operator
+def discover_sum_relations(pool: Mapping[str, Effect]
                            ) -> list[AdditivityRelation]:
-    """Scan pairs (against every target and I) and triples (against I)."""
+    """Scan pairs (against every target and I) and triples (against I) for
+    sums within ``TOL.same_operator`` in Frobenius norm."""
     labels = list(pool)
     arrays = {lb: pool[lb].op.array for lb in labels}
     dim = next(iter(pool.values())).dim if pool else 0
@@ -276,16 +276,16 @@ def discover_sum_relations(pool: Mapping[str, Effect],
     found: list[AdditivityRelation] = []
     for a, b in itertools.combinations_with_replacement(labels, 2):
         total = arrays[a] + arrays[b]
-        if np.linalg.norm(total - eye) <= tol:
+        if np.linalg.norm(total - eye) <= TOL.same_operator:
             found.append(AdditivityRelation((a, b), "I"))
         for t in labels:
             if t in (a, b):
                 continue
-            if np.linalg.norm(total - arrays[t]) <= tol:
+            if np.linalg.norm(total - arrays[t]) <= TOL.same_operator:
                 found.append(AdditivityRelation((a, b), t))
     for a, b, c in itertools.combinations_with_replacement(labels, 3):
         total = arrays[a] + arrays[b] + arrays[c]
-        if np.linalg.norm(total - eye) <= tol:
+        if np.linalg.norm(total - eye) <= TOL.same_operator:
             found.append(AdditivityRelation((a, b, c), "I"))
     return found
 

@@ -43,7 +43,6 @@ from .operators import (
     frobenius_inner,
     hermitian_drift,
     is_psd,
-    operator_norm,
 )
 
 
@@ -316,23 +315,23 @@ def p1_in_range(value: float) -> bool:
     return -TOL.p1_slack <= value <= 1.0 + TOL.p1_slack
 
 
-def _identity_value(v: ValuationTable, tol: float) -> tuple[str, float] | None:
+def _identity_value(v: ValuationTable) -> tuple[str, float] | None:
     eye = np.eye(v.dim)
     for label, entry in v.items():
-        if np.linalg.norm(entry.effect.op.array - eye) <= tol * v.dim:
+        if np.linalg.norm(entry.effect.op.array - eye) <= TOL.check * v.dim:
             return label, entry.value
     return None
 
 
 def check_gpm(v: ValuationTable,
-              relations: Sequence[AdditivityRelation],
-              tol: float = TOL.check) -> AxiomReport:
+              relations: Sequence[AdditivityRelation]) -> AxiomReport:
     """Check axioms (P1)-(P3) of a candidate valuation table.
 
     P1 is the range check on every stored value; P2 is checked when some
     label carries the identity operator; P3 checks each supplied additivity
-    relation. A relation whose operator sum exceeds I (within ``tol``) asserts
-    nothing and is recorded under ``ill_posed`` instead of being evaluated.
+    relation. A relation whose operator sum exceeds I (within
+    ``TOL.check``) asserts nothing and is recorded under ``ill_posed``
+    instead of being evaluated.
     The relations themselves are caller-asserted claims: resolve labels
     carefully, since an unknown label raises UnknownLabel.
     """
@@ -345,10 +344,10 @@ def check_gpm(v: ValuationTable,
                 f"P1 range: v({label})", entry.value, bound,
                 abs(entry.value - bound)))
 
-    ident = _identity_value(v, tol)
+    ident = _identity_value(v)
     if ident is not None:
         label, value = ident
-        if abs(value - 1.0) > tol:
+        if abs(value - 1.0) > TOL.check:
             report.p2_ok = False
             report.violations.append(Violation(
                 f"P2: v({label}) = 1", value, 1.0, abs(value - 1.0)))
@@ -359,7 +358,7 @@ def check_gpm(v: ValuationTable,
         total = ops[0]
         for op in ops[1:]:
             total = total + op
-        if not is_psd(eye - total, tol=tol):
+        if not is_psd(eye - total, tol=TOL.check):
             report.ill_posed.append(
                 f"{rel.describe()}: operator sum exceeds identity")
             continue
@@ -369,15 +368,16 @@ def check_gpm(v: ValuationTable,
         else:
             rhs = v.value(rel.target)
         dev = abs(lhs - rhs)
-        if dev > tol:
+        if dev > TOL.check:
             report.p3_ok = False
             report.violations.append(Violation(rel.describe(), lhs, rhs, dev))
     return report
 
 
-def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
-                           tol: float = TOL.check) -> AxiomReport:
-    """Check the POVM form of the axioms: v >= 0 and sum v(E_i) = 1.
+def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm]
+                           ) -> AxiomReport:
+    """Check the POVM form of the axioms: v >= 0 and sum v(E_i) = 1 (within
+    ``TOL.check``).
 
     Nonnegativity failures land on the p1 flag, normalization failures on
     the p3 flag (they are the additivity axiom applied to a full POVM);
@@ -392,7 +392,7 @@ def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
     for k, povm in enumerate(povms):
         total = float(sum(v.value(label) for label in povm.labels))
         dev = abs(total - 1.0)
-        if dev > tol:
+        if dev > TOL.check:
             report.p3_ok = False
             desc = " + ".join(f"v({lb})" for lb in povm.labels)
             report.violations.append(
@@ -401,36 +401,36 @@ def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm],
 
 
 def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
-                       a: HermitianOperator,
-                       psd_tol: float = TOL.spectrum) -> float:
+                       a: HermitianOperator) -> float:
     """Extend a valuation from effects to a positive operator by scaling.
 
     Writes A = alpha E with alpha = max(||A||, 1), so E = A/alpha is an
     effect, and returns alpha * v(E). Homogeneity of valuations makes the
     result independent of which admissible alpha is chosen; that
-    independence is a tested property, not an assumption.
+    independence is a tested property, not an assumption. An eigenvalue
+    below -``TOL.spectrum`` raises NotPositive.
     """
     vals = eigenvalues_of(a)
-    if vals[0] < -psd_tol:
+    if vals[0] < -TOL.spectrum:
         raise NotPositive(
             f"operator has negative eigenvalue {vals[0]:.6e}",
             min_eig=float(vals[0]))
-    alpha = max(operator_norm(a), 1.0)
+    alpha = float(max(abs(vals[0]), abs(vals[-1]), 1.0))
     scaled = HermitianOperator(a.array / alpha)
     return alpha * v_effect(scaled)
 
 
-def jordan_split(c: HermitianOperator, zero_tol: float = TOL.zero
+def jordan_split(c: HermitianOperator
                  ) -> tuple[HermitianOperator, HermitianOperator]:
     """Split C = C+ - C- along its spectrum; both parts are positive.
 
-    Eigenvalues within ``zero_tol`` of zero are assigned to neither part,
+    Eigenvalues within ``TOL.zero`` of zero are assigned to neither part,
     which keeps numerically-zero modes from flapping between signs.
     """
     decomp = eig_hermitian(c)
     vals, vecs = decomp.eigenvalues, decomp.eigenvectors
-    pos = np.where(vals > zero_tol, vals, 0.0)
-    neg = np.where(vals < -zero_tol, -vals, 0.0)
+    pos = np.where(vals > TOL.zero, vals, 0.0)
+    neg = np.where(vals < -TOL.zero, -vals, 0.0)
     c_pos = (vecs * pos) @ vecs.conj().T
     c_neg = (vecs * neg) @ vecs.conj().T
     return HermitianOperator(c_pos), HermitianOperator(c_neg)
@@ -449,28 +449,35 @@ def extend_to_selfadjoint(v_effect: Callable[[HermitianOperator], float],
             - extend_to_positive(v_effect, c_neg))
 
 
-def hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of the real space of d x d Hermitian matrices.
+def hermitian_coords(arrays) -> np.ndarray:
+    """Orthonormal real coordinates of a stack of Hermitian matrices.
 
-    Returns an array of shape (d*d, d, d): unit diagonal matrices first,
-    then symmetric and antisymmetric off-diagonal pairs, orthonormal under
-    the trace inner product.
+    Maps shape (..., d, d) to (..., d*d): the diagonal entries, then
+    sqrt(2)*Re and -sqrt(2)*Im of each upper-triangle entry (i < j in
+    row-major order), pair by pair. The map is an isometry from the trace
+    inner product to the dot product, so the coordinates of the effects of
+    a frame are the rows of its design matrix.
     """
-    basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
-    k = 0
-    for i in range(dim):
-        basis[k, i, i] = 1.0
-        k += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            basis[k, i, j] = inv_sqrt2
-            basis[k, j, i] = inv_sqrt2
-            k += 1
-            basis[k, i, j] = -1j * inv_sqrt2
-            basis[k, j, i] = 1j * inv_sqrt2
-            k += 1
-    return basis
+    arrays = np.asarray(arrays)
+    d = arrays.shape[-1]
+    iu, ju = np.triu_indices(d, 1)
+    upper = np.sqrt(2.0) * arrays[..., iu, ju]
+    pairs = np.stack([upper.real, -upper.imag], axis=-1)
+    diag = np.diagonal(arrays, axis1=-2, axis2=-1).real
+    return np.concatenate(
+        [diag, pairs.reshape(*arrays.shape[:-2], d * (d - 1))], axis=-1)
+
+
+def _from_coords(coords: np.ndarray, d: int) -> np.ndarray:
+    """The d x d Hermitian array whose :func:`hermitian_coords` are
+    ``coords``."""
+    arr = np.diag(coords[:d]).astype(np.complex128)
+    iu, ju = np.triu_indices(d, 1)
+    pairs = coords[d:].reshape(-1, 2) / np.sqrt(2.0)
+    upper = pairs[:, 0] - 1j * pairs[:, 1]
+    arr[iu, ju] = upper
+    arr[ju, iu] = upper.conj()
+    return arr
 
 
 @dataclass
@@ -512,45 +519,54 @@ class ReconstructionDiagnostics:
         return out
 
 
-def _design_matrix(frame: Sequence[Effect], basis: np.ndarray) -> np.ndarray:
-    rows = []
-    for e in frame:
-        rows.append(np.einsum("bij,ji->b", basis, e.op.array).real)
-    return np.array(rows)
-
-
 def project_to_density(h: HermitianOperator) -> DensityOperator:
-    """Nearest-in-spirit density operator: clip negative eigenvalues to
-    zero, then renormalize the trace to 1. Idempotent."""
+    """The density operator nearest to ``h`` in Frobenius norm.
+
+    It keeps the eigenvectors of ``h`` and replaces the eigenvalues by their
+    Euclidean projection onto the probability simplex: every eigenvalue is
+    shifted by one common amount and clipped at zero, with the shift chosen
+    so the trace is 1 (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
+    Every Hermitian operator has a nearest state. Idempotent.
+    """
     decomp = eig_hermitian(h)
-    clipped = np.clip(decomp.eigenvalues, 0.0, None)
-    total = float(np.sum(clipped))
-    if total <= 0.0:
-        raise NotPositive("operator has no positive spectral weight to keep")
-    clipped /= total
-    arr = (decomp.eigenvectors * clipped) @ decomp.eigenvectors.conj().T
-    return DensityOperator(HermitianOperator(arr))
+    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    desc = vals[::-1]
+    count = np.arange(1, desc.size + 1)
+    means = np.cumsum(desc) / count
+    # The j largest eigenvalues stay positive while the j-th exceeds their
+    # mean minus 1/j; the first always does (margin exactly 1). Subtracting
+    # the mean before adding 1/j keeps the weights exact for huge spectra.
+    k = np.flatnonzero(desc - means + 1.0 / count > 0.0)[-1]
+    weights = np.maximum(vals - means[k] + 1.0 / count[k], 0.0)
+    return DensityOperator(HermitianOperator((vecs * weights) @ vecs.conj().T))
+
+
+def _health(design: np.ndarray, vals: np.ndarray, op: HermitianOperator
+            ) -> tuple[float, float, float]:
+    """(residual, trace_dev, min_eig) of ``op`` as a solution for ``vals``."""
+    residual = float(np.linalg.norm(design @ hermitian_coords(op.array) - vals))
+    return (residual, abs(float(np.trace(op.array).real) - 1.0),
+            float(eigenvalues_of(op)[0]))
 
 
 def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
-                        min_norm: bool = False, project_psd: bool = False,
-                        sv_cutoff: float = TOL.sv_cutoff,
-                        residual_tol: float = TOL.residual
+                        min_norm: bool = False, project_psd: bool = False
                         ) -> tuple[DensityOperator, ReconstructionDiagnostics]:
     """Solve tr[rho E_k] = v_k for a Hermitian rho.
 
-    The system is solved by SVD over an orthonormal Hermitian basis, with
-    singular values below ``sv_cutoff * sigma_max`` treated as zero. A frame
-    whose numerical rank is below dim^2 raises FrameDeficient unless
-    ``min_norm`` is set, in which case the minimum-Frobenius-norm solution
-    is returned and the rank deficit shows up in the diagnostics. A residual
-    above ``residual_tol`` means the values are not the restriction of any
-    linear functional and raises ValuesInconsistent.
+    The system is solved by SVD in the coordinates of
+    :func:`hermitian_coords`, with singular values below ``TOL.sv_cutoff``
+    times the largest treated as zero. A frame whose numerical rank is
+    below dim^2 raises FrameDeficient unless ``min_norm`` is set, in which
+    case the minimum-Frobenius-norm solution is returned and the rank
+    deficit shows up in the diagnostics. A residual above ``TOL.residual``
+    means the values are not the restriction of any linear functional and
+    raises ValuesInconsistent.
 
-    With ``project_psd`` the solution is projected to the nearest positive
-    trace-1 operator (eigenvalue clipping, then trace renormalization);
-    otherwise the returned state may violate positivity or unit trace by
-    whatever amount the diagnostics report, and is built unvalidated.
+    With ``project_psd`` the solution is replaced by the nearest density
+    operator in Frobenius norm (:func:`project_to_density`); otherwise the
+    returned state may violate positivity or unit trace by whatever amount
+    the diagnostics report, and is built unvalidated.
     """
     frame = list(frame)
     if not frame:
@@ -565,51 +581,39 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     if not all(p1_in_range(x) for x in vals):
         raise ValueError("reconstruction values must lie in [0, 1]")
 
-    basis = hermitian_basis(dim)
-    design = _design_matrix(frame, basis)
+    design = hermitian_coords(np.array([e.op.array for e in frame]))
     u, sigma, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(sigma > sv_cutoff * sigma[0])) if sigma.size else 0
+    kept = sigma > TOL.sv_cutoff * sigma[0]
+    rank = int(np.count_nonzero(kept))
     if rank < dim * dim and not min_norm:
         raise FrameDeficient(
             f"frame spans only {rank} of {dim * dim} dimensions",
             rank=rank, required=dim * dim)
-    inv_sigma = np.where(sigma > sv_cutoff * sigma[0], 1.0 / sigma, 0.0)
-    coords = vt.T @ (inv_sigma * (u.T @ vals))
-    residual = float(np.linalg.norm(design @ coords - vals))
-    if residual > residual_tol:
+    inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
+    solution = HermitianOperator(
+        _from_coords(vt.T @ (inv_sigma * (u.T @ vals)), dim))
+    residual, trace_dev, min_eig = _health(design, vals, solution)
+    if residual > TOL.residual:
         raise ValuesInconsistent(
             f"values violate linearity: residual {residual:.3e} > "
-            f"{residual_tol:g}", residual=residual)
-
-    solution = HermitianOperator(np.einsum("b,bij->ij", coords, basis))
-    sol_eigs = eigenvalues_of(solution)
-    diag = ReconstructionDiagnostics(
-        residual=residual,
-        trace_dev=abs(float(np.trace(solution.array).real) - 1.0),
-        min_eig=float(sol_eigs[0]),
-        projected=False,
-        rank=rank,
-        frame_size=len(frame),
-    )
+            f"{TOL.residual:g}", residual=residual)
     if not project_psd:
+        diag = ReconstructionDiagnostics(residual, trace_dev, min_eig,
+                                         projected=False, rank=rank,
+                                         frame_size=len(frame))
         return DensityOperator(solution, validate=False), diag
 
     projected = project_to_density(solution)
-    proj_coords = np.einsum("bij,ji->b", basis, projected.op.array).real
-    proj_eigs = eigenvalues_of(projected.op)
-    diag_out = ReconstructionDiagnostics(
-        residual=float(np.linalg.norm(design @ proj_coords - vals)),
-        trace_dev=abs(float(np.trace(projected.op.array).real) - 1.0),
-        min_eig=float(proj_eigs[0]),
+    return projected, ReconstructionDiagnostics(
+        *_health(design, vals, projected.op),
         projected=True,
         rank=rank,
         frame_size=len(frame),
-        pre_residual=diag.residual,
-        pre_trace_dev=diag.trace_dev,
-        pre_min_eig=diag.min_eig,
+        pre_residual=residual,
+        pre_trace_dev=trace_dev,
+        pre_min_eig=min_eig,
         unprojected=solution,
     )
-    return projected, diag_out
 
 
 def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,

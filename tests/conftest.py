@@ -26,6 +26,28 @@ def pauli_op(ax: float, ay: float, az: float) -> HermitianOperator:
     return HermitianOperator(arr)
 
 
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices, shape (d*d, d, d):
+    unit diagonal matrices, then for each i < j the symmetric and the
+    antisymmetric off-diagonal pair. Oracle for ``hermitian_coords``, whose
+    coordinates are the trace inner products tr[B_k A]."""
+    basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    k = 0
+    for i in range(dim):
+        basis[k, i, i] = 1.0
+        k += 1
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            basis[k, i, j] = inv_sqrt2
+            basis[k, j, i] = inv_sqrt2
+            k += 1
+            basis[k, i, j] = -1j * inv_sqrt2
+            basis[k, j, i] = 1j * inv_sqrt2
+            k += 1
+    return basis
+
+
 def char_poly_eigs_2x2(arr: np.ndarray) -> tuple[float, float]:
     """Eigenvalues of a Hermitian 2x2 from its characteristic polynomial."""
     tr = (arr[0, 0] + arr[1, 1]).real

@@ -14,12 +14,12 @@ from effectkit import (
     Povm,
     born,
     estimate_valuation,
-    hermitian_basis,
+    hermitian_coords,
     jsonio,
 )
 from effectkit import cli, generate, operators
 from effectkit.cli import main
-from effectkit.valuation import SampleRecord, _design_matrix
+from effectkit.valuation import SampleRecord
 
 from conftest import pauli_op
 
@@ -145,6 +145,34 @@ class TestBorn:
         povm = write(tmp_path / "p.json", z_povm_payload())
         code, _ = run_cli(["born", state, povm], capsys)
         assert code == 2
+
+
+def povm_without_effects():
+    payload = z_povm_payload()
+    del payload["effects"]
+    return payload
+
+
+def povm_effect_without_op():
+    payload = z_povm_payload()
+    del payload["effects"][1]["op"]
+    return payload
+
+
+@pytest.mark.parametrize("payload", [povm_without_effects(),
+                                     povm_effect_without_op()])
+@pytest.mark.parametrize("command", ["validate", "born"])
+def test_malformed_povm_is_a_parse_error(tmp_path, capsys, payload, command):
+    povm = write(tmp_path / "p.json", payload)
+    if command == "validate":
+        argv = ["validate", povm, "--kind", "povm"]
+    else:
+        argv = ["born", write(tmp_path / "s.json", ground_state_payload()), povm]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("SchemaError: ")
 
 
 class TestReconstruct:
@@ -358,6 +386,12 @@ class TestSampleAndGen:
         assert code == 2
         assert payload is None
 
+    @pytest.mark.parametrize("kind", ["state", "effect", "povm"])
+    def test_gen_dim_below_one_is_a_parameter_error(self, capsys, kind):
+        code, payload = run_cli(["gen", "--kind", kind, "--dim", "0"], capsys)
+        assert code == 2
+        assert payload is None
+
     def test_bad_shot_count(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())
         povm = write(tmp_path / "p.json", z_povm_payload())
@@ -398,7 +432,6 @@ class TestPipelines:
 
         frame_effects = []
         values = []
-        basis = hermitian_basis(2)
         seed = 0
         while True:
             povm_path = str(tmp_path / f"povm{seed}.json")
@@ -411,8 +444,8 @@ class TestPipelines:
                 renamed = Effect(e.op, f"s{seed}_{e.label}")
                 frame_effects.append(renamed)
                 values.append(p)
-            rank = np.linalg.matrix_rank(
-                _design_matrix(frame_effects, basis), tol=1e-8)
+            rank = np.linalg.matrix_rank(hermitian_coords(
+                [e.op.array for e in frame_effects]), tol=1e-8)
             if rank == 4:
                 break
             seed += 1
@@ -441,7 +474,7 @@ class TestPipelines:
                  "--outcomes", "4", "--out", povm_path], capsys)
         povm = Povm.from_json_dict(jsonio.load(povm_path))
         assert np.linalg.matrix_rank(
-            _design_matrix(list(povm.effects), hermitian_basis(2)),
+            hermitian_coords([e.op.array for e in povm.effects]),
             tol=1e-8) == 4
 
         record_path = str(tmp_path / "record.json")

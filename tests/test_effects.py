@@ -218,7 +218,7 @@ class TestSpectralSplit:
             total = np.zeros((4, 4), dtype=complex)
             reassembled = np.zeros((4, 4), dtype=complex)
             for value, proj in parts:
-                assert is_projection(proj, tol=1e-8)
+                assert is_projection(proj)
                 total += proj.op.array
                 reassembled += value * proj.op.array
             assert np.linalg.norm(total - np.eye(4)) <= 1e-8

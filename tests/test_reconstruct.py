@@ -10,16 +10,17 @@ from effectkit import (
     HermitianOperator,
     ValuesInconsistent,
     born,
-    hermitian_basis,
+    hermitian_coords,
     project_to_density,
     random_density,
     random_frame,
+    random_hermitian,
     reconstruct_density,
     rng_from_seed,
 )
-from effectkit.valuation import _design_matrix
+from effectkit.valuation import _from_coords
 
-from conftest import pauli_op
+from conftest import hermitian_basis, pauli_op
 
 
 def pauli_frame() -> list[Effect]:
@@ -33,10 +34,9 @@ def pauli_frame() -> list[Effect]:
 
 def ic_frame(dim: int, rng, extra: int = 3) -> list[Effect]:
     """Random frame of dim^2 + extra effects, retried until full rank."""
-    basis = hermitian_basis(dim)
     while True:
         frame = random_frame(dim, dim * dim + extra, rng)
-        design = _design_matrix(frame, basis)
+        design = hermitian_coords([e.op.array for e in frame])
         if np.linalg.matrix_rank(design, tol=1e-8) == dim * dim:
             return frame
 
@@ -165,11 +165,66 @@ def test_diagnostics_json_keys():
     assert set(payload["pre"]) == {"residual", "trace_dev", "min_eig"}
 
 
-def test_hermitian_basis_is_orthonormal():
-    for dim in (2, 3, 4):
+def test_hermitian_coords_is_an_isometry():
+    # coordinate dot products are trace inner products tr[A B]
+    rng = rng_from_seed(13)
+    for dim in (1, 2, 3, 4):
+        ops = np.array([random_hermitian(dim, rng).array for _ in range(6)])
+        coords = hermitian_coords(ops)
+        assert coords.shape == (6, dim * dim)
+        gram = np.einsum("aij,bji->ab", ops, ops).real
+        assert np.allclose(coords @ coords.T, gram, atol=1e-13)
+
+
+def test_hermitian_coords_match_the_basis_tensor():
+    rng = rng_from_seed(14)
+    for dim in range(1, 9):
         basis = hermitian_basis(dim)
-        n = dim * dim
-        gram = np.einsum("aij,bji->ab", basis, basis).real
-        assert np.allclose(gram, np.eye(n), atol=1e-14)
-        for b in basis:
-            assert np.allclose(b, b.conj().T)
+        ops = np.array([random_hermitian(dim, rng).array for _ in range(4)])
+        coords = hermitian_coords(ops)
+        oracle = np.einsum("bij,kji->kb", basis, ops).real
+        assert np.max(np.abs(coords - oracle)) <= 1e-15
+        for op, c in zip(ops, coords):
+            assert np.max(np.abs(_from_coords(c, dim) - op)) <= 1e-15
+            oracle_op = np.einsum("b,bij->ij", c, basis)
+            assert np.max(np.abs(_from_coords(c, dim) - oracle_op)) <= 1e-15
+
+
+def _clip_and_renormalize(h: HermitianOperator) -> np.ndarray:
+    """Clip negative eigenvalues to zero, then rescale the trace to 1."""
+    vals, vecs = np.linalg.eigh(h.array)
+    clipped = np.clip(vals, 0.0, None)
+    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T
+
+
+class TestNearestState:
+    def test_simplex_projection_of_a_known_spectrum(self):
+        rng = rng_from_seed(15)
+        u = np.linalg.qr(random_hermitian(3, rng).array)[0]
+        h = HermitianOperator((u * [0.7, 0.5, -0.2]) @ u.conj().T)
+        state = project_to_density(h)
+        expected = (u * [0.6, 0.4, 0.0]) @ u.conj().T
+        assert np.max(np.abs(state.op.array - expected)) <= 1e-12
+        # clipping and renormalizing gives (7/12, 5/12, 0), which is farther
+        assert (np.linalg.norm(state.op.array - h.array)
+                < np.linalg.norm(_clip_and_renormalize(h) - h.array))
+
+    def test_negative_identity_goes_to_the_maximally_mixed_state(self):
+        state = project_to_density(-HermitianOperator.identity(3))
+        assert np.allclose(state.op.array, np.eye(3) / 3, atol=1e-15)
+
+    def test_huge_eigenvalue_keeps_unit_weight(self):
+        state = project_to_density(HermitianOperator(np.diag([0.0, 1e17])))
+        assert np.allclose(state.op.array, np.diag([0.0, 1.0]), atol=1e-15)
+
+    def test_no_farther_than_clipping(self):
+        rng = rng_from_seed(16)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            # about three in four of these have a negative eigenvalue
+            h = (random_hermitian(dim, rng, scale=0.3)
+                 + HermitianOperator.identity(dim) * (1.0 / dim))
+            state = project_to_density(h)
+            ours = np.linalg.norm(state.op.array - h.array)
+            clipped = np.linalg.norm(_clip_and_renormalize(h) - h.array)
+            assert ours <= clipped + 1e-12

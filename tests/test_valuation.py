@@ -274,6 +274,25 @@ class TestExtendToSelfadjoint:
                        - extend_to_positive(v, neg + shift))
                 assert abs(alt - reference) <= 1e-9
 
+    def test_one_eigensolve_per_positive_part(self, monkeypatch):
+        from effectkit import operators, valuation
+        rng = rng_from_seed(58)
+        v = born_functional(random_density(3, rng))
+        a = random_psd(3, rng)
+        c = 2.0 * random_psd(3, rng) - random_psd(3, rng)
+        real, calls = operators.eigenvalues_of, []
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(operators, "eigenvalues_of", counted)
+        monkeypatch.setattr(valuation, "eigenvalues_of", counted)
+        extend_to_positive(v, a)
+        assert len(calls) == 1
+        extend_to_selfadjoint(v, c)
+        assert len(calls) == 3
+
     def test_linearity(self):
         rng = rng_from_seed(57)
         from effectkit import random_hermitian
