@@ -113,6 +113,12 @@ def _parse_vec(text: str, flag: str) -> BlochVector:
 
 
 def cmd_validate(args) -> int:
+    if args.kind != "valuation" and (args.effects or args.povm):
+        raise _CliFailure(EXIT_INVALID,
+                          "--effects and --povm apply only to --kind valuation")
+    if args.povm and not args.effects:
+        raise _CliFailure(EXIT_INVALID, "--povm needs --effects to resolve "
+                                        "the valuation's labels")
     payload = _load_json(args.path)
     checks: list[dict] = []
 

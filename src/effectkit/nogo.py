@@ -11,10 +11,10 @@ valuations cannot cover all effects:
 
 * :func:`search_dispersion_free` runs an exhaustive backtracking search for
   {0,1} assignments satisfying per-context normalization and integer sum
-  relations, returning either satisfying assignments or a minimal
-  unsatisfiable core together with a refutation tree for it. Real-coefficient
-  mixtures are deliberately outside this discrete model; they belong to the
-  witness route.
+  relations, returning either satisfying assignments or an unsatisfiable
+  core, minimal when the node budget allows, together with a refutation
+  tree for it. Real-coefficient mixtures are deliberately outside this
+  discrete model; they belong to the witness route.
 
 Certificates from the search are re-checked by :func:`verify_certificate`
 in pure integer arithmetic, independent of the solver code path. An UNSAT
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -377,7 +377,27 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
            max_store: int, stop_after: int | None = None, record: bool = False
            ) -> tuple[str, list[dict[str, int]], int | None, int,
                       Branch | ConstraintDesc | None]:
-    """Exhaustive DFS with unit propagation over {0,1} variables.
+    """Exhaustive DFS with incremental bound propagation over {0,1} variables.
+
+    Every constraint sum(c_i * x_i) = rhs keeps integer bounds lo <= sum <= hi
+    over the completions of the current partial assignment. Setting or
+    unsetting a variable updates the bounds of just the constraints it occurs
+    in, read from per-variable occurrence lists of (constraint, |coefficient|)
+    pairs, one list per value and bound. Propagation works from a queue of the constraints that contain
+    newly assigned variables (the root call queues all of them): a queued
+    constraint whose bounds exclude rhs is a conflict, and an unassigned
+    variable of it that has only one value keeping rhs within the bounds is
+    set to that value, which queues its own constraints in turn. So a node
+    costs time in the constraints its assignments touch, not in the size of
+    the constraint set.
+
+    Bound propagation is monotone: its fixpoint, and whether it reaches a
+    conflict, do not depend on the order in which constraints are visited.
+    The search branches on the first unassigned variable in
+    ``_variables_of`` order, 0 before 1, so the search tree, ``nodes``, the
+    model count and the stored assignments and their order are fixed by the
+    constraints alone; only the order of forced variables in a refutation
+    tree depends on the queue.
 
     Returns (status, stored assignments, total count or None, nodes,
     refutation). The refutation tree is built only with ``record`` and only
@@ -392,54 +412,74 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     solutions: list[dict[str, int]] = []
     state = {"nodes": 0, "total": 0}
 
-    def bounds(con: _Linear) -> tuple[int, int]:
-        lo = hi = 0
-        for vi, c in con.terms:
-            x = assign[vi]
-            if x == -1:
-                if c > 0:
-                    hi += c
-                else:
-                    lo += c
-            else:
-                lo += c * x
-                hi += c * x
-        return lo, hi
+    terms = [con.terms for con in linear]
+    rhs = [con.rhs for con in linear]
+    lo = [sum(c for _, c in t if c < 0) for t in terms]
+    hi = [sum(c for _, c in t if c > 0) for t in terms]
+    # A constraint can force a variable only while rhs is closer than its
+    # largest |c| to one of its bounds.
+    reach = [max((abs(c) for _, c in t), default=0) for t in terms]
+    # Setting x := v adds |c| to lo when c and v agree in sign (c > 0 and
+    # v = 1, or c < 0 and v = 0) and takes |c| from hi otherwise.
+    raise_lo: tuple[list[list], list[list]] = (
+        [[] for _ in range(nv)], [[] for _ in range(nv)])
+    cut_hi: tuple[list[list], list[list]] = (
+        [[] for _ in range(nv)], [[] for _ in range(nv)])
+    for k, t in enumerate(terms):
+        for vi, c in t:
+            raise_lo[c > 0][vi].append((k, abs(c)))
+            cut_hi[c < 0][vi].append((k, abs(c)))
 
-    def propagate(trail: list[int], log: list | None = None) -> bool:
+    def set_var(vi: int, val: int, queue: deque) -> None:
+        assign[vi] = val
+        for k, a in raise_lo[val][vi]:
+            lo[k] += a
+            queue.append(k)
+        for k, a in cut_hi[val][vi]:
+            hi[k] -= a
+            queue.append(k)
+
+    def unset_var(vi: int) -> None:
+        val = assign[vi]
+        assign[vi] = -1
+        for k, a in raise_lo[val][vi]:
+            lo[k] -= a
+        for k, a in cut_hi[val][vi]:
+            hi[k] += a
+
+    def propagate(queue: deque, trail: list[int], log: list | None) -> bool:
         # With a log, each forced variable appends (index, constraint) and a
         # failure appends its conflict last: (None, constraint) when the
         # constraint's bounds exclude its right-hand side, (index, constraint)
         # when both values of that variable do.
-        changed = True
-        while changed:
-            changed = False
-            for con in linear:
-                lo, hi = bounds(con)
-                if not lo <= con.rhs <= hi:
+        while queue:
+            k = queue.popleft()
+            r = rhs[k]
+            if not lo[k] <= r <= hi[k]:
+                if log is not None:
+                    log.append((None, linear[k]))
+                return False
+            if hi[k] - r >= reach[k] and r - lo[k] >= reach[k]:
+                continue
+            for vi, c in terms[k]:
+                if assign[vi] != -1:
+                    continue
+                low, high = lo[k], hi[k]
+                if c > 0:
+                    ok0 = low <= r <= high - c
+                    ok1 = low + c <= r <= high
+                else:
+                    ok0 = low - c <= r <= high
+                    ok1 = low <= r <= high + c
+                if not ok0 and not ok1:
                     if log is not None:
-                        log.append((None, con))
+                        log.append((vi, linear[k]))
                     return False
-                for vi, c in con.terms:
-                    if assign[vi] != -1:
-                        continue
-                    if c > 0:
-                        ok0 = lo <= con.rhs <= hi - c
-                        ok1 = lo + c <= con.rhs <= hi
-                    else:
-                        ok0 = lo - c <= con.rhs <= hi
-                        ok1 = lo <= con.rhs <= hi + c
-                    if not ok0 and not ok1:
-                        if log is not None:
-                            log.append((vi, con))
-                        return False
-                    if ok0 != ok1:
-                        assign[vi] = 0 if ok0 else 1
-                        trail.append(vi)
-                        if log is not None:
-                            log.append((vi, con))
-                        changed = True
-                        lo, hi = bounds(con)
+                if ok0 != ok1:
+                    set_var(vi, 0 if ok0 else 1, queue)
+                    trail.append(vi)
+                    if log is not None:
+                        log.append((vi, linear[k]))
         return True
 
     def record_solution() -> None:
@@ -463,28 +503,32 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                     else Branch(variables[vi], con.desc, node))
         return node
 
-    def dfs() -> Branch | ConstraintDesc | None:
+    def dfs(start: int) -> Branch | ConstraintDesc | None:
+        # Every variable before ``start`` is assigned: it is the parent's
+        # branch variable plus one.
         state["nodes"] += 1
         if state["nodes"] > node_budget:
             raise _Budget
         if stop_after is not None and state["total"] >= stop_after:
             return None
-        vi = next((i for i in range(nv) if assign[i] == -1), None)
-        if vi is None:
+        vi = start
+        while vi < nv and assign[vi] != -1:
+            vi += 1
+        if vi == nv:
             record_solution()
             return None
         children = [] if record else None
         for val in (0, 1):
-            assign[vi] = val
-            trail: list[int] = []
+            queue: deque = deque()
+            set_var(vi, val, queue)
+            trail = [vi]
             log = [] if record else None
-            ok = propagate(trail, log)
-            below = dfs() if ok else None
+            ok = propagate(queue, trail, log)
+            below = dfs(vi + 1) if ok else None
             if record:
                 children.append(refute(log, ok, below))
             for t in trail:
-                assign[t] = -1
-            assign[vi] = -1
+                unset_var(t)
             if stop_after is not None and state["total"] >= stop_after:
                 return None
         return Branch(variables[vi], *children) if record else None
@@ -492,8 +536,8 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     tree = None
     try:
         log0 = [] if record else None
-        ok0 = propagate([], log0)
-        below0 = dfs() if ok0 else None
+        ok0 = propagate(deque(range(len(linear))), [], log0)
+        below0 = dfs(0) if ok0 else None
         if record:
             tree = refute(log0, ok0, below0)
         complete = True
@@ -510,7 +554,13 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
 
 def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
                    ) -> tuple[list[ConstraintDesc], int]:
-    """Deletion-based shrinking in deterministic input order."""
+    """Deletion-based shrinking in deterministic input order.
+
+    Each constraint in turn is dropped for good when the rest is still
+    UNSAT. A trial that exhausts ``node_budget`` ends "unknown" and keeps
+    its constraint, so the core is minimal (no single constraint can be
+    dropped) only when every trial finishes within the budget.
+    """
     core = list(constraints)
     nodes = 0
     for desc in list(core):
@@ -529,14 +579,16 @@ def search_dispersion_free(cs: ContextSet,
                            ) -> SearchResult:
     """Search for {0,1} valuations satisfying every context and relation.
 
-    The search is an exhaustive backtracking enumeration with unit
+    The search is an exhaustive backtracking enumeration with bound
     propagation over the labels that occur in at least one constraint;
     effects mentioned in no constraint are unconstrained and excluded from
     the reported assignments. All arithmetic is exact (integers). On
-    unsatisfiable inputs the result carries a minimal core found by
-    deletion-based shrinking and a refutation tree for that core, taken from
-    one more solve of the core alone (its nodes are not counted in
-    ``nodes_explored``); if the node budget is exhausted first, the status is
+    unsatisfiable inputs the result carries a core found by deletion-based
+    shrinking and a refutation tree for that core, taken from one more solve
+    of the core alone (its nodes are not counted in ``nodes_explored``). The
+    core is minimal only when every deletion trial finishes within
+    ``node_budget``: a trial that ends "unknown" keeps its constraint. If
+    the node budget is exhausted by the search itself, the status is
     "unknown". ``max_solutions`` and ``node_budget`` below 1 raise
     ValueError.
     """

@@ -77,14 +77,16 @@ class HermitianOperator:
         check_dim(arr.shape[0])
         adj = arr.conj().T
         # The symmetrized matrix is the only copy made; it is non-finite
-        # exactly when the input is, or when the sum overflows.
-        sym = (arr + adj) / 2.0
-        if not np.isfinite(sym).all():
-            raise ValueError("matrix entries must be finite")
+        # exactly when the input is, or when the sum overflows. Overflow is
+        # reported by that check, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (arr + adj) / 2.0
+            if not np.isfinite(sym).all():
+                raise ValueError("matrix entries must be finite")
+            deviation = float(np.max(np.abs(arr - adj)))
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
-        object.__setattr__(self, "herm_deviation",
-                           float(np.max(np.abs(arr - adj))))
+        object.__setattr__(self, "herm_deviation", deviation)
 
     @property
     def dim(self) -> int:

@@ -129,6 +129,44 @@ class TestValidate:
         assert code == 2
         assert report["checks"][0]["out_of_range"] == ["up"]
 
+    def test_povm_without_effects_is_a_parameter_error(self, tmp_path, capsys):
+        table = {"dim": 2, "entries": [{"label": "up", "value": 0.5},
+                                       {"label": "down", "value": 0.5}]}
+        path = write(tmp_path / "v.json", table)
+        povm = write(tmp_path / "p.json", z_povm_payload())
+        code = main(["validate", path, "--kind", "valuation", "--povm", povm])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--povm needs --effects" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--effects", "--povm"])
+    @pytest.mark.parametrize("kind", ["effect", "povm", "state"])
+    def test_valuation_flags_with_other_kinds_are_parameter_errors(
+            self, tmp_path, capsys, kind, flag):
+        valid = {"effect": Effect(pauli_op(0.5, 0, 0.5), "tilt").to_json_dict(),
+                 "povm": z_povm_payload(),
+                 "state": ground_state_payload()}
+        path = write(tmp_path / "in.json", valid[kind])
+        effects = write(tmp_path / "e.json",
+                        {"dim": 2, "effects": z_povm_payload()["effects"]})
+        code = main(["validate", path, "--kind", kind, flag, effects])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "apply only to --kind valuation" in captured.err
+
+    def test_overflowing_entries_print_one_stderr_line(self, tmp_path):
+        huge = {"dim": 2, "entries": [[1e308, 0.0]] * 4}
+        path = write(tmp_path / "s.json", huge)
+        proc = subprocess.run(
+            [sys.executable, "-m", "effectkit", "validate", path,
+             "--kind", "state"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "invalid input: matrix entries must be finite\n"
+
 
 class TestBorn:
     def test_ground_state_z_povm(self, tmp_path, capsys):

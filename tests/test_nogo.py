@@ -21,12 +21,14 @@ from effectkit import (
     build_context_set,
     complement,
     discover_sum_relations,
+    haar_unitary,
     random_density,
     rng_from_seed,
     search_dispersion_free,
     verify_certificate,
     witness_2d,
 )
+from effectkit.nogo import _variables_of
 
 from conftest import (
     brute_force_solutions,
@@ -57,6 +59,18 @@ def projective_pair_context_set():
     return build_context_set(
         [p, complement(p, "Pp"), q, complement(q, "Qp")],
         [["P", "Pp"], ["Q", "Qp"]])
+
+
+def haar_bases_context_set(rng, bases, dim=4):
+    """``bases`` Haar-random orthonormal bases of C^dim, one context each."""
+    effects, contexts = [], []
+    for b in range(bases):
+        u = haar_unitary(dim, rng)
+        ctx = [f"b{b}_{k}" for k in range(dim)]
+        effects += [Effect(HermitianOperator(np.outer(u[:, k], u[:, k].conj())),
+                           lb) for k, lb in enumerate(ctx)]
+        contexts.append(ctx)
+    return build_context_set(effects, contexts)
 
 
 class TestWitness2D:
@@ -256,6 +270,48 @@ class TestSearch:
         assert result.status == "sat"
         assert result.assignments == [{}]
         assert verify_certificate(result, cs)
+
+    def test_three_haar_bases_pin_the_search(self):
+        # 4^3 models; with 0 tried before 1 the tree has 2 * 64 - 1 nodes
+        cs = haar_bases_context_set(rng_from_seed(7), bases=3)
+        result = search_dispersion_free(cs)
+        assert result.status == "sat"
+        assert result.nodes_explored == 127
+        assert result.total_solutions == 64
+        assert len(result.assignments) == 64
+        assert verify_certificate(result, cs)
+
+    def test_forced_variables_are_not_nodes(self):
+        # the one-label context [I] sets v(I) = 1 before any branch; the
+        # tree is the root, then P (2 nodes), then Q (4 nodes)
+        p = Effect(pauli_op(0, 0, 1), "P")
+        q = Effect(pauli_op(1, 0, 0), "Q")
+        cs = build_context_set(
+            [Effect(HermitianOperator.identity(2), "I"), p, complement(p, "Pp"),
+             q, complement(q, "Qp")],
+            [["I"], ["P", "Pp"], ["Q", "Qp"]])
+        result = search_dispersion_free(cs)
+        assert result.status == "sat"
+        assert result.nodes_explored == 7
+        assert result.total_solutions == 4
+        assert all(a["I"] == 1 for a in result.assignments)
+
+    def test_stored_assignments_are_the_first_models_in_order(self):
+        rng = rng_from_seed(504)
+        checked = 0
+        for trial in range(40):
+            cs = random_context_set(rng, max_effects=12)
+            order = _variables_of(cs.constraints())
+            models = sorted(tuple(s[lb] for lb in order)
+                            for s in brute_force_solutions(cs))
+            for cap in (1, 3):
+                result = search_dispersion_free(cs, max_solutions=cap)
+                got = [tuple(a[lb] for lb in order) for a in result.assignments]
+                assert all(list(a) == order for a in result.assignments)
+                assert got == models[:cap], f"trial {trial}, cap {cap}"
+                assert result.total_solutions == len(models)
+            checked += bool(models)
+        assert checked >= 20
 
     def test_exhaustive_against_brute_force(self):
         rng = rng_from_seed(500)

@@ -1,5 +1,7 @@
 """Operator-core: construction, eigendecomposition, traces, norms, order."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,17 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             HermitianOperator(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_overflow_is_rejected_without_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 1e308 + 1e308 overflows to inf: rejected as non-finite
+            with pytest.raises(ValueError, match="finite"):
+                herm([[1e308, 1e308], [1e308, 1e308]])
+            # the Hermitian part is finite, the deviation overflows
+            h = herm([[0.0, 1e308], [-1e308, 0.0]])
+            assert np.array_equal(h.array, np.zeros((2, 2)))
+            assert h.herm_deviation == np.inf
 
     def test_rejects_above_max_dim(self):
         with pytest.raises(ValueError, match="MAX_DIM"):

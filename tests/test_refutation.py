@@ -156,7 +156,14 @@ class TestKnownAnswers:
         assert len(cs.effects) == 24
         assert len(cs.contexts) == 24
         assert result.status == "unsat"
+        assert result.nodes_explored == 295
         assert len(result.unsat_core) == 11
+        # the deletion-minimised core of the formula order, pinned
+        assert [[int(lb[1:]) for lb in c.labels] for c in result.unsat_core] == [
+            [1, 2, 6, 10], [1, 3, 5, 11], [2, 3, 4, 12], [4, 15, 19, 20],
+            [5, 13, 18, 20], [6, 14, 17, 20], [10, 14, 16, 23],
+            [11, 13, 16, 22], [12, 15, 16, 21], [16, 21, 22, 23],
+            [17, 18, 19, 20]]
         assert len(core_labels(result)) == 20
         start = time.perf_counter()
         verdict = verify_certificate(result, cs)
