@@ -36,7 +36,6 @@ from .operators import (  # noqa: F401
     HermitianOperator,
     eig_hermitian,
     eigenvalues_of,
-    frobenius_distance,
     frobenius_inner,
     is_psd,
     operator_norm,

@@ -126,7 +126,12 @@ def expect_int(obj: Any, what: str) -> int:
 def expect_number(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{what}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        # An integer literal past the float range reads as the literal 1e400
+        # does: an infinity, rejected downstream wherever 1e400 is.
+        return math.inf if obj > 0 else -math.inf
 
 
 def expect_str(obj: Any, what: str) -> str:

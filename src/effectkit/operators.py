@@ -64,7 +64,8 @@ class HermitianOperator:
     ValueError. It is replaced by (M + M^dagger)/2, stored read-only, and
     the worst entrywise deviation |M[i][j] - conj(M[j][i])| of the input is
     kept in ``herm_deviation`` so float drift in files is visible instead of
-    being silently absorbed; construction never rejects for drift.
+    being silently absorbed; construction never rejects for drift, only
+    for a deviation that overflows to infinity (ValueError).
     """
 
     array: np.ndarray
@@ -84,6 +85,9 @@ class HermitianOperator:
             if not np.isfinite(sym).all():
                 raise ValueError("matrix entries must be finite")
             deviation = float(np.max(np.abs(arr - adj)))
+        if not np.isfinite(deviation):
+            raise ValueError("hermiticity deviation |M[i][j] - conj(M[j][i])| "
+                             "is not finite")
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
         object.__setattr__(self, "herm_deviation", deviation)
@@ -119,14 +123,7 @@ class HermitianOperator:
         if len(entries) != d * d:
             raise SchemaError(
                 f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")
-        flat = np.empty(d * d, dtype=np.complex128)
-        for k, pair in enumerate(entries):
-            pair = jsonio.expect_list(pair, f"matrix.entries[{k}]")
-            if len(pair) != 2:
-                raise SchemaError(f"matrix.entries[{k}]: expected [re, im]")
-            re = jsonio.expect_number(pair[0], f"matrix.entries[{k}][0]")
-            im = jsonio.expect_number(pair[1], f"matrix.entries[{k}][1]")
-            flat[k] = complex(re, im)
+        flat = _entry_array(entries)
         return cls(flat.reshape(d, d))
 
     # Hermitian operators are closed under real-linear combinations; these
@@ -147,6 +144,27 @@ class HermitianOperator:
 
     def __neg__(self) -> "HermitianOperator":
         return HermitianOperator(-self.array)
+
+
+def _entry_array(entries: list) -> np.ndarray:
+    """The [re, im] entries as one flat complex array, in one pass. A pair
+    of plain floats is taken as it is; anything else is checked and
+    converted by jsonio, whose SchemaError names the entry at fault.
+    Viewing the floats as complex keeps every bit, signed zeros included."""
+    numbers: list[float] = []
+    for k, pair in enumerate(entries):
+        if type(pair) is list and len(pair) == 2:
+            re, im = pair
+            if type(re) is float and type(im) is float:
+                numbers.append(re)
+                numbers.append(im)
+                continue
+        pair = jsonio.expect_list(pair, f"matrix.entries[{k}]")
+        if len(pair) != 2:
+            raise SchemaError(f"matrix.entries[{k}]: expected [re, im]")
+        numbers.append(jsonio.expect_number(pair[0], f"matrix.entries[{k}][0]"))
+        numbers.append(jsonio.expect_number(pair[1], f"matrix.entries[{k}][1]"))
+    return np.array(numbers, dtype=np.float64).view(np.complex128)
 
 
 def hermitian_drift(h: HermitianOperator) -> dict:
@@ -238,8 +256,3 @@ def frobenius_inner(a: HermitianOperator, b: HermitianOperator) -> float:
     """tr[a b], which is real for Hermitian operands."""
     _require_same_dim(a, b)
     return float(np.einsum("ij,ji->", a.array, b.array).real)
-
-
-def frobenius_distance(a: HermitianOperator, b: HermitianOperator) -> float:
-    _require_same_dim(a, b)
-    return float(np.linalg.norm(a.array - b.array))

@@ -7,11 +7,14 @@ import itertools
 import numpy as np
 
 from effectkit import (
+    TOL,
     AdditivityRelation,
     ContextSet,
     Effect,
     HermitianOperator,
+    SchemaError,
     build_context_set,
+    jsonio,
     random_povm,
 )
 
@@ -46,6 +49,52 @@ def hermitian_basis(dim: int) -> np.ndarray:
             basis[k, j, i] = 1j * inv_sqrt2
             k += 1
     return basis
+
+
+def duplicate_messages_by_pairs(effects) -> list[str]:
+    """The ``DuplicateOperatorWarning`` messages of a direct scan over every
+    pair i < j. Oracle for ``warn_duplicate_operators``."""
+    items = list(effects)
+    out = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            a, b = items[i], items[j]
+            if a.label == b.label or a.dim != b.dim:
+                continue
+            if np.linalg.norm(a.op.array - b.op.array) < TOL.same_operator:
+                out.append(
+                    f"labels {a.label!r} and {b.label!r} carry the same "
+                    f"operator (Frobenius distance < {TOL.same_operator:g})")
+    return out
+
+
+def entries_by_loop(entries) -> np.ndarray:
+    """The [re, im] entries as a flat complex array, each number checked and
+    converted one by one. Oracle for the one-pass parser
+    ``operators._entry_array``."""
+    flat = np.empty(len(entries), dtype=np.complex128)
+    for k, pair in enumerate(entries):
+        pair = jsonio.expect_list(pair, f"matrix.entries[{k}]")
+        if len(pair) != 2:
+            raise SchemaError(f"matrix.entries[{k}]: expected [re, im]")
+        re = jsonio.expect_number(pair[0], f"matrix.entries[{k}][0]")
+        im = jsonio.expect_number(pair[1], f"matrix.entries[{k}][1]")
+        flat[k] = complex(re, im)
+    return flat
+
+
+def matrix_by_entry_loop(obj) -> HermitianOperator:
+    """``HermitianOperator.from_json_dict`` with :func:`entries_by_loop`."""
+    obj = jsonio.expect_dict(obj, "matrix")
+    d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
+    entries = jsonio.expect_list(
+        jsonio.expect_key(obj, "entries", "matrix"), "matrix.entries")
+    if d < 1:
+        raise SchemaError("matrix.dim must be a positive integer")
+    if len(entries) != d * d:
+        raise SchemaError(
+            f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")
+    return HermitianOperator(entries_by_loop(entries).reshape(d, d))
 
 
 def char_poly_eigs_2x2(arr: np.ndarray) -> tuple[float, float]:

@@ -167,6 +167,36 @@ class TestValidate:
         assert proc.stdout == ""
         assert proc.stderr == "invalid input: matrix entries must be finite\n"
 
+    def test_integer_past_the_float_range_reads_as_1e400(self, tmp_path,
+                                                          capsys):
+        big = "1" + "0" * 400
+        files = {
+            "state": '{"dim": 2, "entries": [[0.5, 0], [%s, 0], [0, 0], '
+                     '[0.5, 0]]}',
+            "valuation": '{"dim": 2, "entries": [{"label": "up", '
+                         '"value": %s}]}'}
+        for kind, text in files.items():
+            outcomes = []
+            for literal in (big, "1e400", "-" + big, "-1e400"):
+                path = tmp_path / f"{kind}.json"
+                path.write_text(text % literal)
+                code = main(["validate", str(path), "--kind", kind])
+                outcomes.append((code, capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[2] == outcomes[3]
+            assert outcomes[0][0] == 2
+
+    def test_overflowing_anti_hermitian_part_names_the_deviation(
+            self, tmp_path, capsys):
+        path = write(tmp_path / "s.json", {"dim": 2, "entries": [
+            [0.5, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.5, 0.0]]})
+        code = main(["validate", path, "--kind", "state"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("invalid input: hermiticity deviation "
+                                "|M[i][j] - conj(M[j][i])| is not finite\n")
+
 
 class TestBorn:
     def test_ground_state_z_povm(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ Each example starts from a valid file of one input kind (state, POVM,
 effects frame, valuation table, context set), breaks it in one to three
 places, and runs every subcommand that reads that kind. Breaks are wrong
 types, deleted keys, emptied lists, overflowing numbers written as 1e400
+or as a 401-digit integer, a matrix whose anti-Hermitian part overflows,
 and dimensions that disagree with the data. Every call must return an exit
 code of the documented contract (0-5) and print no traceback; an exception
 escaping ``main`` is what prints one.
@@ -25,9 +26,13 @@ from conftest import pauli_op
 
 # Every one of these replaces a node of a valid file. json writes inf as
 # "Infinity", which is rewritten to the overflowing literal 1e400 below.
-NUMBERS = [0, -1, 3, 65, 2**70, 0.5, -0.25, 1e308, float("inf"), -float("inf")]
+NUMBERS = [0, -1, 3, 65, 2**70, 10**400, 0.5, -0.25, 1e308, float("inf"),
+           -float("inf")]
+# Finite Hermitian part, but M - M^dagger overflows.
+ANTI_HERMITIAN_OVERFLOW = {"dim": 2, "entries": [[0.5, 0], [1e308, 0],
+                                                 [-1e308, 0], [0.5, 0]]}
 LEAVES = NUMBERS + [None, True, "", "I", "x", [], {}, [0.0, 0.0],
-                    [[1.0, 0.0]], {"dim": 2}]
+                    [[1.0, 0.0]], {"dim": 2}, ANTI_HERMITIAN_OVERFLOW]
 
 
 def _pauli_frame():

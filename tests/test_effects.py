@@ -1,5 +1,7 @@
 """Effect algebra: validation, complements, Bloch maps, spectral splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from effectkit import (
     NotPositive,
     Povm,
     SumNotIdentity,
+    TOL,
     TraceNotOne,
     bloch_to_operator,
     complement,
@@ -23,12 +26,14 @@ from effectkit import (
     is_psd,
     operator_to_bloch,
     random_effect,
+    random_frame,
+    random_hermitian,
     rng_from_seed,
     spectral_split,
 )
-from effectkit.effects import warn_duplicate_operators
+from effectkit.effects import _EXACT_SCAN_MAX, warn_duplicate_operators
 
-from conftest import char_poly_eigs_2x2, pauli_op
+from conftest import char_poly_eigs_2x2, duplicate_messages_by_pairs, pauli_op
 
 
 def diag_effect(*values, label="E"):
@@ -254,6 +259,58 @@ def test_duplicate_operator_guard():
     half = 0.5 * HermitianOperator.identity(2)
     with pytest.warns(DuplicateOperatorWarning):
         warn_duplicate_operators([Effect(half, "a"), Effect(half, "b")])
+
+
+# Planted distances from a pool member, in units of TOL.same_operator: on
+# both sides of the strict bound.
+PLANTED = (0.0, 0.5, 0.99, 1.01, 2.0)
+
+
+def _near_copy(e: Effect, factor: float, rng, label: str) -> Effect:
+    z = random_hermitian(e.dim, rng).array
+    step = factor * TOL.same_operator / np.linalg.norm(z)
+    return Effect(HermitianOperator(e.op.array + step * z), label)
+
+
+def _planted_pool(dims, size, rng) -> list[Effect]:
+    """``size`` random effects of each dimension in ``dims``, then a copy
+    of random members at every PLANTED distance and one copy under the
+    same label, each inserted at a random position."""
+    pool = [e for d in dims for e in random_frame(d, size, rng, f"d{d}_")]
+    rng.shuffle(pool)
+    if not pool:
+        return pool
+    copies = [_near_copy(pool[rng.integers(len(pool))], f, rng, f"near{f}")
+              for f in PLANTED]
+    same = pool[rng.integers(len(pool))]
+    copies.append(Effect(same.op, same.label))
+    for e in copies:
+        pool.insert(int(rng.integers(len(pool) + 1)), e)
+    return pool
+
+
+def _duplicate_messages(effects) -> list[str]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warn_duplicate_operators(effects)
+    return [str(w.message) for w in caught
+            if issubclass(w.category, DuplicateOperatorWarning)]
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (4,), (16,), (1, 2, 4)])
+@pytest.mark.parametrize("size", [0, 1, 2, 60])
+def test_duplicate_scan_matches_pairwise_scan(dims, size):
+    # 0, 1 and 2 effects per dimension take the exact scan, 60 the filter
+    assert (size > _EXACT_SCAN_MAX) == (size == 60)
+    rng = rng_from_seed(1000 * size + sum(dims))
+    flagged = 0
+    for _ in range(3):
+        pool = _planted_pool(dims, size, rng)
+        expected = duplicate_messages_by_pairs(pool)
+        assert _duplicate_messages(pool) == expected
+        flagged += len(expected)
+    # at least the copies at 0, 0.5 and 0.99 tolerances, in each pool
+    assert flagged >= (9 if size else 0)
 
 
 def test_effect_json_round_trip():

@@ -85,6 +85,12 @@ class TestSchemaHelpers:
         with pytest.raises(SchemaError):
             jsonio.expect_number("1", "x")
 
+    def test_expect_number_reads_huge_integers_as_the_float_literal(self):
+        big = "1" + "0" * 400
+        for text in (big, "-" + big):
+            assert jsonio.expect_number(jsonio.loads(text), "x") == \
+                jsonio.loads(text[:-400] + "e400")
+
     def test_expect_key_message_names_the_key(self):
         with pytest.raises(SchemaError, match="missing required key 'dim'"):
             jsonio.expect_key({}, "dim", "matrix")

@@ -1,5 +1,7 @@
 """Operator-core: construction, eigendecomposition, traces, norms, order."""
 
+import copy
+import json
 import warnings
 
 import numpy as np
@@ -20,7 +22,8 @@ from effectkit import (
 )
 from effectkit import operators
 
-from conftest import SX, SY, SZ, char_poly_eigs_2x2, pauli_op
+from conftest import (SX, SY, SZ, char_poly_eigs_2x2, entries_by_loop,
+                      matrix_by_entry_loop, pauli_op)
 
 
 def herm(arr) -> HermitianOperator:
@@ -46,10 +49,11 @@ class TestConstruction:
             # 1e308 + 1e308 overflows to inf: rejected as non-finite
             with pytest.raises(ValueError, match="finite"):
                 herm([[1e308, 1e308], [1e308, 1e308]])
-            # the Hermitian part is finite, the deviation overflows
-            h = herm([[0.0, 1e308], [-1e308, 0.0]])
-            assert np.array_equal(h.array, np.zeros((2, 2)))
-            assert h.herm_deviation == np.inf
+            # the Hermitian part is finite, the deviation overflows: the
+            # error names the hermiticity deviation
+            with pytest.raises(ValueError,
+                               match="hermiticity deviation .* not finite"):
+                herm([[0.0, 1e308], [-1e308, 0.0]])
 
     def test_rejects_above_max_dim(self):
         with pytest.raises(ValueError, match="MAX_DIM"):
@@ -265,3 +269,57 @@ class TestMatrixJson:
         from effectkit import SchemaError
         with pytest.raises(SchemaError):
             HermitianOperator.from_json_dict({"dim": 0, "entries": []})
+
+
+# Numbers and entries that replace one node of a valid matrix payload.
+ODD_NUMBERS = [-0.0, 0.0, 0, -3, 2**70, 2**53 + 1, -(2**63) - 1, 5e-324,
+               1e308, -1e308, 10**400, -10**400, True, False, None, "1",
+               np.float64(0.25), [], {}]
+ODD_ENTRIES = [[1.0], [1.0, 0.0, 0.0], [], [True, 0.0], [0.0, "x"],
+               [[0.0], 0.0], (0.5, 0.0), 0.5, None, "ab", {"re": 1.0}]
+
+
+def _outcome(parse, arg):
+    try:
+        result = parse(arg)
+    except Exception as exc:   # the error's type and text are compared
+        return type(exc).__name__, str(exc)
+    if isinstance(result, HermitianOperator):
+        return result.array.tobytes(), result.herm_deviation
+    return result.tobytes()
+
+
+def test_from_json_dict_matches_the_entry_loop():
+    rng = np.random.default_rng(17)
+    parsed = 0
+    for _ in range(400):
+        d = int(rng.integers(1, 5))
+        arr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        payload = json.loads(json.dumps(HermitianOperator(arr).to_json_dict()))
+        entries = payload["entries"]
+        for _ in range(int(rng.integers(0, 3))):
+            k = int(rng.integers(len(entries)))
+            pair = entries[k]
+            if rng.random() < 0.6 and type(pair) is list and len(pair) == 2:
+                pair[int(rng.integers(2))] = copy.deepcopy(
+                    ODD_NUMBERS[rng.integers(len(ODD_NUMBERS))])
+            else:
+                entries[k] = copy.deepcopy(
+                    ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))])
+        expected = _outcome(matrix_by_entry_loop, payload)
+        assert _outcome(HermitianOperator.from_json_dict, payload) == expected
+        # bit for bit before symmetrization, which drops the sign of 0
+        flat = _outcome(operators._entry_array, entries)
+        assert flat == _outcome(entries_by_loop, entries)
+        parsed += isinstance(flat, bytes)
+    assert parsed > 100
+
+
+def test_entry_array_keeps_every_bit():
+    entries = [[-0.0, 0.0], [2**70, -0.0], [0, -0.0], [-5e-324, 2**53 + 1]]
+    flat = operators._entry_array(entries)
+    assert flat.tobytes() == np.array(
+        [complex(-0.0, 0.0), complex(2.0**70, -0.0), complex(0.0, -0.0),
+         complex(-5e-324, float(2**53 + 1))]).tobytes()
+    assert np.signbit(flat.real).tolist() == [True, False, False, True]
+    assert np.signbit(flat.imag).tolist() == [False, True, True, False]
