@@ -37,8 +37,6 @@ from .operators import (  # noqa: F401
     eig_hermitian,
     eigenvalues_of,
     frobenius_inner,
-    is_psd,
-    operator_norm,
 )
 from .effects import (  # noqa: F401
     BlochVector,

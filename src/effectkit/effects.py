@@ -22,7 +22,6 @@ from .errors import (
     ExceedsIdentity,
     NotDimTwo,
     NotPositive,
-    SchemaError,
     SumNotIdentity,
     TraceNotOne,
 )
@@ -42,30 +41,30 @@ for _s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _s.setflags(write=False)
 
 
-def effect_checks(op: HermitianOperator, tol: float = TOL.spectrum
-                  ) -> list[dict]:
+def effect_checks(op: HermitianOperator) -> list[dict]:
     """The effect checks ``hermitian_drift``, ``positive`` (minimum
-    eigenvalue >= -tol) and ``below_identity`` (maximum eigenvalue
-    <= 1 + tol), in that order."""
+    eigenvalue >= -TOL.spectrum) and ``below_identity`` (maximum eigenvalue
+    <= 1 + TOL.spectrum), in that order."""
     vals = eigenvalues_of(op)
     lo, hi = float(vals[0]), float(vals[-1])
     return [hermitian_drift(op),
-            {"name": "positive", "ok": lo >= -tol, "min_eig": lo},
-            {"name": "below_identity", "ok": hi <= 1.0 + tol, "max_eig": hi}]
+            {"name": "positive", "ok": lo >= -TOL.spectrum, "min_eig": lo},
+            {"name": "below_identity", "ok": hi <= 1.0 + TOL.spectrum,
+             "max_eig": hi}]
 
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Labeled operator with spectrum inside [0, 1] (within ``tol``); raises
-    NotPositive or ExceedsIdentity from the first failed spectral check of
-    :func:`effect_checks`, whose ``hermitian_drift`` it does not enforce."""
+    """Labeled operator with spectrum inside [0, 1] (within
+    ``TOL.spectrum``); raises NotPositive or ExceedsIdentity from the first
+    failed spectral check of :func:`effect_checks`, whose
+    ``hermitian_drift`` it does not enforce."""
 
     op: HermitianOperator
     label: str
-    tol: float = TOL.spectrum
 
     def __post_init__(self):
-        _, positive, below = effect_checks(self.op, self.tol)
+        _, positive, below = effect_checks(self.op)
         if not positive["ok"]:
             lo = positive["min_eig"]
             raise NotPositive(
@@ -153,15 +152,6 @@ class BlochVector:
     def to_json_dict(self) -> dict:
         return {"a": list(self.a)}
 
-    @classmethod
-    def from_json_dict(cls, obj) -> "BlochVector":
-        obj = jsonio.expect_dict(obj, "bloch vector")
-        comps = jsonio.expect_list(jsonio.expect_key(obj, "a", "bloch vector"),
-                                   "bloch.a")
-        if len(comps) != 3:
-            raise SchemaError("bloch.a must have exactly 3 components")
-        return cls(tuple(jsonio.expect_number(c, "bloch.a[i]") for c in comps))
-
 
 def is_projection(e: Effect) -> bool:
     """True iff ||E^2 - E||_F <= ``TOL.projection`` (idempotent effect)."""
@@ -218,7 +208,7 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
     labeled ``"<label>:proj<i>"``. Groups come back in ascending eigenvalue order.
 
     Postconditions enforced here: the projectors are effects within
-    ``TOL.projection``, mutually orthogonal, complete (sum to I), and
+    ``TOL.spectrum``, mutually orthogonal, complete (sum to I), and
     reassemble the input to ``TOL.eig``; violations raise
     ConvergenceFailure via the eigensolver checks.
     """
@@ -235,7 +225,7 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
         v = vecs[:, idxs]
         proj = HermitianOperator(v @ v.conj().T)
         value = float(np.mean(vals[idxs]))
-        out.append((value, Effect(proj, f"{e.label}:proj{gi}", tol=TOL.projection)))
+        out.append((value, Effect(proj, f"{e.label}:proj{gi}")))
     return out
 
 

@@ -50,12 +50,11 @@ from .errors import (
     DimMismatch,
     NotUnitVectors,
     ParallelVectors,
-    SchemaError,
     SumNotIdentity,
     UnknownLabel,
 )
 from .operators import TOL, HermitianOperator, eigenvalues_of
-from .valuation import AdditivityRelation
+from .valuation import AdditivityRelation, relations_from_json
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -184,12 +183,6 @@ class ContextSet:
     effects: dict[str, Effect]
     contexts: tuple[tuple[str, ...], ...]
     sum_relations: tuple[AdditivityRelation, ...]
-
-    @property
-    def dim(self) -> int | None:
-        for e in self.effects.values():
-            return e.dim
-        return None
 
     def constraints(self) -> list[ConstraintDesc]:
         out = [ConstraintDesc("context", ctx) for ctx in self.contexts]
@@ -753,8 +746,6 @@ def context_set_from_json(obj, effects: Iterable[Effect],
     The ``effects_file`` key is resolved by the caller (the CLI reads it
     relative to the contexts file); this function takes the loaded effects.
     """
-    from .valuation import relations_from_json
-
     obj = jsonio.expect_dict(obj, "context set")
     raw_contexts = jsonio.expect_list(
         jsonio.expect_key(obj, "contexts", "context set"), "contexts")

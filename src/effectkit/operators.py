@@ -33,7 +33,7 @@ class TOL:
     spectrum = 1e-9           # eigenvalue slack below 0 and above 1
     unit_trace = 1e-9         # |tr - 1| of a state or Bloch operator
     spectral_gap = 1e-9       # eigenvalues merged by spectral_split
-    projection = 1e-8         # ||P^2 - P||; spectral projector slack
+    projection = 1e-8         # ||P^2 - P|| of a projection
     povm_sum_per_dim = 1e-8   # ||sum E_i - I||, per dimension
     same_operator = 1e-10     # duplicate operators, sum identities
     zero = 1e-12              # |eigenvalue| or norm at most this is 0
@@ -100,10 +100,6 @@ class HermitianOperator:
     def identity(cls, dim: int) -> "HermitianOperator":
         return cls(np.eye(dim, dtype=np.complex128))
 
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
     def to_json_dict(self) -> dict:
         """Wire format: ``{"dim": d, "entries": [[re, im], ...]}`` row-major."""
         flat = self.array.reshape(-1)
@@ -141,9 +137,6 @@ class HermitianOperator:
         return HermitianOperator(self.array * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.array)
 
 
 def _entry_array(entries: list) -> np.ndarray:
@@ -239,17 +232,6 @@ def eigenvalues_of(h: HermitianOperator) -> np.ndarray:
         return np.linalg.eigvalsh(h.array)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-
-
-def is_psd(h: HermitianOperator, tol: float = TOL.spectrum) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    return bool(eigenvalues_of(h)[0] >= -tol)
-
-
-def operator_norm(h: HermitianOperator) -> float:
-    """Spectral norm: the largest absolute eigenvalue."""
-    vals = eigenvalues_of(h)
-    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def frobenius_inner(a: HermitianOperator, b: HermitianOperator) -> float:

@@ -42,7 +42,6 @@ from .operators import (
     eigenvalues_of,
     frobenius_inner,
     hermitian_drift,
-    is_psd,
 )
 
 
@@ -85,10 +84,6 @@ class DensityOperator:
 
     def to_json_dict(self) -> dict:
         return self.op.to_json_dict()
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "DensityOperator":
-        return cls(HermitianOperator.from_json_dict(obj))
 
 
 @dataclass(frozen=True)
@@ -156,18 +151,6 @@ class ValuationTable:
         dim = effects[0].dim if effects else rho.dim
         return cls(dim, (TableEntry(e, born(rho, e)) for e in effects))
 
-    @classmethod
-    def from_values(cls, effects: Iterable[Effect], values: Iterable[float]
-                    ) -> "ValuationTable":
-        effects = list(effects)
-        values = list(values)
-        if len(effects) != len(values):
-            raise ValueError("effects and values differ in length")
-        if not effects:
-            raise ValueError("empty valuation table")
-        return cls(effects[0].dim,
-                   (TableEntry(e, float(v)) for e, v in zip(effects, values)))
-
     def to_json_dict(self) -> dict:
         entries = []
         for label, entry in self._entries.items():
@@ -232,26 +215,22 @@ class AxiomReport:
     def ok(self) -> bool:
         return self.p1_ok and self.p2_ok and self.p3_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p1_ok": self.p1_ok,
-            "p2_ok": self.p2_ok,
-            "p3_ok": self.p3_ok,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "ill_posed": list(self.ill_posed),
-        }
-
 
 @dataclass(frozen=True)
 class AdditivityRelation:
     """Claim that v(target) = sum of v over the addend labels.
 
     ``target`` may be an effect label or the symbol ``"I"`` for the
-    identity. Repeated addends are allowed and count with multiplicity.
+    identity. Repeated addends are allowed and count with multiplicity;
+    an empty addend list raises ValueError.
     """
 
     addends: tuple[str, ...]
     target: str
+
+    def __post_init__(self):
+        if not self.addends:
+            raise ValueError("an additivity relation needs at least one addend")
 
     def describe(self) -> str:
         return " + ".join(self.addends) + " = " + self.target
@@ -271,26 +250,14 @@ class SampleRecord:
             raise RecordMismatch("counts and POVM label list differ in length")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be non-negative")
+        if self.n < 1:
+            raise ValueError("shot count must be at least 1")
         if sum(self.counts) != self.n:
             raise ValueError("counts must sum to the number of shots")
 
     def to_json_dict(self) -> dict:
         return {"povm": list(self.povm_labels), "counts": list(self.counts),
                 "n": self.n, "seed": self.seed}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "SampleRecord":
-        obj = jsonio.expect_dict(obj, "sample record")
-        labels = [jsonio.expect_str(x, "record.povm[i]") for x in
-                  jsonio.expect_list(jsonio.expect_key(obj, "povm", "record"),
-                                     "record.povm")]
-        counts = [jsonio.expect_int(x, "record.counts[i]") for x in
-                  jsonio.expect_list(jsonio.expect_key(obj, "counts", "record"),
-                                     "record.counts")]
-        n = jsonio.expect_int(jsonio.expect_key(obj, "n", "record"), "record.n")
-        seed = jsonio.expect_int(jsonio.expect_key(obj, "seed", "record"),
-                                 "record.seed")
-        return cls(tuple(labels), tuple(counts), n, seed)
 
 
 def born_functional(rho: DensityOperator) -> Callable[[HermitianOperator], float]:
@@ -358,7 +325,7 @@ def check_gpm(v: ValuationTable,
         total = ops[0]
         for op in ops[1:]:
             total = total + op
-        if not is_psd(eye - total, tol=TOL.check):
+        if eigenvalues_of(eye - total)[0] < -TOL.check:
             report.ill_posed.append(
                 f"{rel.describe()}: operator sum exceeds identity")
             continue

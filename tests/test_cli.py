@@ -360,6 +360,20 @@ class TestDfsearch:
         # the contexts, so the count is unchanged
         assert payload["total_solutions"] == 4
 
+    def test_empty_addends_in_a_file_name_the_relation(self, tmp_path,
+                                                        capsys):
+        half_identity_context_files(tmp_path)
+        contexts = write(tmp_path / "contexts.json",
+                         {"effects_file": "effects.json",
+                          "contexts": [["H", "H"]],
+                          "relations": [{"addends": [], "target": "I"}]})
+        code = main(["dfsearch", contexts])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("SchemaError: relations[0]: addends must be "
+                                "nonempty\n")
+
     @pytest.mark.parametrize("flags", [["--max-solutions", "0"],
                                        ["--budget", "0"],
                                        ["--budget", "-5"]])
@@ -550,7 +564,9 @@ class TestPipelines:
                            "1000000", "--seed", "0", "--out", record_path],
                           capsys)
         assert code == 0
-        record = SampleRecord.from_json_dict(jsonio.load(record_path))
+        fields = jsonio.load(record_path)
+        record = SampleRecord(tuple(fields["povm"]), tuple(fields["counts"]),
+                              fields["n"], fields["seed"])
         table = estimate_valuation(record, povm)
         values_path = write(tmp_path / "values.json", table.to_json_dict())
         frame_path = write(tmp_path / "frame.json", povm.to_json_dict())

@@ -22,8 +22,10 @@ from effectkit import (
     TraceNotOne,
     bloch_to_operator,
     complement,
+    effect_checks,
+    eigenvalues_of,
+    haar_unitary,
     is_projection,
-    is_psd,
     operator_to_bloch,
     random_effect,
     random_frame,
@@ -180,7 +182,7 @@ class TestBlochMaps:
         for direction in directions:
             a = tuple(radius * v for v in direction)
             op = bloch_to_operator(BlochVector(a))
-            assert is_psd(op, tol=1e-9) == positive
+            assert (eigenvalues_of(op)[0] >= -1e-9) == positive
 
 
 class TestSpectralSplit:
@@ -233,6 +235,19 @@ class TestSpectralSplit:
                     product = p.op.array @ q.op.array
                     expected = p.op.array if i == j else np.zeros((4, 4))
                     assert np.linalg.norm(product - expected) <= 1e-8
+
+    def test_degenerate_d64_projectors_pass_the_effect_check(self):
+        rng = rng_from_seed(64)
+        u = haar_unitary(64, rng)
+        levels = (0.0, 0.25, 0.5, 1.0)
+        multiplicity = (30, 1, 17, 16)
+        spectrum = np.repeat(levels, multiplicity)
+        e = Effect(HermitianOperator((u * spectrum) @ u.conj().T), "E")
+        parts = spectral_split(e)
+        assert [value for value, _ in parts] == pytest.approx(levels, abs=1e-12)
+        for (_, proj), rank in zip(parts, multiplicity):
+            assert all(check["ok"] for check in effect_checks(proj.op))
+            assert np.trace(proj.op.array).real == pytest.approx(rank, abs=1e-9)
 
 
 class TestRandomEffectFamily:

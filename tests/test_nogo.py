@@ -191,6 +191,12 @@ class TestBuildContextSet:
         with pytest.raises(UnknownLabel):
             build_context_set([p], [["P", "missing"]])
 
+    def test_empty_addends_rejected(self):
+        p = Effect(pauli_op(0, 0, 1), "P")
+        with pytest.raises(ValueError, match="at least one addend"):
+            build_context_set([p, complement(p, "Pp")], [["P", "Pp"]],
+                              [AdditivityRelation((), "I")])
+
     def test_fractional_mixture_is_not_expressible(self):
         # the discrete model only carries integer label sums; the relation
         # underlying the mixture witness (coefficients 1/2) fails the
@@ -369,7 +375,7 @@ class TestSearch:
         rng = rng_from_seed(503)
         for _ in range(20):
             cs = random_context_set(rng, max_effects=10)
-            dim = cs.dim
+            dim = next(iter(cs.effects.values())).dim
             rho = random_density(dim, rng)
             v = born_functional(rho)
             for ctx in cs.contexts:

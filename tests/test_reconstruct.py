@@ -210,7 +210,7 @@ class TestNearestState:
                 < np.linalg.norm(_clip_and_renormalize(h) - h.array))
 
     def test_negative_identity_goes_to_the_maximally_mixed_state(self):
-        state = project_to_density(-HermitianOperator.identity(3))
+        state = project_to_density(HermitianOperator(-np.eye(3)))
         assert np.allclose(state.op.array, np.eye(3) / 3, atol=1e-15)
 
     def test_huge_eigenvalue_keeps_unit_weight(self):

@@ -148,9 +148,13 @@ class TestEstimateValuation:
 class TestSampleRecordJson:
     def test_round_trip(self):
         record = sample_outcomes(ground_state(), z_povm(), 64, seed=9)
-        again = SampleRecord.from_json_dict(record.to_json_dict())
-        assert again == record
+        assert record.to_json_dict() == {"povm": ["up", "down"],
+                                         "counts": [64, 0], "n": 64, "seed": 9}
 
     def test_counts_must_sum_to_n(self):
         with pytest.raises(ValueError):
             SampleRecord(("a", "b"), (3, 3), 5, seed=0)
+
+    def test_zero_shots_rejected(self):
+        with pytest.raises(ValueError, match="shot count must be at least 1"):
+            SampleRecord(("a", "b"), (0, 0), 0, seed=0)

@@ -4,7 +4,9 @@ Every numerical tolerance lives in ``operators.TOL``; a float literal
 in (0, 1e-5] anywhere else in the package is a tolerance that escaped the
 table. The effect and state checks that ``effectkit validate`` prints are
 the ones ``Effect`` and ``DensityOperator`` raise from, so the library and
-the CLI must agree right at the tolerance boundary.
+the CLI must agree right at the tolerance boundary. Beside the literal
+guard, a second source guard finds imports that a module never uses, which
+a removed function or tolerance parameter can leave behind.
 """
 
 import ast
@@ -41,6 +43,31 @@ def test_no_tolerance_literal_outside_the_table():
             assert len(table) == 1, "the tolerance table is missing"
             assert allowed, "the tolerance table holds no small constant"
     assert not stray, "tolerance literals outside the table:\n" + "\n".join(stray)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement and never read as a name; the
+    ``__future__`` directives bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the public API
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused += [f"{path.name}: {name}" for name in _unused_imports(tree)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
 def test_every_table_entry_is_used():

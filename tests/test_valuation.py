@@ -19,6 +19,7 @@ from effectkit import (
     check_effect_valuation,
     check_gpm,
     complement,
+    eigenvalues_of,
     extend_to_positive,
     extend_to_selfadjoint,
     jordan_split,
@@ -128,6 +129,10 @@ class TestCheckGpm:
             check_gpm(self._half_table(0.5),
                       [AdditivityRelation(("missing",), "I")])
 
+    def test_empty_addends_rejected(self):
+        with pytest.raises(ValueError, match="at least one addend"):
+            check_gpm(self._half_table(0.5), [AdditivityRelation((), "I")])
+
     def test_subset_relations_of_random_povms(self):
         rng = rng_from_seed(12)
         for _ in range(20):
@@ -196,7 +201,8 @@ class TestExtendToPositive:
 
     def test_zero_operator(self):
         v = born_functional(half_identity())
-        assert extend_to_positive(v, HermitianOperator.zero(2)) == 0.0
+        zero = HermitianOperator(np.zeros((2, 2)))
+        assert extend_to_positive(v, zero) == 0.0
 
     def test_rejects_indefinite(self):
         v = born_functional(half_identity())
@@ -243,7 +249,8 @@ class TestExtendToSelfadjoint:
 
     def test_zero(self):
         v = born_functional(half_identity())
-        assert extend_to_selfadjoint(v, HermitianOperator.zero(2)) == 0.0
+        zero = HermitianOperator(np.zeros((2, 2)))
+        assert extend_to_selfadjoint(v, zero) == 0.0
 
     def test_minus_identity(self):
         rng = rng_from_seed(2)
@@ -253,11 +260,11 @@ class TestExtendToSelfadjoint:
 
     def test_jordan_split_parts_are_positive(self):
         rng = rng_from_seed(55)
-        from effectkit import is_psd
         for _ in range(50):
             c = 2.0 * random_psd(3, rng) - random_psd(3, rng)
             pos, neg = jordan_split(c)
-            assert is_psd(pos, 1e-12) and is_psd(neg, 1e-12)
+            assert eigenvalues_of(pos)[0] >= -1e-12
+            assert eigenvalues_of(neg)[0] >= -1e-12
             assert np.linalg.norm((pos - neg).array - c.array) <= 1e-10
 
     def test_split_independence(self):
