@@ -85,11 +85,21 @@ class Effect:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Effect":
-        obj = jsonio.expect_dict(obj, "effect")
-        label = jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
-                                  "effect.label")
-        op = HermitianOperator.from_json_dict(jsonio.expect_key(obj, "op", "effect"))
-        return cls(op, label)
+        return cls(*effect_from_json(obj))
+
+
+def effect_from_json(obj) -> tuple[HermitianOperator, str]:
+    """Read an effect ``{"label": ..., "op": ...}`` into its operator and
+    label, without the effect checks.
+
+    The one reader of the format, shared by :meth:`Effect.from_json_dict`
+    and ``effectkit validate``.
+    """
+    obj = jsonio.expect_dict(obj, "effect")
+    label = jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
+                              "effect.label")
+    op = HermitianOperator.from_json_dict(jsonio.expect_key(obj, "op", "effect"))
+    return op, label
 
 
 @dataclass(frozen=True, eq=False)

@@ -327,29 +327,16 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
-class _Linear:
-    terms: tuple[tuple[int, int], ...]   # (variable index, integer coefficient)
-    rhs: int
-    desc: ConstraintDesc
-
-
-def _to_linear(desc: ConstraintDesc, var_index: Mapping[str, int]) -> _Linear:
-    coeffs: Counter[int] = Counter()
-    if desc.kind == "context":
-        for lb in desc.labels:
-            coeffs[var_index[lb]] += 1
-        rhs = 1
-    else:
-        for lb in desc.labels:
-            coeffs[var_index[lb]] += 1
-        if desc.target == "I":
-            rhs = 1
-        else:
-            coeffs[var_index[desc.target]] -= 1
-            rhs = 0
-    terms = tuple((vi, c) for vi, c in coeffs.items() if c != 0)
-    return _Linear(terms, rhs, desc)
+def _to_linear(desc: ConstraintDesc, var_index: Mapping[str, int]
+               ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``desc`` as sum(c * x) = rhs: the (variable index, nonzero integer
+    coefficient) terms in order of first occurrence, and rhs."""
+    coeffs = Counter(var_index[lb] for lb in desc.labels)
+    rhs = 1
+    if desc.kind == "relation" and desc.target != "I":
+        coeffs[var_index[desc.target]] -= 1
+        rhs = 0
+    return tuple((vi, c) for vi, c in coeffs.items() if c != 0), rhs
 
 
 def _variables_of(constraints: Sequence[ConstraintDesc]) -> list[str]:
@@ -405,8 +392,8 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     solutions: list[dict[str, int]] = []
     state = {"nodes": 0, "total": 0}
 
-    terms = [con.terms for con in linear]
-    rhs = [con.rhs for con in linear]
+    terms = [t for t, _ in linear]
+    rhs = [r for _, r in linear]
     lo = [sum(c for _, c in t if c < 0) for t in terms]
     hi = [sum(c for _, c in t if c > 0) for t in terms]
     # A constraint can force a variable only while rhs is closer than its
@@ -450,7 +437,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
             r = rhs[k]
             if not lo[k] <= r <= hi[k]:
                 if log is not None:
-                    log.append((None, linear[k]))
+                    log.append((None, constraints[k]))
                 return False
             if hi[k] - r >= reach[k] and r - lo[k] >= reach[k]:
                 continue
@@ -466,13 +453,13 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                     ok1 = low <= r <= high + c
                 if not ok0 and not ok1:
                     if log is not None:
-                        log.append((vi, linear[k]))
+                        log.append((vi, constraints[k]))
                     return False
                 if ok0 != ok1:
                     set_var(vi, 0 if ok0 else 1, queue)
                     trail.append(vi)
                     if log is not None:
-                        log.append((vi, linear[k]))
+                        log.append((vi, constraints[k]))
         return True
 
     def record_solution() -> None:
@@ -489,11 +476,10 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
         node = below
         if not ok:
             vi, con = log.pop()
-            node = con.desc if vi is None else Branch(
-                variables[vi], con.desc, con.desc)
+            node = con if vi is None else Branch(variables[vi], con, con)
         for vi, con in reversed(log):
-            node = (Branch(variables[vi], node, con.desc) if assign[vi] == 0
-                    else Branch(variables[vi], con.desc, node))
+            node = (Branch(variables[vi], node, con) if assign[vi] == 0
+                    else Branch(variables[vi], con, node))
         return node
 
     def dfs(start: int) -> Branch | ConstraintDesc | None:
@@ -502,8 +488,6 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
         state["nodes"] += 1
         if state["nodes"] > node_budget:
             raise _Budget
-        if stop_after is not None and state["total"] >= stop_after:
-            return None
         vi = start
         while vi < nv and assign[vi] != -1:
             vi += 1
@@ -529,7 +513,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     tree = None
     try:
         log0 = [] if record else None
-        ok0 = propagate(deque(range(len(linear))), [], log0)
+        ok0 = propagate(deque(range(len(constraints))), [], log0)
         below0 = dfs(0) if ok0 else None
         if record:
             tree = refute(log0, ok0, below0)

@@ -116,12 +116,6 @@ class ValuationTable:
             self._entries[entry.effect.label] = entry
         warn_duplicate_operators(e.effect for e in self._entries.values())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._entries
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self._entries)
@@ -163,25 +157,45 @@ class ValuationTable:
     @classmethod
     def from_json_dict(cls, obj, effects_by_label: Mapping[str, Effect]
                        ) -> "ValuationTable":
-        obj = jsonio.expect_dict(obj, "valuation table")
-        dim = jsonio.expect_int(jsonio.expect_key(obj, "dim", "valuation table"),
-                                "valuation.dim")
-        items = jsonio.expect_list(
-            jsonio.expect_key(obj, "entries", "valuation table"),
-            "valuation.entries")
+        dim, values = valuation_from_json(obj)
         entries = []
-        for k, item in enumerate(items):
-            item = jsonio.expect_dict(item, f"valuation.entries[{k}]")
-            label = jsonio.expect_str(
-                jsonio.expect_key(item, "label", f"valuation.entries[{k}]"),
-                "entry.label")
-            value = jsonio.expect_number(
-                jsonio.expect_key(item, "value", f"valuation.entries[{k}]"),
-                "entry.value")
+        for label, value in values.items():
             if label not in effects_by_label:
                 raise UnknownLabel(f"label {label!r} not in the effects file")
             entries.append(TableEntry(effects_by_label[label], value))
         return cls(dim, entries)
+
+
+def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
+    """Read a valuation file ``{"dim": d, "entries": [{"label": ...,
+    "value": ...}, ...]}`` into d and the values by label, in file order.
+
+    The one reader of the format, shared by
+    :meth:`ValuationTable.from_json_dict` and ``effectkit validate``. Schema
+    faults raise SchemaError, entry by entry; a repeated label then raises
+    ValueError. Values are not range-checked.
+    """
+    obj = jsonio.expect_dict(obj, "valuation table")
+    dim = jsonio.expect_int(jsonio.expect_key(obj, "dim", "valuation table"),
+                            "valuation.dim")
+    items = jsonio.expect_list(
+        jsonio.expect_key(obj, "entries", "valuation table"),
+        "valuation.entries")
+    pairs = []
+    for k, item in enumerate(items):
+        where = f"valuation.entries[{k}]"
+        item = jsonio.expect_dict(item, where)
+        label = jsonio.expect_str(jsonio.expect_key(item, "label", where),
+                                  "entry.label")
+        value = jsonio.expect_number(jsonio.expect_key(item, "value", where),
+                                     "entry.value")
+        pairs.append((label, value))
+    values: dict[str, float] = {}
+    for label, value in pairs:
+        if label in values:
+            raise ValueError(f"duplicate label {label!r}")
+        values[label] = value
+    return dim, values
 
 
 @dataclass(frozen=True)
@@ -453,8 +467,8 @@ class ReconstructionDiagnostics:
 
     ``residual`` is ||tr[rho E_k] - v_k||_2 for the returned state,
     ``rank`` the numerical rank of the frame (full rank is dim^2). When
-    ``projected`` is true the pre-projection figures and the unprojected
-    Hermitian solution are kept alongside.
+    ``projected`` is true the figures of the unprojected solution are kept
+    alongside as ``pre_*``.
     """
 
     residual: float
@@ -466,7 +480,6 @@ class ReconstructionDiagnostics:
     pre_residual: float | None = None
     pre_trace_dev: float | None = None
     pre_min_eig: float | None = None
-    unprojected: HermitianOperator | None = None
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -579,7 +592,6 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
         pre_residual=residual,
         pre_trace_dev=trace_dev,
         pre_min_eig=min_eig,
-        unprojected=solution,
     )
 
 
@@ -620,8 +632,6 @@ def estimate_valuation(record: SampleRecord, povm: Povm) -> ValuationTable:
     """
     if record.povm_labels != povm.labels:
         raise RecordMismatch("record labels do not match the POVM")
-    if len(record.counts) != len(povm.effects):
-        raise RecordMismatch("record size does not match the POVM")
     n = record.n
     values = [c / n for c in record.counts]
     if values:

@@ -17,7 +17,7 @@ from effectkit import (
     hermitian_coords,
     jsonio,
 )
-from effectkit import cli, generate, operators
+from effectkit import __version__, cli, generate, operators
 from effectkit.cli import main
 from effectkit.valuation import SampleRecord
 
@@ -198,6 +198,64 @@ class TestValidate:
                                 "|M[i][j] - conj(M[j][i])| is not finite\n")
 
 
+def frame_values_payload():
+    """Values of the maximally mixed state on the Pauli frame."""
+    return {"dim": 2, "entries": [{"label": "I", "value": 1.0},
+                                  {"label": "X", "value": 0.5},
+                                  {"label": "Y", "value": 0.5},
+                                  {"label": "Z", "value": 0.5}]}
+
+
+# One schema fault each, applied in place to frame_values_payload().
+VALUATION_FAULTS = {
+    "dim missing": lambda t: t.pop("dim"),
+    "dim not an integer": lambda t: t.update(dim="two"),
+    "entries missing": lambda t: t.pop("entries"),
+    "entries not a list": lambda t: t.update(entries={"X": 0.5}),
+    "entry not an object": lambda t: t["entries"].insert(1, ["X", 0.5]),
+    "label missing": lambda t: t["entries"][1].pop("label"),
+    "label not a string": lambda t: t["entries"][1].update(label=1),
+    "value missing": lambda t: t["entries"][1].pop("value"),
+    "value not a number": lambda t: t["entries"][1].update(value="0.5"),
+    "repeated label": lambda t: t["entries"].append(
+        {"label": "X", "value": 0.5}),
+}
+
+
+@pytest.mark.parametrize("fault", list(VALUATION_FAULTS))
+def test_validate_reads_a_valuation_file_as_reconstruct_does(tmp_path, capsys,
+                                                             fault):
+    table = frame_values_payload()
+    VALUATION_FAULTS[fault](table)
+    values = write(tmp_path / "v.json", table)
+    frame = write(tmp_path / "f.json", pauli_frame_payload())
+    expected_code = main(["reconstruct", frame, values])
+    expected = capsys.readouterr()
+    assert expected_code in (1, 2)
+    assert expected.out == "" and expected.err
+    for flags in ([], ["--effects", frame]):
+        code = main(["validate", values, "--kind", "valuation", *flags])
+        assert (code, capsys.readouterr()) == (expected_code, expected)
+
+
+def test_validate_reports_a_povm_of_non_effects_as_born_does(tmp_path, capsys):
+    # The two operators sum to I, but the first is not an effect.
+    payload = {"dim": 2, "effects": [
+        {"label": "A", "op": HermitianOperator(np.diag([1.5, 0.0])).to_json_dict()},
+        {"label": "B", "op": HermitianOperator(np.diag([-0.5, 1.0])).to_json_dict()}]}
+    povm = write(tmp_path / "p.json", payload)
+    state = write(tmp_path / "s.json", ground_state_payload())
+    born_code = main(["born", state, povm])
+    born_out = capsys.readouterr()
+    code = main(["validate", povm, "--kind", "povm"])
+    captured = capsys.readouterr()
+    assert code == born_code == 2
+    assert captured == born_out
+    assert captured.out == ""
+    assert captured.err == ("ExceedsIdentity: effect 'A': maximum eigenvalue "
+                            "1.500000e+00 > 1\n")
+
+
 class TestBorn:
     def test_ground_state_z_povm(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())
@@ -328,6 +386,19 @@ def projective_context_files(tmp_path):
     return write(tmp_path / "contexts.json", contexts)
 
 
+def declared_relation_context_files(tmp_path):
+    """A context [A, B] that admits models, and the declared relation
+    H + H = I with H = I/2, which none satisfies."""
+    effects = {"dim": 2, "effects": [
+        Effect(pauli_op(0, 0, 1), "A").to_json_dict(),
+        Effect(pauli_op(0, 0, -1), "B").to_json_dict(),
+        Effect(0.5 * HermitianOperator.identity(2), "H").to_json_dict()]}
+    write(tmp_path / "effects.json", effects)
+    contexts = {"effects_file": "effects.json", "contexts": [["A", "B"]],
+                "relations": [{"addends": ["H", "H"], "target": "I"}]}
+    return write(tmp_path / "contexts.json", contexts)
+
+
 class TestDfsearch:
     def test_half_identity_unsat(self, tmp_path, capsys):
         contexts = half_identity_context_files(tmp_path)
@@ -373,6 +444,37 @@ class TestDfsearch:
         assert captured.out == ""
         assert captured.err == ("SchemaError: relations[0]: addends must be "
                                 "nonempty\n")
+
+    def test_declared_relation_is_the_core(self, tmp_path, capsys):
+        contexts = declared_relation_context_files(tmp_path)
+        code = main(["dfsearch", contexts])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out == (
+            '{"status": "unsat", "assignments": [], "core": [{"kind": '
+            '"relation", "addends": ["H", "H"], "target": "I"}], "nodes": 1, '
+            f'"total_solutions": 0, "toolkit_version": "{__version__}"}}\n')
+
+    def test_failed_recheck_names_a_relation(self, tmp_path, capsys,
+                                             monkeypatch):
+        contexts = declared_relation_context_files(tmp_path)
+        search = cli.search_dispersion_free
+
+        def leaf_at_root(cs, **kwargs):
+            result = search(cs, **kwargs)
+            result.refutation = result.unsat_core[0]
+            return result
+
+        monkeypatch.setattr(cli, "search_dispersion_free", leaf_at_root)
+        code = main(["dfsearch", contexts])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate failed independent re-verification: leaf at depth 0: "
+            "relation: v(H) + v(H) = 1 has bounds [0, 2] on its path, which "
+            "admit 1\n")
 
     @pytest.mark.parametrize("flags", [["--max-solutions", "0"],
                                        ["--budget", "0"],

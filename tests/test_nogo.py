@@ -436,6 +436,14 @@ class TestVerifyCertificate:
         assert not verdict
         assert verdict.reason == "assignment #0 has no value for 'Qp'"
 
+    def test_sat_without_assignments_fails_with_reason(self):
+        cs = projective_pair_context_set()
+        bad = SearchResult(status="sat", assignments=[], total_solutions=4,
+                           unsat_core=[], nodes_explored=1)
+        verdict = verify_certificate(bad, cs)
+        assert not verdict
+        assert verdict.reason == "sat result stores no assignment"
+
     def test_unknown_status_string_fails(self):
         cs = projective_pair_context_set()
         bad = SearchResult(status="maybe", assignments=[], total_solutions=None,

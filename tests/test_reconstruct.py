@@ -131,7 +131,6 @@ class TestPsdProjection:
         assert diag.min_eig >= -1e-12
         assert abs(np.trace(state.op.array).real - 1.0) <= 1e-12
         assert diag.pre_min_eig is not None
-        assert diag.unprojected is not None
         # projection cannot be worse than a few noise widths away
         assert np.linalg.norm(state.op.array - rho.op.array) <= 0.1
 

@@ -6,7 +6,9 @@ table. The effect and state checks that ``effectkit validate`` prints are
 the ones ``Effect`` and ``DensityOperator`` raise from, so the library and
 the CLI must agree right at the tolerance boundary. Beside the literal
 guard, a second source guard finds imports that a module never uses, which
-a removed function or tolerance parameter can leave behind.
+a removed function or tolerance parameter can leave behind, and a third
+keeps ``effectkit validate`` reading files with the library's readers
+alone.
 """
 
 import ast
@@ -68,6 +70,25 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused += [f"{path.name}: {name}" for name in _unused_imports(tree)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_validate_has_no_parser_of_its_own():
+    """``cmd_validate`` calls no ``jsonio.expect_*`` schema helper, so every
+    file it reads goes through a library reader, and it catches no
+    ``EffectKitError``, so no library error is reported as a failed check
+    of another name."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    validate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "cmd_validate")
+    called = [node.func.attr if isinstance(node.func, ast.Attribute)
+              else getattr(node.func, "id", "")
+              for node in ast.walk(validate) if isinstance(node, ast.Call)]
+    assert not [name for name in called if name.startswith("expect_")]
+    caught = {name.id for handler in ast.walk(validate)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+    assert "EffectKitError" not in caught
 
 
 def test_every_table_entry_is_used():
