@@ -155,7 +155,6 @@ def cmd_validate(args) -> int:
             _, effects = _load_effects(args.effects)
             by_label = {e.label: e for e in effects}
             table = ValuationTable.from_json_dict(payload, by_label)
-            check("labels_resolve", True)
             for povm_path in args.povm or []:
                 povm = _load_povm(povm_path)
                 report = check_effect_valuation(table, [povm])
@@ -295,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_SOLUTIONS,
                    dest="max_solutions")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="search node budget")
+                   help="search-tree node budget; a repeated subtree is "
+                        "counted from its first walk, not walked again")
     p.add_argument("--discover-relations", action="store_true",
                    dest="discover_relations",
                    help="auto-discover pair/triple operator sum identities")

@@ -11,17 +11,17 @@ valuations cannot cover all effects:
 
 * :func:`search_dispersion_free` runs an exhaustive backtracking search for
   {0,1} assignments satisfying per-context normalization and integer sum
-  relations, returning either satisfying assignments or an unsatisfiable
-  core, minimal when the node budget allows, together with a refutation
-  tree for it. Real-coefficient mixtures are deliberately outside this
-  discrete model; they belong to the witness route.
+  relations, returning satisfying assignments or an unsatisfiable core
+  (minimal when the node budget allows) with a refutation tree for it.
+  Nodes and budget count search-tree nodes; a repeated subtree is counted
+  from its first walk, not walked again. Real-coefficient mixtures are
+  outside this discrete model; they belong to the witness route.
 
 Certificates from the search are re-checked by :func:`verify_certificate`
-in pure integer arithmetic, independent of the solver code path. An UNSAT
-core is checked by walking its refutation tree: every internal node branches
-on one core label, every leaf names a core constraint whose integer bounds
-exclude its right-hand side under the assignment on the path to it. The
-check costs time linear in the size of the tree, not 2^labels.
+in pure integer arithmetic, independent of the solver. An UNSAT core is
+checked by walking its refutation tree: every internal node branches on one
+core label, every leaf names a core constraint whose integer bounds exclude
+its right-hand side on its path, in time linear in the tree, not 2^labels.
 """
 
 from __future__ import annotations
@@ -304,9 +304,12 @@ class SearchResult:
     ``status`` is "sat", "unsat", or "unknown" (node budget exhausted before
     the search tree was closed — never mislabeled as unsat). Assignments are
     capped; ``total_solutions`` is the exact model count when the search ran
-    to completion, else None. An UNSAT result carries ``refutation``, a tree
-    of Branch nodes over the core's labels whose leaves are core constraints;
-    it proves the core unsatisfiable and stays out of the JSON output.
+    to completion, else None. ``nodes_explored`` counts search-tree nodes,
+    including those of repeated subtrees that were counted from their first
+    walk rather than walked again. An UNSAT result carries ``refutation``, a
+    tree of Branch nodes over the core's labels whose leaves are core
+    constraints; it proves the core unsatisfiable and stays out of the JSON
+    output.
     """
 
     status: str
@@ -354,7 +357,8 @@ class _Budget(Exception):
 
 
 def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
-           max_store: int, stop_after: int | None = None, record: bool = False
+           max_store: int = 0, stop_at_first: bool = False,
+           record: bool = False
            ) -> tuple[str, list[dict[str, int]], int | None, int,
                       Branch | ConstraintDesc | None]:
     """Exhaustive DFS with incremental bound propagation over {0,1} variables.
@@ -363,13 +367,13 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     over the completions of the current partial assignment. Setting or
     unsetting a variable updates the bounds of just the constraints it occurs
     in, read from per-variable occurrence lists of (constraint, |coefficient|)
-    pairs, one list per value and bound. Propagation works from a queue of the constraints that contain
-    newly assigned variables (the root call queues all of them): a queued
-    constraint whose bounds exclude rhs is a conflict, and an unassigned
-    variable of it that has only one value keeping rhs within the bounds is
-    set to that value, which queues its own constraints in turn. So a node
-    costs time in the constraints its assignments touch, not in the size of
-    the constraint set.
+    pairs, one list per value and bound. Propagation works from a queue of
+    the constraints that contain newly assigned variables (the root call
+    queues all of them): a queued constraint whose bounds exclude rhs is a
+    conflict, and an unassigned variable of it that has only one value
+    keeping rhs within the bounds is set to that value, which queues its own
+    constraints in turn. So a node costs time in the constraints its
+    assignments touch, not in the size of the constraint set.
 
     Bound propagation is monotone: its fixpoint, and whether it reaches a
     conflict, do not depend on the order in which constraints are visited.
@@ -379,10 +383,32 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     constraints alone; only the order of forced variables in a refutation
     tree depends on the queue.
 
+    A repeated subtree is counted from its first walk, not walked again.
+    At a node whose branch variable is vi, every variable before vi is set,
+    and a constraint whose variables are all set, and that has not
+    conflicted, has lo == hi == rhs. So the subtree under the node (what
+    propagation forces, which constraints conflict, where the models lie)
+    reads only ``assign[vi:]`` and the bounds, and two nodes at the same vi
+    with the same key ``(assign[vi:], lo, hi)`` have identical subtrees.
+    ``memo[vi]`` keeps the last subtree of more than one node walked to
+    completion from vi: its key, nodes and models, the range of
+    ``solutions`` it stored, and its refutation subtree. (A one-node
+    subtree, where both values conflict at once, costs as much to key as
+    to walk.) A node with an equal key adds the nodes and models, stores
+    assignments made of its own prefix and the kept values from vi on
+    (never more than the first walk stored, since the store only fills)
+    and returns the kept subtree. It does so only when the nodes fit in
+    ``node_budget``; otherwise it walks, so an exhausted budget stops at
+    the same node with the same stored assignments. A subtree cut short by
+    the budget or by ``stop_at_first`` is never kept. The table has one
+    entry per variable and lives in one call.
+
     Returns (status, stored assignments, total count or None, nodes,
-    refutation). The refutation tree is built only with ``record`` and only
-    kept for an UNSAT answer; without ``record`` the search allocates nothing
-    for it.
+    refutation); ``nodes`` counts search-tree nodes, reused ones included.
+    ``stop_at_first`` ends the search at its first model, which leaves the
+    total unknown. The refutation tree is built only with ``record`` and
+    only kept for an UNSAT answer; without ``record`` the search allocates
+    nothing for it.
     """
     variables = _variables_of(constraints)
     var_index = {lb: i for i, lb in enumerate(variables)}
@@ -391,6 +417,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     assign = [-1] * nv
     solutions: list[dict[str, int]] = []
     state = {"nodes": 0, "total": 0}
+    memo: list[tuple | None] = [None] * nv
 
     terms = [t for t, _ in linear]
     rhs = [r for _, r in linear]
@@ -485,15 +512,31 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     def dfs(start: int) -> Branch | ConstraintDesc | None:
         # Every variable before ``start`` is assigned: it is the parent's
         # branch variable plus one.
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise _Budget
         vi = start
         while vi < nv and assign[vi] != -1:
             vi += 1
+        kept = memo[vi] if vi < nv else None
+        # The key is compared in place and copied when the walk completes,
+        # by which time the bounds and assignment are back as they are here.
+        if (kept is not None and kept[0] == lo and kept[1] == hi
+                and kept[2] == assign[vi:]
+                and state["nodes"] + kept[3] <= node_budget):
+            *_, nodes, models, first, last, tree = kept
+            state["nodes"] += nodes
+            state["total"] += models
+            head = assign[:vi]
+            for s in solutions[first:last][:max_store - len(solutions)]:
+                solutions.append(
+                    dict(zip(variables, head + list(s.values())[vi:])))
+            return tree
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            raise _Budget
         if vi == nv:
             record_solution()
             return None
+        nodes0, models0 = state["nodes"] - 1, state["total"]
+        stored0 = len(solutions)
         children = [] if record else None
         for val in (0, 1):
             queue: deque = deque()
@@ -506,9 +549,14 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                 children.append(refute(log, ok, below))
             for t in trail:
                 unset_var(t)
-            if stop_after is not None and state["total"] >= stop_after:
+            if stop_at_first and state["total"]:
                 return None
-        return Branch(variables[vi], *children) if record else None
+        tree = Branch(variables[vi], *children) if record else None
+        nodes = state["nodes"] - nodes0
+        if nodes > 1:
+            memo[vi] = (lo[:], hi[:], assign[vi:], nodes,
+                        state["total"] - models0, stored0, len(solutions), tree)
+        return tree
 
     tree = None
     try:
@@ -522,7 +570,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
         complete = False
 
     if state["total"] > 0:
-        total = state["total"] if complete and stop_after is None else None
+        total = state["total"] if complete and not stop_at_first else None
         return SAT, solutions, total, state["nodes"], None
     if complete:
         return UNSAT, [], 0, state["nodes"], tree
@@ -542,8 +590,7 @@ def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
     nodes = 0
     for desc in list(core):
         trial = [d for d in core if d is not desc]
-        status, _, _, used, _ = _solve(trial, node_budget, max_store=1,
-                                       stop_after=1)
+        status, _, _, used, _ = _solve(trial, node_budget, stop_at_first=True)
         nodes += used
         if status == UNSAT:
             core = trial
@@ -566,8 +613,10 @@ def search_dispersion_free(cs: ContextSet,
     core is minimal only when every deletion trial finishes within
     ``node_budget``: a trial that ends "unknown" keeps its constraint. If
     the node budget is exhausted by the search itself, the status is
-    "unknown". ``max_solutions`` and ``node_budget`` below 1 raise
-    ValueError.
+    "unknown". ``nodes_explored`` and ``node_budget`` count search-tree
+    nodes; a repeated subtree is counted from its first walk, not walked
+    again, so the count is the same as for a search that walks every node.
+    ``max_solutions`` and ``node_budget`` below 1 raise ValueError.
     """
     if max_solutions < 1:
         raise ValueError("max_solutions must be at least 1")
@@ -580,7 +629,7 @@ def search_dispersion_free(cs: ContextSet,
         core, extra = _minimize_core(constraints, node_budget)
         # The core was proved UNSAT within the budget by a solve of this very
         # list, and the search is deterministic, so this re-solve completes.
-        tree = _solve(core, node_budget, max_store=0, record=True)[4]
+        tree = _solve(core, node_budget, record=True)[4]
         return SearchResult(UNSAT, [], 0, core, nodes + extra, tree)
     return SearchResult(status, solutions, total, [], nodes)
 

@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
 from effectkit import (
     TOL,
     AdditivityRelation,
+    ConstraintDesc,
     ContextSet,
     Effect,
     HermitianOperator,
     SchemaError,
     build_context_set,
+    haar_unitary,
     jsonio,
     random_povm,
+)
+from effectkit.nogo import (
+    SAT,
+    UNKNOWN,
+    UNSAT,
+    Branch,
+    _Budget,
+    _to_linear,
+    _variables_of,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,6 +163,18 @@ def random_context_set(rng: np.random.Generator, max_effects: int = 12
     return build_context_set(effects.values(), contexts, relations)
 
 
+def haar_bases_context_set(rng, bases, dim=4):
+    """``bases`` Haar-random orthonormal bases of C^dim, one context each."""
+    effects, contexts = [], []
+    for b in range(bases):
+        u = haar_unitary(dim, rng)
+        ctx = [f"b{b}_{k}" for k in range(dim)]
+        effects += [Effect(HermitianOperator(np.outer(u[:, k], u[:, k].conj())),
+                           lb) for k, lb in enumerate(ctx)]
+        contexts.append(ctx)
+    return build_context_set(effects, contexts)
+
+
 def brute_force_solutions(cs):
     """All satisfying {0,1} assignments, enumerated directly."""
     variables: dict[str, None] = {}
@@ -184,3 +208,155 @@ def constraint_subset_as_context_set(cs, descs):
     relations = [AdditivityRelation(d.labels, d.target)
                  for d in descs if d.kind == "relation"]
     return build_context_set(cs.effects.values(), contexts, relations)
+
+
+def solve_by_walking(constraints, node_budget: int, max_store: int,
+                     stop_after: int | None = None, record: bool = False):
+    """Exhaustive DFS with incremental bound propagation that walks every
+    node, written before repeated subtrees were reused. Oracle for
+    ``nogo._solve``: the same constraints, budget and flags must give the
+    same (status, assignments, total, nodes), and an UNSAT tree that refutes
+    the constraints."""
+    variables = _variables_of(constraints)
+    var_index = {lb: i for i, lb in enumerate(variables)}
+    linear = [_to_linear(desc, var_index) for desc in constraints]
+    nv = len(variables)
+    assign = [-1] * nv
+    solutions: list[dict[str, int]] = []
+    state = {"nodes": 0, "total": 0}
+
+    terms = [t for t, _ in linear]
+    rhs = [r for _, r in linear]
+    lo = [sum(c for _, c in t if c < 0) for t in terms]
+    hi = [sum(c for _, c in t if c > 0) for t in terms]
+    # A constraint can force a variable only while rhs is closer than its
+    # largest |c| to one of its bounds.
+    reach = [max((abs(c) for _, c in t), default=0) for t in terms]
+    # Setting x := v adds |c| to lo when c and v agree in sign (c > 0 and
+    # v = 1, or c < 0 and v = 0) and takes |c| from hi otherwise.
+    raise_lo: tuple[list[list], list[list]] = (
+        [[] for _ in range(nv)], [[] for _ in range(nv)])
+    cut_hi: tuple[list[list], list[list]] = (
+        [[] for _ in range(nv)], [[] for _ in range(nv)])
+    for k, t in enumerate(terms):
+        for vi, c in t:
+            raise_lo[c > 0][vi].append((k, abs(c)))
+            cut_hi[c < 0][vi].append((k, abs(c)))
+
+    def set_var(vi: int, val: int, queue: deque) -> None:
+        assign[vi] = val
+        for k, a in raise_lo[val][vi]:
+            lo[k] += a
+            queue.append(k)
+        for k, a in cut_hi[val][vi]:
+            hi[k] -= a
+            queue.append(k)
+
+    def unset_var(vi: int) -> None:
+        val = assign[vi]
+        assign[vi] = -1
+        for k, a in raise_lo[val][vi]:
+            lo[k] -= a
+        for k, a in cut_hi[val][vi]:
+            hi[k] += a
+
+    def propagate(queue: deque, trail: list[int], log: list | None) -> bool:
+        # With a log, each forced variable appends (index, constraint) and a
+        # failure appends its conflict last: (None, constraint) when the
+        # constraint's bounds exclude its right-hand side, (index, constraint)
+        # when both values of that variable do.
+        while queue:
+            k = queue.popleft()
+            r = rhs[k]
+            if not lo[k] <= r <= hi[k]:
+                if log is not None:
+                    log.append((None, constraints[k]))
+                return False
+            if hi[k] - r >= reach[k] and r - lo[k] >= reach[k]:
+                continue
+            for vi, c in terms[k]:
+                if assign[vi] != -1:
+                    continue
+                low, high = lo[k], hi[k]
+                if c > 0:
+                    ok0 = low <= r <= high - c
+                    ok1 = low + c <= r <= high
+                else:
+                    ok0 = low - c <= r <= high
+                    ok1 = low <= r <= high + c
+                if not ok0 and not ok1:
+                    if log is not None:
+                        log.append((vi, constraints[k]))
+                    return False
+                if ok0 != ok1:
+                    set_var(vi, 0 if ok0 else 1, queue)
+                    trail.append(vi)
+                    if log is not None:
+                        log.append((vi, constraints[k]))
+        return True
+
+    def record_solution() -> None:
+        state["total"] += 1
+        if len(solutions) < max_store:
+            solutions.append({variables[i]: assign[i] for i in range(nv)})
+
+    def refute(log: list, ok: bool, below: Branch | ConstraintDesc | None
+               ) -> Branch | ConstraintDesc | None:
+        # The refutation of one propagate call followed by ``below`` (the
+        # subtree of the search under it): each forced x := v becomes a
+        # branch on x whose 1-v side is the forcing constraint. Called
+        # before the trail is undone, so ``assign`` still holds each v.
+        node = below
+        if not ok:
+            vi, con = log.pop()
+            node = con if vi is None else Branch(variables[vi], con, con)
+        for vi, con in reversed(log):
+            node = (Branch(variables[vi], node, con) if assign[vi] == 0
+                    else Branch(variables[vi], con, node))
+        return node
+
+    def dfs(start: int) -> Branch | ConstraintDesc | None:
+        # Every variable before ``start`` is assigned: it is the parent's
+        # branch variable plus one.
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            raise _Budget
+        vi = start
+        while vi < nv and assign[vi] != -1:
+            vi += 1
+        if vi == nv:
+            record_solution()
+            return None
+        children = [] if record else None
+        for val in (0, 1):
+            queue: deque = deque()
+            set_var(vi, val, queue)
+            trail = [vi]
+            log = [] if record else None
+            ok = propagate(queue, trail, log)
+            below = dfs(vi + 1) if ok else None
+            if record:
+                children.append(refute(log, ok, below))
+            for t in trail:
+                unset_var(t)
+            if stop_after is not None and state["total"] >= stop_after:
+                return None
+        return Branch(variables[vi], *children) if record else None
+
+    tree = None
+    try:
+        log0 = [] if record else None
+        ok0 = propagate(deque(range(len(constraints))), [], log0)
+        below0 = dfs(0) if ok0 else None
+        if record:
+            tree = refute(log0, ok0, below0)
+        complete = True
+    except _Budget:
+        complete = False
+
+    if state["total"] > 0:
+        total = state["total"] if complete and stop_after is None else None
+        return SAT, solutions, total, state["nodes"], None
+    if complete:
+        return UNSAT, [], 0, state["nodes"], tree
+    return UNKNOWN, [], None, state["nodes"], None

@@ -122,6 +122,30 @@ class TestValidate:
              "--effects", effects, "--povm", povm], capsys)
         assert code == 2 and not report["valid"]
 
+    def test_valuation_with_effects_lists_only_checks_that_can_fail(
+            self, tmp_path, capsys):
+        effects = write(tmp_path / "e.json",
+                        {"dim": 2, "effects": z_povm_payload()["effects"]})
+        good = write(tmp_path / "v.json", {"dim": 2, "entries": [
+            {"label": "up", "value": 0.5}]})
+        code = main(["validate", good, "--kind", "valuation",
+                     "--effects", effects])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == (
+            '{"kind": "valuation", "valid": true, "checks": [{"name": '
+            '"p1_range", "ok": true, "out_of_range": []}]}\n')
+        assert captured.err == ""
+        # An unresolved label is an input error, not a failed check.
+        bad = write(tmp_path / "b.json", {"dim": 2, "entries": [
+            {"label": "B", "value": 0.5}]})
+        code = main(["validate", bad, "--kind", "valuation",
+                     "--effects", effects])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "UnknownLabel: label 'B' not in the effects file\n"
+
     def test_valuation_p1_violation(self, tmp_path, capsys):
         table = {"dim": 2, "entries": [{"label": "up", "value": 1.4}]}
         path = write(tmp_path / "v.json", table)

@@ -21,7 +21,6 @@ from effectkit import (
     build_context_set,
     complement,
     discover_sum_relations,
-    haar_unitary,
     random_density,
     rng_from_seed,
     search_dispersion_free,
@@ -34,6 +33,7 @@ from conftest import (
     brute_force_solutions,
     char_poly_eigs_2x2,
     constraint_subset_as_context_set,
+    haar_bases_context_set,
     pauli_op,
     random_context_set,
 )
@@ -59,18 +59,6 @@ def projective_pair_context_set():
     return build_context_set(
         [p, complement(p, "Pp"), q, complement(q, "Qp")],
         [["P", "Pp"], ["Q", "Qp"]])
-
-
-def haar_bases_context_set(rng, bases, dim=4):
-    """``bases`` Haar-random orthonormal bases of C^dim, one context each."""
-    effects, contexts = [], []
-    for b in range(bases):
-        u = haar_unitary(dim, rng)
-        ctx = [f"b{b}_{k}" for k in range(dim)]
-        effects += [Effect(HermitianOperator(np.outer(u[:, k], u[:, k].conj())),
-                           lb) for k, lb in enumerate(ctx)]
-        contexts.append(ctx)
-    return build_context_set(effects, contexts)
 
 
 class TestWitness2D:

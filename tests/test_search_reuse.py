@@ -1,0 +1,184 @@
+"""Reuse of repeated subtrees in the dispersion-free search: the answer,
+``nodes`` and the stored assignments equal those of a search that walks
+every node, under every budget, store cap and flag."""
+
+import sys
+import threading
+import time
+
+from effectkit import (
+    ConstraintDesc,
+    rng_from_seed,
+    search_dispersion_free,
+    verify_certificate,
+)
+from effectkit.nogo import _refutation_problem, _solve
+
+from conftest import haar_bases_context_set, solve_by_walking
+
+BUDGETS = (1, 3, 7, 20, 100, 10**6)
+STORE_CAPS = (0, 1, 3, 64)
+
+
+def relabelled(desc: ConstraintDesc, suffix: str) -> ConstraintDesc:
+    target = desc.target
+    if target not in (None, "I"):
+        target += suffix
+    return ConstraintDesc(desc.kind, tuple(lb + suffix for lb in desc.labels),
+                          target)
+
+
+# Three 4-outcome contexts over six labels in which every label lies in two
+# contexts: the sum of all three counts each 1 twice, so no assignment gives
+# each context a single 1. Refuting it takes three search nodes.
+ODD_COVER = [ConstraintDesc("context", tuple(f"g{i}" for i in ctx))
+             for ctx in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5))]
+
+
+def random_constraint_list(rng) -> list[ConstraintDesc]:
+    """A block of contexts and relations (to a label or to "I") over a few
+    labels, some with repeated labels, then disjoint relabelled copies of
+    it. Some lists shuffle the copies' constraints together, some add a
+    relation to the last copy, and some end with ``ODD_COVER``, so that an
+    unsatisfiable subtree repeats below every model of the copies."""
+    labels = [f"x{i}" for i in range(int(rng.integers(4, 6)))]
+
+    def pick(low, high):
+        size = int(rng.integers(low, high))
+        return tuple(str(lb) for lb in
+                     rng.choice(labels, size, replace=bool(rng.random() < 0.3)))
+
+    block = [ConstraintDesc("context", pick(2, 5))
+             for _ in range(int(rng.integers(1, 3)))]
+    for _ in range(int(rng.integers(0, 3))):
+        target = "I" if rng.random() < 0.5 else str(rng.choice(labels))
+        block.append(ConstraintDesc("relation", pick(1, 3), target))
+    copies = int(rng.integers(2, 4))
+    out = [relabelled(d, f"_{c}") for c in range(copies) for d in block]
+    if rng.random() < 0.3:
+        out = [out[i] for i in rng.permutation(len(out))]
+    if rng.random() < 0.3:
+        target = "I" if rng.random() < 0.5 else str(rng.choice(labels))
+        out.append(relabelled(ConstraintDesc("relation", pick(1, 3), target),
+                              f"_{copies - 1}"))
+    if rng.random() < 0.3:
+        out += ODD_COVER
+    return out
+
+
+def dfs_calls(constraints, **flags) -> int:
+    """How many times ``_solve`` enters its DFS, counted by a profiler."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "dfs":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        _solve(constraints, **flags)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_reuse_matches_the_walking_search():
+    rng = rng_from_seed(909)
+    reused = unsat_reused = unsat_trees = 0
+    for trial in range(40):
+        constraints = random_constraint_list(rng)
+        for budget in BUDGETS:
+            for cap in STORE_CAPS:
+                for first in (False, True):
+                    for record in (False, True):
+                        got = _solve(constraints, budget, max_store=cap,
+                                     stop_at_first=first, record=record)
+                        want = solve_by_walking(
+                            constraints, budget, cap,
+                            stop_after=1 if first else None, record=record)
+                        where = (f"trial {trial}, budget {budget}, cap {cap}, "
+                                 f"first {first}, record {record}")
+                        assert got[:4] == want[:4], where
+                        # the same label order in every stored assignment
+                        assert ([list(a) for a in got[1]]
+                                == [list(a) for a in want[1]]), where
+                        if record and got[0] == "unsat":
+                            assert _refutation_problem(
+                                got[4], constraints) is None, where
+                            assert got[4] == want[4], where
+                            unsat_trees += 1
+        status, _, _, nodes, _ = _solve(constraints, 10**6)
+        if dfs_calls(constraints, node_budget=10**6) < nodes:
+            reused += 1
+            unsat_reused += status == "unsat"
+    assert reused >= 15
+    assert unsat_reused >= 5
+    assert unsat_trees >= 40
+
+
+def bases(count: int, dim: int = 4) -> list[ConstraintDesc]:
+    return [ConstraintDesc("context", tuple(f"b{b}_{k}" for k in range(dim)))
+            for b in range(count)]
+
+
+def test_twelve_disjoint_bases_are_counted_not_walked():
+    # 4^12 models in a tree of 2 * 4^12 - 1 nodes: about 33.5 M nodes, far
+    # beyond what a walk of every node finishes in a test.
+    cs = haar_bases_context_set(rng_from_seed(12), bases=12)
+    start = time.perf_counter()
+    result = search_dispersion_free(cs, node_budget=10**8)
+    verdict = verify_certificate(result, cs)
+    elapsed = time.perf_counter() - start
+    assert result.status == "sat"
+    assert result.total_solutions == 4**12
+    assert result.nodes_explored == 2 * 4**12 - 1
+    assert len(result.assignments) == 64
+    assert verdict
+    assert elapsed < 1.0
+
+
+def test_twelve_disjoint_bases_exhaust_the_default_budget():
+    cs = haar_bases_context_set(rng_from_seed(12), bases=12)
+    result = search_dispersion_free(cs)
+    assert result.status == "sat"
+    assert result.total_solutions is None
+    assert result.nodes_explored == 1_000_001
+    assert verify_certificate(result, cs)
+
+
+def test_searches_in_two_threads_keep_their_own_tables():
+    # The two lists differ only in the last relation, whose bounds are the
+    # same in both until b5_1 or b5_2 is set. Until then every node of one
+    # search has the key of a node of the other, so a table shared across
+    # calls would hand one search the other's models.
+    searches = {
+        "b5_0 + b5_1 = 1":
+            bases(6) + [ConstraintDesc("relation", ("b5_0", "b5_1"), "I")],
+        "b5_0 + b5_2 = 1":
+            bases(6) + [ConstraintDesc("relation", ("b5_0", "b5_2"), "I")]}
+    expected = {name: _solve(c, 10**6, max_store=64)
+                for name, c in searches.items()}
+    assert expected["b5_0 + b5_1 = 1"][1] != expected["b5_0 + b5_2 = 1"][1]
+    results: dict[str, list] = {name: [] for name in searches}
+    barrier = threading.Barrier(len(searches))
+
+    def run(name):
+        barrier.wait()
+        for _ in range(20):
+            results[name].append(_solve(searches[name], 10**6, max_store=64))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in searches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for name, runs in results.items():
+        assert len(runs) == 20
+        assert all(r[:4] == expected[name][:4] for r in runs), name
