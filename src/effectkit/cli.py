@@ -20,13 +20,19 @@ given (input bytes, flags, seed).
 commands, so a file it cannot read fails with the message and exit code
 that ``born`` or ``reconstruct`` give; its report lists only the checks
 the library makes.
+
+The argparse parser is built once per process, on the first call of
+``main``, and reused by every later call, so ``main`` can be called
+repeatedly, also from several threads at once. Two labels with the same
+operator print one ``DuplicateOperatorWarning: <message>`` line per pair on
+every call, with no file or line number.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__, jsonio
@@ -37,6 +43,7 @@ from .effects import (
     effect_checks,
     effect_from_json,
     effects_from_json_dict,
+    report_duplicate_operators,
 )
 from .errors import (
     EffectKitError,
@@ -86,14 +93,19 @@ def _load_json(path: str):
         return jsonio.load(path)
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the recursion limit.
         raise _CliFailure(EXIT_PARSE, f"cannot parse {path}: {exc}") from exc
 
 
 def _emit(payload, args) -> None:
     text = jsonio.dumps(payload, pretty=args.pretty) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliFailure(EXIT_PARSE,
+                              f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -257,13 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", action="append",
                    help="POVM file(s) to check a valuation against (repeatable)")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("born", help="outcome probabilities tr[rho E_i]")
     p.add_argument("state")
     p.add_argument("povm")
     common(p)
-    p.set_defaults(func=cmd_born)
 
     p = sub.add_parser("reconstruct",
                        help="recover a state from frame values by linear inversion")
@@ -275,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace the solution by the nearest density "
                         "operator in Frobenius norm")
     common(p)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("nogo2d",
                        help="closed-form qubit witness against dispersion-free "
@@ -285,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", required=True, type=float, dest="lam",
                    help="mixing weight in (0,1)")
     common(p)
-    p.set_defaults(func=cmd_nogo2d)
 
     p = sub.add_parser("dfsearch",
                        help="search for dispersion-free valuations over a "
@@ -300,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="discover_relations",
                    help="auto-discover pair/triple operator sum identities")
     common(p)
-    p.set_defaults(func=cmd_dfsearch)
 
     p = sub.add_parser("sample", help="draw outcome counts from tr[rho E_i]")
     p.add_argument("state")
@@ -308,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("gen", help="generate random artifacts reproducibly")
     p.add_argument("--kind", required=True, choices=["state", "povm", "effect"])
@@ -317,15 +323,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", type=int,
                    help="POVM outcome count (default: dim)")
     common(p)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+_parser_lock = threading.Lock()
+
+
+def _get_parser() -> argparse.ArgumentParser:
+    """The process's parser, built by :func:`build_parser` on first use."""
+    global _parser
+    with _parser_lock:
+        if _parser is None:
+            _parser = build_parser()
+        return _parser
+
+
+def _print_duplicate(message: str) -> None:
+    print(f"DuplicateOperatorWarning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argparse exits 2 on bad
+    usage and 0 after ``--help`` or ``--version``.
+
+    The parser is built on the first call and reused, so ``main`` can be
+    called repeatedly in one process. The command is the module's
+    ``cmd_<subcommand>`` at the time of the call, not at the time of the
+    build, so rebinding one takes effect on the next call.
+    """
+    args = _get_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.subcommand}"]
     try:
-        return args.func(args)
+        with report_duplicate_operators(_print_duplicate):
+            return command(args)
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -9,8 +9,10 @@ non-contextuality questions stay explicit.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,11 +268,33 @@ _EXACT_SCAN_MAX = 48
 # raised peak RSS by 1.1 MB at K = 259, blocks of 32 rows by 0.3 MB.
 _SCAN_ROWS = 32
 
+# The handler set by report_duplicate_operators in the current context, or
+# None for Python warnings.
+_duplicate_handler: ContextVar = ContextVar("duplicate_handler", default=None)
+
+
+@contextlib.contextmanager
+def report_duplicate_operators(handler):
+    """Within the block, pass each message of
+    :func:`warn_duplicate_operators` to ``handler(message)`` instead of
+    ``warnings.warn``.
+
+    The handler lives in a context variable, so it applies to the calling
+    thread only and the process's warning filters are never touched.
+    """
+    token = _duplicate_handler.set(handler)
+    try:
+        yield
+    finally:
+        _duplicate_handler.reset(token)
+
 
 def warn_duplicate_operators(effects) -> None:
     """Warn when two distinct labels carry operators closer than
     ``TOL.same_operator`` in Frobenius norm, one warning per pair in
-    ascending (i, j) order of the input.
+    ascending (i, j) order of the input. Inside
+    :func:`report_duplicate_operators` each message goes to its handler
+    instead.
 
     Effects are compared within each dimension d, and every pair is decided
     by the exact test ||A_i - A_j||_F < TOL.same_operator on the arrays.
@@ -308,12 +332,15 @@ def warn_duplicate_operators(effects) -> None:
                     and np.linalg.norm(items[i].op.array - items[j].op.array)
                     < TOL.same_operator):
                 flagged.append((i, j))
+    handler = _duplicate_handler.get()
     for i, j in sorted(flagged):
-        warnings.warn(
-            f"labels {items[i].label!r} and {items[j].label!r} carry the same "
-            f"operator (Frobenius distance < {TOL.same_operator:g})",
-            DuplicateOperatorWarning,
-            stacklevel=2)
+        message = (f"labels {items[i].label!r} and {items[j].label!r} carry "
+                   f"the same operator (Frobenius distance < "
+                   f"{TOL.same_operator:g})")
+        if handler is None:
+            warnings.warn(message, DuplicateOperatorWarning, stacklevel=2)
+        else:
+            handler(message)
 
 
 def _near_pairs(arrays: np.ndarray):

@@ -262,6 +262,47 @@ def test_validate_reads_a_valuation_file_as_reconstruct_does(tmp_path, capsys,
         assert (code, capsys.readouterr()) == (expected_code, expected)
 
 
+# Every file argument of every command that reads files, as an argv that
+# reaches it with the file "deep.json"; the other files are valid.
+DEEP_JSON_ARGVS = {
+    "validate path": ["validate", "deep.json", "--kind", "state"],
+    "validate --effects": ["validate", "v.json", "--kind", "valuation",
+                           "--effects", "deep.json"],
+    "validate --povm": ["validate", "v.json", "--kind", "valuation",
+                        "--effects", "f.json", "--povm", "deep.json"],
+    "born state": ["born", "deep.json", "p.json"],
+    "born povm": ["born", "s.json", "deep.json"],
+    "reconstruct frame": ["reconstruct", "deep.json", "v.json"],
+    "reconstruct values": ["reconstruct", "f.json", "deep.json"],
+    "dfsearch contexts": ["dfsearch", "deep.json"],
+    "dfsearch effects_file": ["dfsearch", "c.json"],
+    "sample state": ["sample", "deep.json", "p.json", "--shots", "10"],
+    "sample povm": ["sample", "s.json", "deep.json", "--shots", "10"],
+}
+
+
+@pytest.mark.parametrize("where", list(DEEP_JSON_ARGVS))
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(
+        tmp_path, capsys, where):
+    # json.loads raises RecursionError on this; json.dumps cannot write it.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1100 + "]" * 1100, encoding="utf-8")
+    write(tmp_path / "s.json", ground_state_payload())
+    write(tmp_path / "p.json", z_povm_payload())
+    write(tmp_path / "f.json", pauli_frame_payload())
+    write(tmp_path / "v.json", frame_values_payload())
+    write(tmp_path / "c.json", {"effects_file": "deep.json",
+                                "contexts": [["I"]]})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in DEEP_JSON_ARGVS[where]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot parse {deep}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_validate_reports_a_povm_of_non_effects_as_born_does(tmp_path, capsys):
     # The two operators sum to I, but the first is not an effect.
     payload = {"dim": 2, "effects": [
@@ -612,6 +653,17 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as info:
             main(["gen", "--kind", "state", "--dim", "2", "--frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_out_is_an_io_error(self, tmp_path, capsys, target):
+        out = str(tmp_path / "missing" / "x.json"
+                  if target == "missing directory" else tmp_path)
+        code = main(["gen", "--kind", "state", "--dim", "2", "--out", out])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert captured.err.count("\n") == 1
 
     def test_pretty_output(self, tmp_path, capsys):
         code, _ = run_cli(["gen", "--kind", "state", "--dim", "2", "--pretty"],
