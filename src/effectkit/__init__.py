@@ -59,7 +59,6 @@ from .valuation import (  # noqa: F401
     ValuationTable,
     born,
     born_functional,
-    check_effect_valuation,
     check_gpm,
     estimate_valuation,
     extend_to_positive,

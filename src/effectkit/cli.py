@@ -19,7 +19,10 @@ given (input bytes, flags, seed).
 ``validate`` reads every file with the same library readers as the other
 commands, so a file it cannot read fails with the message and exit code
 that ``born`` or ``reconstruct`` give; its report lists only the checks
-the library makes.
+the library makes. For a valuation: (P1) on every value, and with
+``--effects``, (P2) when that file carries I and (P3) for each ``--povm``
+file, read as the relation "its labels = I" (exit 2 unless its operators
+are the effects file's).
 
 The argparse parser is built once per process, on the first call of
 ``main``, and reused by every later call, so ``main`` can be called
@@ -66,8 +69,9 @@ from .valuation import (
     DensityOperator,
     ValuationTable,
     born,
-    check_effect_valuation,
+    check_gpm,
     p1_in_range,
+    povm_relation,
     reconstruct_density,
     sample_outcomes,
     state_checks,
@@ -167,11 +171,18 @@ def cmd_validate(args) -> int:
             _, effects = _load_effects(args.effects)
             by_label = {e.label: e for e in effects}
             table = ValuationTable.from_json_dict(payload, by_label)
-            for povm_path in args.povm or []:
-                povm = _load_povm(povm_path)
-                report = check_effect_valuation(table, [povm])
-                check(f"effect_valuation:{povm_path}", report.ok,
-                      violations=[v.to_json_dict() for v in report.violations])
+            povm_paths = args.povm or []
+            relations = [povm_relation(table, _load_povm(path))
+                         for path in povm_paths]
+            # A POVM given twice is one relation, reported under each path.
+            report = check_gpm(table, list(dict.fromkeys(relations)))
+            if report.identity_labels:
+                p2 = [v.to_json_dict() for v in report.violations_of("P2")]
+                check("p2_identity", not p2, violations=p2)
+            for path, rel in zip(povm_paths, relations):
+                p3 = [v.to_json_dict() for v in report.violations_of("P3")
+                      if v.relation == rel.describe()]
+                check(f"effect_valuation:{path}", not p3, violations=p3)
 
     valid = all(c["ok"] for c in checks)
     _emit({"kind": args.kind, "valid": valid, "checks": checks}, args)
@@ -265,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--kind", required=True,
                    choices=["effect", "povm", "state", "valuation"])
-    p.add_argument("--effects", help="effects file for resolving valuation labels")
+    p.add_argument("--effects", help="effects file resolving the valuation's "
+                                     "labels; checks (P2) if it carries I")
     p.add_argument("--povm", action="append",
-                   help="POVM file(s) to check a valuation against (repeatable)")
+                   help="POVM file whose values must sum to 1 (P3), with the "
+                        "effects file's operators (repeatable)")
     common(p)
 
     p = sub.add_parser("born", help="outcome probabilities tr[rho E_i]")

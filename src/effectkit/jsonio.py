@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Any
 
 import numpy as np
@@ -119,13 +120,15 @@ def expect_list(obj: Any, what: str) -> list:
 
 def expect_int(obj: Any, what: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise SchemaError(f"{what}: expected an integer, got {obj!r}")
+        raise SchemaError(
+            f"{what}: expected an integer, got {reprlib.repr(obj)}")
     return obj
 
 
 def expect_number(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SchemaError(f"{what}: expected a number, got {obj!r}")
+        raise SchemaError(
+            f"{what}: expected a number, got {reprlib.repr(obj)}")
     try:
         return float(obj)
     except OverflowError:

@@ -44,7 +44,6 @@ from .effects import (
 )
 from .errors import (
     BadContext,
-    BadRelation,
     ConvergenceFailure,
     DegenerateLambda,
     DimMismatch,
@@ -53,8 +52,12 @@ from .errors import (
     SumNotIdentity,
     UnknownLabel,
 )
-from .operators import TOL, HermitianOperator, eigenvalues_of
-from .valuation import AdditivityRelation, relations_from_json
+from .operators import TOL, eigenvalues_of
+from .valuation import (
+    AdditivityRelation,
+    _check_relation_identity,
+    relations_from_json,
+)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -177,7 +180,7 @@ class ContextSet:
 
     Every context is a POVM over the shared effect pool (labels may repeat
     within a context) and every sum relation's operator identity holds to
-    ``TOL.same_operator`` in Frobenius norm.
+    ``TOL.same_operator`` (``valuation._check_relation_identity``).
     """
 
     effects: dict[str, Effect]
@@ -198,7 +201,8 @@ def build_context_set(effects: Iterable[Effect],
     """Validate a context set, optionally auto-discovering sum relations.
 
     Raises BadContext when a declared context is not a POVM and BadRelation
-    when a claimed operator identity fails at ``TOL.same_operator``. With
+    when a claimed operator identity fails (the test ``check_gpm`` runs too,
+    ``valuation._check_relation_identity``). With
     ``discover``, pairs of effects are scanned against every effect target
     and the identity, and triples against the identity only (O(k^3)
     checks); deeper scans are intentionally not attempted.
@@ -240,22 +244,6 @@ def build_context_set(effects: Iterable[Effect],
                 checked_relations.append(rel)
 
     return ContextSet(pool, tuple(checked_contexts), tuple(checked_relations))
-
-
-def _check_relation_identity(rel: AdditivityRelation, resolve) -> None:
-    ops = [resolve(lb).op for lb in rel.addends]
-    total = ops[0]
-    for op in ops[1:]:
-        total = total + op
-    if rel.target == "I":
-        target_op = HermitianOperator.identity(total.dim)
-    else:
-        target_op = resolve(rel.target).op
-    dev = float(np.linalg.norm(total.array - target_op.array))
-    if dev > TOL.same_operator:
-        raise BadRelation(
-            f"claimed identity {rel.describe()} fails: Frobenius deviation "
-            f"{dev:.3e} > {TOL.same_operator:g}")
 
 
 def discover_sum_relations(pool: Mapping[str, Effect]

@@ -9,10 +9,11 @@ A valuation assigns each effect a number in [0, 1]; the axioms are
 Equivalently, v(E) >= 0 with values summing to 1 over every POVM. Any such
 valuation is the Born functional E -> tr[rho E] of a unique density operator
 rho; this module makes that correspondence executable in both directions:
-checking the axioms on finite tables, extending a valuation from effects to
-positive and then to all Hermitian operators through homogeneity and Jordan
-splitting, recovering rho by linear inversion over an informationally
-complete frame, and simulating outcome frequencies that estimate v.
+checking the axioms on finite tables with :func:`check_gpm`, extending a
+valuation from effects to positive and then to all Hermitian operators
+through homogeneity and Jordan splitting, recovering rho by linear
+inversion over an informationally complete frame, and simulating outcome
+frequencies that estimate v.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import jsonio
 from .effects import Effect, Povm, warn_duplicate_operators
 from .errors import (
+    BadRelation,
     DimMismatch,
     FrameDeficient,
     NotPositive,
@@ -200,6 +202,7 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
 
 @dataclass(frozen=True)
 class Violation:
+    axiom: str  # "P1", "P2" or "P3"
     relation: str
     lhs: float
     rhs: float
@@ -212,22 +215,20 @@ class Violation:
 
 @dataclass
 class AxiomReport:
-    """Outcome of checking (P1)-(P3) or the POVM normalization conditions.
-
-    ``violations`` is empty iff all three flags are true; ``ill_posed``
-    lists relations that were skipped because their operator sum exceeds the
-    identity (they assert nothing about the valuation).
+    """Outcome of :func:`check_gpm`: the violations found, in the order
+    (P1), (P2), (P3). (P2) was checked on each of ``identity_labels``, the
+    labels whose operator is I.
     """
 
-    p1_ok: bool = True
-    p2_ok: bool = True
-    p3_ok: bool = True
     violations: list[Violation] = field(default_factory=list)
-    ill_posed: list[str] = field(default_factory=list)
+    identity_labels: tuple[str, ...] = ()
+
+    def violations_of(self, axiom: str) -> list[Violation]:
+        return [v for v in self.violations if v.axiom == axiom]
 
     @property
     def ok(self) -> bool:
-        return self.p1_ok and self.p2_ok and self.p3_ok
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,26 @@ class AdditivityRelation:
 
     def describe(self) -> str:
         return " + ".join(self.addends) + " = " + self.target
+
+
+def _check_relation_identity(rel: AdditivityRelation,
+                             resolve: Callable[[str], Effect]) -> None:
+    """The one test of a relation's operator identity: raise BadRelation
+    unless the addends' operators sum to the target's (I for ``"I"``)
+    within ``TOL.same_operator`` in Frobenius norm."""
+    ops = [resolve(lb).op for lb in rel.addends]
+    total = ops[0]
+    for op in ops[1:]:
+        total = total + op
+    if rel.target == "I":
+        target_op = HermitianOperator.identity(total.dim)
+    else:
+        target_op = resolve(rel.target).op
+    dev = float(np.linalg.norm(total.array - target_op.array))
+    if dev > TOL.same_operator:
+        raise BadRelation(
+            f"claimed identity {rel.describe()} fails: Frobenius deviation "
+            f"{dev:.3e} > {TOL.same_operator:g}")
 
 
 @dataclass(frozen=True)
@@ -296,88 +317,59 @@ def p1_in_range(value: float) -> bool:
     return -TOL.p1_slack <= value <= 1.0 + TOL.p1_slack
 
 
-def _identity_value(v: ValuationTable) -> tuple[str, float] | None:
-    eye = np.eye(v.dim)
-    for label, entry in v.items():
-        if np.linalg.norm(entry.effect.op.array - eye) <= TOL.check * v.dim:
-            return label, entry.value
-    return None
+def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
+    """The relation "the POVM's labels = I" over ``v``, whose effect of
+    each label must be the POVM's within ``TOL.same_operator`` in Frobenius
+    norm (else BadRelation, naming the label and the deviation)."""
+    for e in povm.effects:
+        dev = float(np.linalg.norm((e.op - v.effect(e.label).op).array))
+        if dev > TOL.same_operator:
+            raise BadRelation(
+                f"POVM effect {e.label!r} is not the valuation's effect "
+                f"{e.label!r}: Frobenius deviation {dev:.3e} > "
+                f"{TOL.same_operator:g}")
+    return AdditivityRelation(povm.labels, "I")
 
 
 def check_gpm(v: ValuationTable,
               relations: Sequence[AdditivityRelation]) -> AxiomReport:
     """Check axioms (P1)-(P3) of a candidate valuation table.
 
-    P1 is the range check on every stored value; P2 is checked when some
-    label carries the identity operator; P3 checks each supplied additivity
-    relation. A relation whose operator sum exceeds I (within
-    ``TOL.check``) asserts nothing and is recorded under ``ill_posed``
-    instead of being evaluated.
-    The relations themselves are caller-asserted claims: resolve labels
-    carefully, since an unknown label raises UnknownLabel.
+    (P1) is the range check on every stored value. (P2) is checked on each
+    label whose operator is I within ``TOL.same_operator`` in Frobenius
+    norm, as in :func:`_check_relation_identity`. (P3) checks that each
+    relation's addend values sum to its target's value (1 for ``"I"``)
+    within ``TOL.check``. A relation whose operator identity fails raises
+    BadRelation, as in ``build_context_set``; an unknown label UnknownLabel.
     """
     report = AxiomReport()
     for label, entry in v.items():
         if not p1_in_range(entry.value):
-            report.p1_ok = False
             bound = min(max(entry.value, 0.0), 1.0)
             report.violations.append(Violation(
-                f"P1 range: v({label})", entry.value, bound,
+                "P1", f"P1 range: v({label})", entry.value, bound,
                 abs(entry.value - bound)))
 
-    ident = _identity_value(v)
-    if ident is not None:
-        label, value = ident
+    labels = v.labels
+    stack = np.array([v.effect(lb).op.array for lb in labels]).reshape(
+        len(labels), v.dim, v.dim)
+    off_identity = np.linalg.norm(stack - np.eye(v.dim), axis=(1, 2))
+    report.identity_labels = tuple(
+        labels[k] for k in np.flatnonzero(off_identity <= TOL.same_operator))
+    for label in report.identity_labels:
+        value = v.value(label)
         if abs(value - 1.0) > TOL.check:
-            report.p2_ok = False
             report.violations.append(Violation(
-                f"P2: v({label}) = 1", value, 1.0, abs(value - 1.0)))
+                "P2", f"P2: v({label}) = 1", value, 1.0, abs(value - 1.0)))
 
-    eye = HermitianOperator.identity(v.dim)
     for rel in relations:
-        ops = [v.effect(label).op for label in rel.addends]
-        total = ops[0]
-        for op in ops[1:]:
-            total = total + op
-        if eigenvalues_of(eye - total)[0] < -TOL.check:
-            report.ill_posed.append(
-                f"{rel.describe()}: operator sum exceeds identity")
-            continue
+        _check_relation_identity(rel, v.effect)
         lhs = float(sum(v.value(label) for label in rel.addends))
-        if rel.target == "I":
-            rhs = ident[1] if ident is not None else 1.0
-        else:
-            rhs = v.value(rel.target)
+        rhs = 1.0 if rel.target == "I" else v.value(rel.target)
         dev = abs(lhs - rhs)
         if dev > TOL.check:
-            report.p3_ok = False
-            report.violations.append(Violation(rel.describe(), lhs, rhs, dev))
-    return report
-
-
-def check_effect_valuation(v: ValuationTable, povms: Sequence[Povm]
-                           ) -> AxiomReport:
-    """Check the POVM form of the axioms: v >= 0 and sum v(E_i) = 1 (within
-    ``TOL.check``).
-
-    Nonnegativity failures land on the p1 flag, normalization failures on
-    the p3 flag (they are the additivity axiom applied to a full POVM);
-    p2 is implied by normalization and stays true here.
-    """
-    report = AxiomReport()
-    for label, entry in v.items():
-        if entry.value < -TOL.p1_slack:
-            report.p1_ok = False
-            report.violations.append(Violation(
-                f"nonnegativity: v({label})", entry.value, 0.0, -entry.value))
-    for k, povm in enumerate(povms):
-        total = float(sum(v.value(label) for label in povm.labels))
-        dev = abs(total - 1.0)
-        if dev > TOL.check:
-            report.p3_ok = False
-            desc = " + ".join(f"v({lb})" for lb in povm.labels)
             report.violations.append(
-                Violation(f"POVM #{k}: {desc} = 1", total, 1.0, dev))
+                Violation("P3", rel.describe(), lhs, rhs, dev))
     return report
 
 

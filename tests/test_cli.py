@@ -146,6 +146,74 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "UnknownLabel: label 'B' not in the effects file\n"
 
+    def _label_files(self, tmp_path, effect_b):
+        """Effects A = diag(1,0), B = ``effect_b`` and Id = I valued 0.5,
+        0.5 and 0.9, and the POVM file {A = diag(1,0), B = diag(0,1)}."""
+        def op(*diag):
+            return HermitianOperator(np.diag(diag)).to_json_dict()
+        effects = write(tmp_path / "e.json", {"dim": 2, "effects": [
+            {"label": "A", "op": op(1.0, 0.0)},
+            {"label": "B", "op": op(*effect_b)},
+            {"label": "Id", "op": op(1.0, 1.0)}]})
+        values = write(tmp_path / "v.json", {"dim": 2, "entries": [
+            {"label": "A", "value": 0.5}, {"label": "B", "value": 0.5},
+            {"label": "Id", "value": 0.9}]})
+        povm = write(tmp_path / "p.json", {"dim": 2, "effects": [
+            {"label": "A", "op": op(1.0, 0.0)},
+            {"label": "B", "op": op(0.0, 1.0)}]})
+        return values, effects, povm
+
+    def test_povm_matched_by_label_only_is_an_input_error(self, tmp_path,
+                                                          capsys):
+        # In the effects file A + B = diag(1.25, .25), not I.
+        values, effects, povm = self._label_files(tmp_path, (0.25, 0.25))
+        code = main(["validate", values, "--kind", "valuation",
+                     "--effects", effects, "--povm", povm])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "BadRelation: POVM effect 'B' is not the valuation's effect 'B': "
+            "Frobenius deviation 7.906e-01 > 1e-10\n")
+
+    def test_identity_valued_below_one_fails_p2(self, tmp_path, capsys):
+        values, effects, povm = self._label_files(tmp_path, (0.0, 1.0))
+        code = main(["validate", values, "--kind", "valuation",
+                     "--effects", effects, "--povm", povm])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out == (
+            '{"kind": "valuation", "valid": false, "checks": [{"name": '
+            '"p1_range", "ok": true, "out_of_range": []}, {"name": '
+            '"p2_identity", "ok": false, "violations": [{"relation": '
+            '"P2: v(Id) = 1", "lhs": 0.90000000000000002, "rhs": 1.0, '
+            '"deviation": 0.099999999999999978}]}, {"name": '
+            f'"effect_valuation:{povm}", "ok": true, "violations": []}}]}}\n')
+
+    def test_povm_rows_are_its_relation_once_per_file(self, tmp_path, capsys):
+        # up = 1.2 is out of range, and only p1_range says so; the sum is
+        # 2.2, reported once under each of the two paths of the same POVM.
+        table = {"dim": 2, "entries": [{"label": "up", "value": 1.2},
+                                       {"label": "down", "value": 1.0}]}
+        path = write(tmp_path / "v.json", table)
+        effects = write(tmp_path / "e.json",
+                        {"dim": 2, "effects": z_povm_payload()["effects"]})
+        povm = write(tmp_path / "p.json", z_povm_payload())
+        again = write(tmp_path / "q.json", z_povm_payload())
+        code, report = run_cli(
+            ["validate", path, "--kind", "valuation", "--effects", effects,
+             "--povm", povm, "--povm", again], capsys)
+        assert code == 2
+        row = {"relation": "up + down = I", "lhs": 2.2, "rhs": 1.0,
+               "deviation": pytest.approx(1.2)}
+        assert report["checks"] == [
+            {"name": "p1_range", "ok": False, "out_of_range": ["up"]},
+            {"name": f"effect_valuation:{povm}", "ok": False,
+             "violations": [row]},
+            {"name": f"effect_valuation:{again}", "ok": False,
+             "violations": [row]}]
+
     def test_valuation_p1_violation(self, tmp_path, capsys):
         table = {"dim": 2, "entries": [{"label": "up", "value": 1.4}]}
         path = write(tmp_path / "v.json", table)
@@ -179,6 +247,25 @@ class TestValidate:
         assert code == 2
         assert captured.out == ""
         assert "apply only to --kind valuation" in captured.err
+
+    @pytest.mark.parametrize("bad", ['"' + "x" * 100_000 + '"',
+                                     "[" * 975 + "]" * 975],
+                             ids=["long string", "deep list"])
+    def test_schema_error_echoes_the_value_short(self, tmp_path, bad):
+        # Run as a child: the deep list is past what json.loads can nest
+        # under the test runner's own stack.
+        path = tmp_path / "s.json"
+        path.write_text('{"dim": 1, "entries": [[%s, 0]]}' % bad)
+        proc = subprocess.run(
+            [sys.executable, "-m", "effectkit", "validate", str(path),
+             "--kind", "state"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "SchemaError: matrix.entries[0][0]: expected a number, got ")
+        assert proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < 120
 
     def test_overflowing_entries_print_one_stderr_line(self, tmp_path):
         huge = {"dim": 2, "entries": [[1e308, 0.0]] * 4}

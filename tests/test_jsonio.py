@@ -91,6 +91,22 @@ class TestSchemaHelpers:
             assert jsonio.expect_number(jsonio.loads(text), "x") == \
                 jsonio.loads(text[:-400] + "e400")
 
+    @pytest.mark.parametrize("helper", [jsonio.expect_int,
+                                        jsonio.expect_number])
+    @pytest.mark.parametrize("bad", ["long string", "deep list"])
+    def test_rejected_value_is_echoed_short(self, helper, bad):
+        if bad == "long string":
+            bad = "x" * 100_000
+        else:
+            bad = []
+            for _ in range(975):
+                bad = [bad]
+        with pytest.raises(SchemaError) as info:
+            helper(bad, "matrix.entries[0][0]")
+        message = str(info.value)
+        assert message.startswith("matrix.entries[0][0]: expected a")
+        assert len(message) < 100
+
     def test_expect_key_message_names_the_key(self):
         with pytest.raises(SchemaError, match="missing required key 'dim'"):
             jsonio.expect_key({}, "dim", "matrix")

@@ -50,6 +50,51 @@ def peres_rays():
     return rays
 
 
+def peres_33_rays():
+    """Peres's 33 rays in R^3 (J. Phys. A 24, L175, 1991).
+
+    Components from {0, +-1, +-sqrt2} whose squares are a permutation of
+    (0,0,1), (0,1,1), (0,1,2) or (1,1,2), up to an overall sign. Listed
+    pattern by pattern, each pattern's distinct permutations in descending
+    order, then sign by sign with the first nonzero component positive.
+    """
+    rays = []
+    for pattern in ((0, 0, 1), (0, 1, 1), (0, 1, 2), (1, 1, 2)):
+        for squares in sorted(set(itertools.permutations(pattern)),
+                              reverse=True):
+            support = [i for i, sq in enumerate(squares) if sq]
+            for signs in itertools.product((1, -1), repeat=len(support) - 1):
+                ray = [0.0, 0.0, 0.0]
+                for i, sign in zip(support, (1,) + signs):
+                    ray[i] = sign * np.sqrt(squares[i])
+                rays.append(tuple(ray))
+    return rays
+
+
+def peres_33_context_set():
+    """The 16 orthogonal triads of the 33 rays, plus each of the 24
+    orthogonal pairs that lie in no triad, completed by its cross product:
+    57 rank-one effects in 40 contexts."""
+    rays = np.array(peres_33_rays())
+    orthogonal = np.abs(rays @ rays.T) < 1e-12
+    triads = [t for t in itertools.combinations(range(len(rays)), 3)
+              if all(orthogonal[a, b] for a, b in itertools.combinations(t, 2))]
+    in_triad = {p for t in triads for p in itertools.combinations(t, 2)}
+    pairs = [p for p in itertools.combinations(range(len(rays)), 2)
+             if orthogonal[p] and p not in in_triad]
+    units = list(rays / np.linalg.norm(rays, axis=1, keepdims=True))
+    labels = [f"r{i:02d}" for i in range(len(rays))]
+    contexts = [[labels[i] for i in t] for t in triads]
+    for k, (a, b) in enumerate(pairs):
+        units.append(np.cross(units[a], units[b]))
+        labels.append(f"c{k:02d}")
+        contexts.append([labels[a], labels[b], labels[-1]])
+    effects = [Effect(HermitianOperator(np.outer(u, u)), lb)
+               for u, lb in zip(units, labels)]
+    return len(rays), len(triads), len(pairs), build_context_set(effects,
+                                                                 contexts)
+
+
 def orthogonal_tetrads(rays):
     """Every set of four mutually orthogonal rays, in lexicographic order."""
     return [t for t in itertools.combinations(range(len(rays)), 4)
@@ -170,6 +215,31 @@ class TestKnownAnswers:
         elapsed = time.perf_counter() - start
         assert verdict, verdict.reason
         assert elapsed < 0.5
+
+    def test_peres_33_rays(self):
+        n_rays, n_triads, n_pairs, cs = peres_33_context_set()
+        assert (n_rays, n_triads, n_pairs) == (33, 16, 24)
+        assert (len(cs.effects), len(cs.contexts)) == (57, 40)
+        search_s, verify_s = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = search_dispersion_free(cs)
+            search_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            verdict = verify_certificate(result, cs)
+            verify_s.append(time.perf_counter() - start)
+            assert verdict, verdict.reason
+        assert result.status == "unsat"
+        # the count of the checked-in search for this construction order
+        assert result.nodes_explored == 351
+        assert sorted(c.labels for c in result.unsat_core) == sorted(
+            cs.contexts)
+        assert 5 * min(verify_s) < min(search_s)
+        # minimal: every context is needed
+        for k in range(len(cs.contexts)):
+            rest = [d for i, d in enumerate(cs.constraints()) if i != k]
+            assert search_dispersion_free(
+                constraint_subset_as_context_set(cs, rest)).status == "sat"
 
     def test_cabello_estebaranz_garcia_alcaine_18_rays(self):
         rays = peres_rays()

@@ -6,9 +6,10 @@ table. The effect and state checks that ``effectkit validate`` prints are
 the ones ``Effect`` and ``DensityOperator`` raise from, so the library and
 the CLI must agree right at the tolerance boundary. Beside the literal
 guard, a second source guard finds imports that a module never uses, which
-a removed function or tolerance parameter can leave behind, and a third
+a removed function or tolerance parameter can leave behind, a third
 keeps ``effectkit validate`` reading files with the library's readers
-alone.
+alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
+operator comparison and axiom rule it reports is the library's.
 """
 
 import ast
@@ -89,6 +90,21 @@ def test_validate_has_no_parser_of_its_own():
               if isinstance(handler, ast.ExceptHandler) and handler.type
               for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
     assert "EffectKitError" not in caught
+
+
+def test_cli_imports_neither_numpy_nor_the_tolerance_table():
+    """Operator comparisons and axiom rules stay in the library: ``cli.py``
+    has no arrays to compare and no tolerance to compare them with."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            imported.update(alias.name for alias in node.names)
+    assert "numpy" not in imported
+    assert "TOL" not in imported
 
 
 def test_every_table_entry_is_used():

@@ -5,8 +5,10 @@ import pytest
 
 from effectkit import (
     AdditivityRelation,
+    BadRelation,
     DensityOperator,
     DimMismatch,
+    DuplicateOperatorWarning,
     Effect,
     HermitianOperator,
     NotPositive,
@@ -16,7 +18,7 @@ from effectkit import (
     ValuationTable,
     born,
     born_functional,
-    check_effect_valuation,
+    build_context_set,
     check_gpm,
     complement,
     eigenvalues_of,
@@ -29,7 +31,7 @@ from effectkit import (
     random_psd,
     rng_from_seed,
 )
-from effectkit.valuation import TableEntry
+from effectkit.valuation import TableEntry, povm_relation
 
 from conftest import SZ, pauli_op
 
@@ -96,7 +98,7 @@ class TestCheckGpm:
     def test_additivity_violation_has_unit_residual(self):
         report = check_gpm(self._half_table(0.0),
                            [AdditivityRelation(("H", "H"), "I")])
-        assert not report.p3_ok
+        assert report.violations_of("P3")
         assert report.violations[0].deviation == pytest.approx(1.0)
 
     def test_additive_assignment_passes(self):
@@ -108,7 +110,7 @@ class TestCheckGpm:
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
         table = ValuationTable(2, [TableEntry(half, 1.3)])
         report = check_gpm(table, [])
-        assert not report.p1_ok
+        assert report.violations_of("P1")
         assert report.violations[0].deviation == pytest.approx(0.3)
 
     def test_p2_checked_when_identity_present(self):
@@ -117,12 +119,51 @@ class TestCheckGpm:
         table = ValuationTable(2, [TableEntry(half, 0.45),
                                    TableEntry(eye, 0.9)])
         report = check_gpm(table, [])
-        assert not report.p2_ok
+        assert report.violations_of("P2")
 
-    def test_ill_posed_relation_reported_not_checked(self):
-        report = check_gpm(self._half_table(0.5),
-                           [AdditivityRelation(("I", "I"), "I")])
-        assert report.ill_posed and report.ok
+    def test_relation_whose_identity_fails_raises(self):
+        # I + I = 2I, not I: the relation asserts nothing about the values.
+        with pytest.raises(BadRelation, match=r"claimed identity I \+ I = I"):
+            check_gpm(self._half_table(0.5),
+                      [AdditivityRelation(("I", "I"), "I")])
+
+    def test_relation_below_identity_raises_as_build_context_set_does(self):
+        # A + B = diag(.75, .25) < I: the identity is checked, not just an
+        # upper bound, and by the same test as a context set's relations.
+        a = Effect(HermitianOperator(np.diag([0.5, 0.0])), "A")
+        b = Effect(0.25 * HermitianOperator.identity(2), "B")
+        table = ValuationTable(2, [TableEntry(a, 0.5), TableEntry(b, 0.5)])
+        rel = AdditivityRelation(("A", "B"), "I")
+        with pytest.raises(BadRelation) as from_gpm:
+            check_gpm(table, [rel])
+        with pytest.raises(BadRelation) as from_contexts:
+            build_context_set([a, b], [], [rel])
+        assert str(from_gpm.value) == str(from_contexts.value) == (
+            "claimed identity A + B = I fails: Frobenius deviation "
+            "7.906e-01 > 1e-10")
+
+    def test_p2_checked_on_every_identity_label_only(self):
+        eye = HermitianOperator.identity(3)
+        corner = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
+        with pytest.warns(DuplicateOperatorWarning):
+            table = ValuationTable(3, [
+                TableEntry(Effect(eye, "I1"), 1.0),
+                TableEntry(Effect(0.5 * eye, "H"), 0.2),
+                TableEntry(Effect(eye + 1e-11 * corner, "I2"), 0.9),
+                TableEntry(Effect(eye - 1e-9 * corner, "near"), 0.3)])
+        report = check_gpm(table, [])
+        assert report.identity_labels == ("I1", "I2")
+        assert [(v.axiom, v.relation, v.lhs) for v in report.violations] == [
+            ("P2", "P2: v(I2) = 1", 0.9)]
+
+    def test_target_identity_has_value_one(self):
+        half = Effect(0.5 * HermitianOperator.identity(2), "H")
+        eye = Effect(HermitianOperator.identity(2), "I")
+        table = ValuationTable(2, [TableEntry(half, 0.45),
+                                   TableEntry(eye, 0.9)])
+        report = check_gpm(table, [AdditivityRelation(("H", "H"), "I")])
+        assert [(v.axiom, v.lhs, v.rhs) for v in report.violations] == [
+            ("P2", 0.9, 1.0), ("P3", 0.9, 1.0)]
 
     def test_unknown_label_raises(self):
         with pytest.raises(UnknownLabel):
@@ -153,21 +194,29 @@ class TestCheckGpm:
 
 
 class TestCheckEffectValuation:
+    """The POVM form of the axioms, the check ``validate`` calls
+    ``effect_valuation``: :func:`check_gpm` with "the POVM's labels = I"."""
+
+    @staticmethod
+    def check(table, povm):
+        return check_gpm(table, [AdditivityRelation(povm.labels, "I")])
+
     def test_born_values_pass(self):
         rng = rng_from_seed(9)
         rho = random_density(2, rng)
         povm = random_povm(2, 3, rng)
         table = ValuationTable.from_born(rho, povm.effects)
-        assert check_effect_valuation(table, [povm]).ok
+        assert self.check(table, povm).ok
 
     def test_double_one_assignment_fails(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
         povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.0), TableEntry(f, 1.0)])
-        report = check_effect_valuation(table, [povm])
-        assert not report.p3_ok
+        report = self.check(table, povm)
+        assert report.violations_of("P3")
         assert report.violations[0].lhs == pytest.approx(2.0)
+        assert report.violations[0].relation == "E + F = I"
 
     def test_eigenstate_on_z_povm(self):
         rho = state(1.0, 0.0)
@@ -177,15 +226,35 @@ class TestCheckEffectValuation:
         # explicit traces: tr[diag(1,0)(I+sz)/2] = 1, tr[diag(1,0)(I-sz)/2] = 0
         assert table.value("up") == pytest.approx(1.0, abs=1e-15)
         assert table.value("down") == pytest.approx(0.0, abs=1e-15)
-        assert check_effect_valuation(table, [povm]).ok
+        assert self.check(table, povm).ok
 
     def test_negative_value_flagged(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
         povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.2), TableEntry(f, -0.2)])
-        report = check_effect_valuation(table, [povm])
-        assert not report.p1_ok
+        report = self.check(table, povm)
+        assert report.violations_of("P1")
+
+    def test_povm_relation_needs_the_tables_operators(self):
+        a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
+        b = Effect(0.25 * HermitianOperator.identity(2), "B")
+        table = ValuationTable(2, [TableEntry(a, 0.5), TableEntry(b, 0.5)])
+        povm = Povm((a, Effect(HermitianOperator(np.diag([0.0, 1.0])), "B")),
+                    2)
+        with pytest.raises(BadRelation, match=r"POVM effect 'B' .* "
+                                              r"Frobenius deviation 7\.906e-01"):
+            povm_relation(table, povm)
+        matching = Povm((a, complement(a, "B")), 2)
+        table = ValuationTable(2, [TableEntry(a, 0.5),
+                                   TableEntry(matching.effects[1], 0.5)])
+        assert povm_relation(table, matching) == AdditivityRelation(
+            ("A", "B"), "I")
+        wide = Povm((Effect(HermitianOperator(np.diag([1.0, 0.0, 0.0])), "A"),
+                     Effect(HermitianOperator(np.diag([0.0, 1.0, 1.0])), "B")),
+                    3)
+        with pytest.raises(DimMismatch):
+            povm_relation(table, wide)
 
 
 class TestExtendToPositive:
