@@ -26,6 +26,7 @@ from .errors import (
     NotPositive,
     SumNotIdentity,
     TraceNotOne,
+    shown,
 )
 from .operators import (
     TOL,
@@ -70,12 +71,12 @@ class Effect:
         if not positive["ok"]:
             lo = positive["min_eig"]
             raise NotPositive(
-                f"effect {self.label!r}: minimum eigenvalue {lo:.6e} < 0",
+                f"effect {shown(self.label)}: minimum eigenvalue {lo:.6e} < 0",
                 min_eig=lo)
         if not below["ok"]:
             hi = below["max_eig"]
             raise ExceedsIdentity(
-                f"effect {self.label!r}: maximum eigenvalue {hi:.6e} > 1",
+                f"effect {shown(self.label)}: maximum eigenvalue {hi:.6e} > 1",
                 max_eig=hi)
 
     @property
@@ -104,9 +105,27 @@ def effect_from_json(obj) -> tuple[HermitianOperator, str]:
     return op, label
 
 
+def sum_equals(addends, target=None):
+    """The one test of a sum identity E_1 + ... + E_n = T (I when None),
+    as (holds, residual, bound): it holds when the Frobenius residual is at
+    most bound = d * ``TOL.sum_per_dim``. E_n or T may be a stack of arrays,
+    one result each; arrays of different d raise DimMismatch."""
+    d = np.shape(addends[0])[-1]
+    target = np.eye(d) if target is None else target
+    other = {np.shape(a)[-1] for a in (*addends, target)} - {d}
+    if other:
+        raise DimMismatch(f"dimension mismatch: {d} vs {min(other)}")
+    residual = np.linalg.norm(sum(addends[1:], addends[0]) - target,
+                              axis=(-2, -1))
+    bound = d * TOL.sum_per_dim
+    return residual <= bound, residual, bound
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite list of effects on a common space, summing to the identity."""
+    """Finite list of effects on a d-dimensional space whose sum is I by
+    :func:`sum_equals`, the test of every sum identity (contexts and
+    relations too); an effect of another dimension raises DimMismatch."""
 
     effects: tuple[Effect, ...]
     dim: int
@@ -115,15 +134,9 @@ class Povm:
         object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise SumNotIdentity("a POVM needs at least one effect")
-        for e in self.effects:
-            if e.dim != self.dim:
-                raise DimMismatch(
-                    f"effect {e.label!r} has dim {e.dim}, POVM has dim {self.dim}")
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for e in self.effects:
-            total = total + e.op.array
-        residual = float(np.linalg.norm(total - np.eye(self.dim)))
-        if residual > TOL.povm_sum_per_dim * self.dim:
+        holds, residual, _ = sum_equals([e.op.array for e in self.effects],
+                                        np.eye(self.dim))
+        if not holds:
             raise SumNotIdentity(
                 f"effects sum to I only within {residual:.6e} (Frobenius)",
                 residual=residual)
@@ -252,7 +265,8 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     for e in effects:
         if e.dim != dim:
             raise DimMismatch(
-                f"effect {e.label!r} has dim {e.dim}, file declares dim {dim}")
+                f"effect {shown(e.label)} has dim {e.dim}, file declares "
+                f"dim {dim}")
     return dim, effects
 
 
@@ -334,7 +348,8 @@ def warn_duplicate_operators(effects) -> None:
                 flagged.append((i, j))
     handler = _duplicate_handler.get()
     for i, j in sorted(flagged):
-        message = (f"labels {items[i].label!r} and {items[j].label!r} carry "
+        message = (f"labels {shown(items[i].label)} and "
+                   f"{shown(items[j].label)} carry "
                    f"the same operator (Frobenius distance < "
                    f"{TOL.same_operator:g})")
         if handler is None:

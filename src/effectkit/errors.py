@@ -2,7 +2,23 @@
 
 Every domain error derives from :class:`EffectKitError` so callers (and the
 CLI exit-code mapping) can distinguish validation failures from genuine bugs.
+Messages echo labels through :func:`shown`, so a long label keeps a message
+one short line.
 """
+
+import reprlib
+
+_LABELS = reprlib.Repr()
+_LABELS.maxstring = 40
+
+
+def shown(label: str, quote: bool = True) -> str:
+    """``label`` as a message echoes it: its ``repr``, which ``reprlib``
+    cuts in the middle to 40 characters, so a label of up to 38 plain
+    characters prints whole. ``quote=False`` drops the quotes, for labels
+    joined into a relation such as ``A + B = I``."""
+    text = _LABELS.repr(label)
+    return text if quote else text[1:-1]
 
 
 class EffectKitError(Exception):

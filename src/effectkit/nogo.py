@@ -40,6 +40,7 @@ from .effects import (
     Effect,
     Povm,
     bloch_to_operator,
+    sum_equals,
     warn_duplicate_operators,
 )
 from .errors import (
@@ -51,6 +52,7 @@ from .errors import (
     ParallelVectors,
     SumNotIdentity,
     UnknownLabel,
+    shown,
 )
 from .operators import TOL, eigenvalues_of
 from .valuation import (
@@ -179,8 +181,9 @@ class ContextSet:
     """Validated collection of effects, measurement contexts, and relations.
 
     Every context is a POVM over the shared effect pool (labels may repeat
-    within a context) and every sum relation's operator identity holds to
-    ``TOL.same_operator`` (``valuation._check_relation_identity``).
+    within a context), and every sum relation's operator identity holds by
+    the same test at the same bound, ``effects.sum_equals``: within
+    d * ``TOL.sum_per_dim`` in Frobenius norm.
     """
 
     effects: dict[str, Effect]
@@ -202,21 +205,24 @@ def build_context_set(effects: Iterable[Effect],
 
     Raises BadContext when a declared context is not a POVM and BadRelation
     when a claimed operator identity fails (the test ``check_gpm`` runs too,
-    ``valuation._check_relation_identity``). With
-    ``discover``, pairs of effects are scanned against every effect target
-    and the identity, and triples against the identity only (O(k^3)
-    checks); deeper scans are intentionally not attempted.
+    ``valuation._check_relation_identity``). Both are the one sum-identity
+    test, ``effects.sum_equals``, at d * ``TOL.sum_per_dim``; a relation
+    over effects of different dimension raises DimMismatch. With
+    ``discover``, :func:`discover_sum_relations` adds every pair and triple
+    identity that test accepts; deeper scans are intentionally not
+    attempted.
     """
     pool: dict[str, Effect] = {}
     for e in effects:
         if e.label in pool:
-            raise ValueError(f"duplicate effect label {e.label!r}")
+            raise ValueError(f"duplicate effect label {shown(e.label)}")
         pool[e.label] = e
     warn_duplicate_operators(pool.values())
 
     def resolve(label: str) -> Effect:
         if label not in pool:
-            raise UnknownLabel(f"label {label!r} not among the loaded effects")
+            raise UnknownLabel(
+                f"label {shown(label)} not among the loaded effects")
         return pool[label]
 
     checked_contexts = []
@@ -226,9 +232,8 @@ def build_context_set(effects: Iterable[Effect],
             Povm(tuple(resolve(lb) for lb in members),
                  resolve(members[0]).dim if members else 0)
         except (SumNotIdentity, DimMismatch) as exc:
-            raise BadContext(f"context #{i} {list(members)}: {exc}") from exc
-        except IndexError:
-            raise BadContext(f"context #{i} is empty") from None
+            listed = ", ".join(map(shown, members))
+            raise BadContext(f"context #{i} [{listed}]: {exc}") from exc
         checked_contexts.append(members)
 
     checked_relations = list(relations)
@@ -248,26 +253,32 @@ def build_context_set(effects: Iterable[Effect],
 
 def discover_sum_relations(pool: Mapping[str, Effect]
                            ) -> list[AdditivityRelation]:
-    """Scan pairs (against every target and I) and triples (against I) for
-    sums within ``TOL.same_operator`` in Frobenius norm."""
-    labels = list(pool)
-    arrays = {lb: pool[lb].op.array for lb in labels}
-    dim = next(iter(pool.values())).dim if pool else 0
-    eye = np.eye(dim)
+    """The pair and triple sum identities that ``effects.sum_equals``
+    accepts, the test of every declared relation: among effects of one
+    dimension, each pair against I and every other effect, each triple
+    against I. A pair's sum is formed once for all its targets and triples.
+    Dimensions come in pool order; within one, pairs (targets I, then pool
+    order) before triples, each in ``combinations_with_replacement``
+    order."""
+    groups: dict[int, list[str]] = {}
+    for label, e in pool.items():
+        groups.setdefault(e.dim, []).append(label)
     found: list[AdditivityRelation] = []
-    for a, b in itertools.combinations_with_replacement(labels, 2):
-        total = arrays[a] + arrays[b]
-        if np.linalg.norm(total - eye) <= TOL.same_operator:
-            found.append(AdditivityRelation((a, b), "I"))
-        for t in labels:
-            if t in (a, b):
-                continue
-            if np.linalg.norm(total - arrays[t]) <= TOL.same_operator:
-                found.append(AdditivityRelation((a, b), t))
-    for a, b, c in itertools.combinations_with_replacement(labels, 3):
-        total = arrays[a] + arrays[b] + arrays[c]
-        if np.linalg.norm(total - eye) <= TOL.same_operator:
-            found.append(AdditivityRelation((a, b, c), "I"))
+    for labels in groups.values():
+        stack = np.array([pool[lb].op.array for lb in labels])
+        targets = np.concatenate([np.eye(stack.shape[1])[None], stack])
+        triples = []
+        for i, j in itertools.combinations_with_replacement(
+                range(len(labels)), 2):
+            total = stack[i] + stack[j]
+            found += [AdditivityRelation((labels[i], labels[j]),
+                                         labels[k - 1] if k else "I")
+                      for k in np.flatnonzero(sum_equals([total], targets)[0])
+                      if k - 1 not in (i, j)]
+            triples += [AdditivityRelation(
+                (labels[i], labels[j], labels[j + k]), "I")
+                for k in np.flatnonzero(sum_equals([total, stack[j:]])[0])]
+        found += triples
     return found
 
 
@@ -670,7 +681,8 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
                 missing = [lb for lb in needed if lb not in assignment]
                 if missing:
                     return Verification(
-                        f"assignment #{i} has no value for {missing[0]!r}")
+                        f"assignment #{i} has no value for "
+                        f"{shown(missing[0])}")
                 if not _eval_constraint(desc, assignment):
                     return Verification(
                         f"assignment #{i} breaks {desc.describe()}")
@@ -726,11 +738,11 @@ def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
             depth += 1
         if isinstance(node, Branch):
             if node.label not in core_labels:
-                return (f"branch at depth {depth} on {node.label!r}, a label "
-                        "outside the core")
+                return (f"branch at depth {depth} on {shown(node.label)}, "
+                        "a label outside the core")
             if node.label in values:
-                return (f"branch at depth {depth} on {node.label!r}, already "
-                        "assigned on its path")
+                return (f"branch at depth {depth} on {shown(node.label)}, "
+                        "already assigned on its path")
             stack.append((node.one, depth, node.label, 1))
             stack.append((node.zero, depth, node.label, 0))
         elif isinstance(node, ConstraintDesc):
@@ -755,8 +767,8 @@ def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
         elif label is None:
             return "the refutation tree is neither a Branch nor a constraint"
         else:
-            return (f"branch at depth {depth - 1} on {label!r} has no child "
-                    f"for value {value}")
+            return (f"branch at depth {depth - 1} on {shown(label)} has no "
+                    f"child for value {value}")
     return None
 
 

@@ -34,8 +34,10 @@ class TOL:
     unit_trace = 1e-9         # |tr - 1| of a state or Bloch operator
     spectral_gap = 1e-9       # eigenvalues merged by spectral_split
     projection = 1e-8         # ||P^2 - P|| of a projection
-    povm_sum_per_dim = 1e-8   # ||sum E_i - I||, per dimension
-    same_operator = 1e-10     # duplicate operators, sum identities
+    # ||E_1 + E_2 + ... - T|| of every sum identity (a POVM or context sums
+    # to T = I, a relation to I or an effect), per dimension.
+    sum_per_dim = 1e-8
+    same_operator = 1e-10     # two operators are the same
     zero = 1e-12              # |eigenvalue| or norm at most this is 0
     p1_slack = 1e-12          # values accepted in [-s, 1 + s]
     # Sums of values: (P2), (P3), and Born probabilities over a POVM.

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .effects import Effect, Povm, warn_duplicate_operators
+from .effects import Effect, Povm, sum_equals, warn_duplicate_operators
 from .errors import (
     BadRelation,
     DimMismatch,
@@ -36,6 +36,7 @@ from .errors import (
     TraceNotOne,
     UnknownLabel,
     ValuesInconsistent,
+    shown,
 )
 from .operators import (
     TOL,
@@ -109,12 +110,14 @@ class ValuationTable:
         for entry in entries:
             if entry.effect.dim != self.dim:
                 raise DimMismatch(
-                    f"effect {entry.effect.label!r} has dim {entry.effect.dim}, "
-                    f"table has dim {self.dim}")
+                    f"effect {shown(entry.effect.label)} has dim "
+                    f"{entry.effect.dim}, table has dim {self.dim}")
             if entry.effect.label in self._entries:
-                raise ValueError(f"duplicate label {entry.effect.label!r}")
+                raise ValueError(
+                    f"duplicate label {shown(entry.effect.label)}")
             if not np.isfinite(entry.value):
-                raise ValueError(f"value for {entry.effect.label!r} is not finite")
+                raise ValueError(
+                    f"value for {shown(entry.effect.label)} is not finite")
             self._entries[entry.effect.label] = entry
         warn_duplicate_operators(e.effect for e in self._entries.values())
 
@@ -126,7 +129,8 @@ class ValuationTable:
         try:
             return self._entries[label]
         except KeyError:
-            raise UnknownLabel(f"label {label!r} not in valuation table") from None
+            raise UnknownLabel(
+                f"label {shown(label)} not in valuation table") from None
 
     def value(self, label: str) -> float:
         return self.entry(label).value
@@ -163,7 +167,8 @@ class ValuationTable:
         entries = []
         for label, value in values.items():
             if label not in effects_by_label:
-                raise UnknownLabel(f"label {label!r} not in the effects file")
+                raise UnknownLabel(
+                    f"label {shown(label)} not in the effects file")
             entries.append(TableEntry(effects_by_label[label], value))
         return cls(dim, entries)
 
@@ -195,7 +200,7 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
     values: dict[str, float] = {}
     for label, value in pairs:
         if label in values:
-            raise ValueError(f"duplicate label {label!r}")
+            raise ValueError(f"duplicate label {shown(label)}")
         values[label] = value
     return dim, values
 
@@ -253,22 +258,19 @@ class AdditivityRelation:
 
 def _check_relation_identity(rel: AdditivityRelation,
                              resolve: Callable[[str], Effect]) -> None:
-    """The one test of a relation's operator identity: raise BadRelation
-    unless the addends' operators sum to the target's (I for ``"I"``)
-    within ``TOL.same_operator`` in Frobenius norm."""
-    ops = [resolve(lb).op for lb in rel.addends]
-    total = ops[0]
-    for op in ops[1:]:
-        total = total + op
-    if rel.target == "I":
-        target_op = HermitianOperator.identity(total.dim)
-    else:
-        target_op = resolve(rel.target).op
-    dev = float(np.linalg.norm(total.array - target_op.array))
-    if dev > TOL.same_operator:
+    """The test of a relation's operator identity: raise BadRelation
+    unless the addends' operators sum to the target's (I for ``"I"``) by
+    :func:`effects.sum_equals`, the test a POVM's sum passes, within
+    d * ``TOL.sum_per_dim`` in Frobenius norm. Operators of different
+    dimension raise DimMismatch."""
+    addends = [resolve(lb).op.array for lb in rel.addends]
+    target = None if rel.target == "I" else resolve(rel.target).op.array
+    holds, dev, bound = sum_equals(addends, target)
+    if not holds:
+        text = " + ".join(shown(lb, quote=False) for lb in rel.addends)
         raise BadRelation(
-            f"claimed identity {rel.describe()} fails: Frobenius deviation "
-            f"{dev:.3e} > {TOL.same_operator:g}")
+            f"claimed identity {text} = {shown(rel.target, quote=False)} "
+            f"fails: Frobenius deviation {dev:.3e} > {bound:g}")
 
 
 @dataclass(frozen=True)
@@ -325,8 +327,8 @@ def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
         dev = float(np.linalg.norm((e.op - v.effect(e.label).op).array))
         if dev > TOL.same_operator:
             raise BadRelation(
-                f"POVM effect {e.label!r} is not the valuation's effect "
-                f"{e.label!r}: Frobenius deviation {dev:.3e} > "
+                f"POVM effect {shown(e.label)} is not the valuation's effect "
+                f"{shown(e.label)}: Frobenius deviation {dev:.3e} > "
                 f"{TOL.same_operator:g}")
     return AdditivityRelation(povm.labels, "I")
 
@@ -336,11 +338,13 @@ def check_gpm(v: ValuationTable,
     """Check axioms (P1)-(P3) of a candidate valuation table.
 
     (P1) is the range check on every stored value. (P2) is checked on each
-    label whose operator is I within ``TOL.same_operator`` in Frobenius
-    norm, as in :func:`_check_relation_identity`. (P3) checks that each
-    relation's addend values sum to its target's value (1 for ``"I"``)
-    within ``TOL.check``. A relation whose operator identity fails raises
-    BadRelation, as in ``build_context_set``; an unknown label UnknownLabel.
+    label whose operator is the same as I, within ``TOL.same_operator`` in
+    Frobenius norm. (P3) checks that each relation's addend values sum to
+    its target's value (1 for ``"I"``) within ``TOL.check``. Each
+    relation's operator identity is first tested by
+    :func:`_check_relation_identity`, at the per-dimension bound of every
+    sum identity, a POVM's included: a failed one raises BadRelation, as in
+    ``build_context_set``; an unknown label raises UnknownLabel.
     """
     report = AxiomReport()
     for label, entry in v.items():
@@ -548,7 +552,8 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     dim = frame[0].dim
     for e in frame:
         if e.dim != dim:
-            raise DimMismatch(f"effect {e.label!r} has dim {e.dim}, frame dim {dim}")
+            raise DimMismatch(
+                f"effect {shown(e.label)} has dim {e.dim}, frame dim {dim}")
     vals = np.asarray([float(x) for x in values], dtype=np.float64)
     if not all(p1_in_range(x) for x in vals):
         raise ValueError("reconstruction values must lie in [0, 1]")

@@ -660,6 +660,95 @@ class TestDfsearch:
         assert "[0, 2]" in captured.err
 
 
+def near_z_files(tmp_path, down):
+    """The pair up = diag(1, 0), down = diag(0, ``down``) written as a POVM,
+    an effects file, a state, a valuation, and three context sets: the pair
+    as a context, as the relation up + down = I, and as both."""
+    def op(*diag):
+        return HermitianOperator(np.diag(diag)).to_json_dict()
+    pair = [{"label": "up", "op": op(1.0, 0.0)},
+            {"label": "down", "op": op(0.0, down)}]
+    files = {
+        "povm": write(tmp_path / "p.json", {"dim": 2, "effects": pair}),
+        "effects": write(tmp_path / "effects.json",
+                         {"dim": 2, "effects": pair}),
+        "state": write(tmp_path / "s.json", op(0.75, 0.25)),
+        "values": write(tmp_path / "v.json", {"dim": 2, "entries": [
+            {"label": "up", "value": 0.75},
+            {"label": "down", "value": 0.25}]})}
+    relation = {"addends": ["up", "down"], "target": "I"}
+    for name, contexts, relations in (("context", [["up", "down"]], []),
+                                      ("relation", [], [relation]),
+                                      ("both", [["up", "down"]], [relation])):
+        files[name] = write(tmp_path / f"{name}.json", {
+            "effects_file": "effects.json", "contexts": contexts,
+            "relations": relations})
+    return files
+
+
+def one_sum_rule_calls(files):
+    return [["born", files["state"], files["povm"]],
+            ["sample", files["state"], files["povm"], "--shots", "10"],
+            ["validate", files["povm"], "--kind", "povm"],
+            ["dfsearch", files["context"]],
+            ["dfsearch", files["relation"]],
+            ["dfsearch", files["both"]],
+            ["validate", files["values"], "--kind", "valuation",
+             "--effects", files["effects"], "--povm", files["povm"]]]
+
+
+class TestOneSumRule:
+    """A POVM, a context and a relation are one sum identity, accepted by
+    one test at d * TOL.sum_per_dim: 2e-8 at d = 2."""
+
+    def test_pair_within_the_bound_is_accepted_everywhere(self, tmp_path,
+                                                          capsys):
+        searches = []
+        for argv in one_sum_rule_calls(near_z_files(tmp_path, 1.0 + 5e-10)):
+            code, payload = run_cli(argv, capsys)
+            assert code == 0, argv
+            if argv[0] == "dfsearch":
+                searches.append((payload["status"], payload["assignments"]))
+        assert searches == [("sat", [{"up": 0, "down": 1},
+                                     {"up": 1, "down": 0}])] * 3
+
+    @pytest.mark.parametrize("down", [1.0 - 3e-8, 1.0 + 3e-8])
+    def test_pair_past_the_bound_is_rejected_everywhere(self, tmp_path,
+                                                        capsys, down):
+        # 1 - 3e-8 is an effect whose sum with up misses I by 3e-8; 1 + 3e-8
+        # is not an effect at all.
+        for argv in one_sum_rule_calls(near_z_files(tmp_path, down)):
+            assert main(argv) == 2, argv
+        capsys.readouterr()
+
+    def test_relation_past_the_bound_names_it(self, tmp_path, capsys):
+        files = near_z_files(tmp_path, 1.0 - 3e-8)
+        assert main(["dfsearch", files["relation"]]) == 2
+        assert capsys.readouterr().err == (
+            "BadRelation: claimed identity up + down = I fails: Frobenius "
+            "deviation 3.000e-08 > 2e-08\n")
+
+
+@pytest.mark.parametrize("where", ["valuation", "context"])
+def test_a_long_label_prints_one_short_stderr_line(tmp_path, capsys, where):
+    label = "x" * 100_000
+    files = near_z_files(tmp_path, 1.0)
+    if where == "valuation":
+        values = write(tmp_path / "long.json", {"dim": 2, "entries": [
+            {"label": label, "value": 0.5}]})
+        argv = ["validate", values, "--kind", "valuation",
+                "--effects", files["effects"]]
+    else:
+        argv = ["dfsearch", write(tmp_path / "long.json", {
+            "effects_file": "effects.json", "contexts": [["up", label]]})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("UnknownLabel: label 'xxxxxxxxxx")
+    assert len(captured.err.encode()) < 200
+
+
 class TestSampleAndGen:
     def test_sample_eigenstate(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())

@@ -1,5 +1,7 @@
 """No-go machinery: witness construction, context sets, and the search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from effectkit import (
     BlochVector,
     ConstraintDesc,
     DegenerateLambda,
+    DimMismatch,
     Effect,
     HermitianOperator,
     NotUnitVectors,
     ParallelVectors,
     SearchResult,
+    TOL,
     UnknownLabel,
     born,
     born_functional,
@@ -28,6 +32,7 @@ from effectkit import (
     witness_2d,
 )
 from effectkit.nogo import _variables_of
+from effectkit.valuation import _check_relation_identity
 
 from conftest import (
     brute_force_solutions,
@@ -147,6 +152,50 @@ class TestWitness2D:
             assert abs(lhs - rhs) <= 1e-12
 
 
+def mixed_dimension_effects():
+    """A = diag(1, 0) and B = diag(0, 1) in d = 2, C = diag(1, 0, 0) in
+    d = 3."""
+    return (Effect(HermitianOperator(np.diag([1.0, 0.0])), "A"),
+            Effect(HermitianOperator(np.diag([0.0, 1.0])), "B"),
+            Effect(HermitianOperator(np.diag([1.0, 0.0, 0.0])), "C"))
+
+
+def effect_with_spectrum(rng, dim, lo, hi):
+    """A random d x d array with eigenvalues drawn from [lo, hi] in a
+    Haar-random basis."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return (q * rng.uniform(lo, hi, size=dim)) @ q.conj().T
+
+
+def planted_identity_pool(rng, dim, factor):
+    """Four filler effects and three planted identities a + ac = I,
+    b + c = bc and e + f + g = I, whose last operator is moved off the
+    identity by ``factor`` times the bound d * TOL.sum_per_dim."""
+    def off(array):
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = h + h.conj().T
+        return array + factor * dim * TOL.sum_per_dim * h / np.linalg.norm(h)
+    eye = np.eye(dim)
+    arrays = {f"x{k}": effect_with_spectrum(rng, dim, 0.0, 1.0)
+              for k in range(4)}
+    arrays["a"] = effect_with_spectrum(rng, dim, 0.2, 0.8)
+    arrays["ac"] = off(eye - arrays["a"])
+    for lb in "bcef":
+        arrays[lb] = effect_with_spectrum(rng, dim, 0.1, 0.3)
+    arrays["bc"] = off(arrays["b"] + arrays["c"])
+    arrays["g"] = off(eye - arrays["e"] - arrays["f"])
+    return {lb: Effect(HermitianOperator(a), lb) for lb, a in arrays.items()}
+
+
+def accepts(rel, resolve) -> bool:
+    try:
+        _check_relation_identity(rel, resolve)
+    except BadRelation:
+        return False
+    return True
+
+
 class TestBuildContextSet:
     def test_half_identity_relation(self):
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
@@ -173,6 +222,13 @@ class TestBuildContextSet:
         q = Effect(pauli_op(1, 0, 0), "Q")
         with pytest.raises(BadContext):
             build_context_set([p, q], [["P", "Q"]])
+
+    def test_empty_context(self):
+        p = Effect(pauli_op(0, 0, 1), "P")
+        with pytest.raises(BadContext,
+                           match=r"^context #0 \[\]: a POVM needs at least one "
+                                 r"effect$"):
+            build_context_set([p], [[]])
 
     def test_unknown_label(self):
         p = Effect(pauli_op(0, 0, 1), "P")
@@ -214,6 +270,43 @@ class TestBuildContextSet:
         found = discover_sum_relations({"a": a, "b": b, "c": c})
         keys = {(tuple(sorted(r.addends)), r.target) for r in found}
         assert (("a", "b"), "c") in keys
+
+    def test_relation_over_two_dimensions_is_a_dim_mismatch(self):
+        a, b, c = mixed_dimension_effects()
+        with pytest.raises(DimMismatch, match="dimension mismatch: 2 vs 3"):
+            build_context_set([a, b, c], [],
+                              [AdditivityRelation(("A", "B"), "C")])
+        with pytest.raises(DimMismatch):
+            build_context_set([a, b, c], [],
+                              [AdditivityRelation(("A", "C"), "I")])
+
+    def test_discovery_compares_one_dimension_at_a_time(self):
+        a, b, c = mixed_dimension_effects()
+        c_rest = Effect(HermitianOperator(np.diag([0.0, 1.0, 1.0])), "Cc")
+        cs = build_context_set([a, b, c, c_rest], [], [], discover=True)
+        assert cs.sum_relations == (AdditivityRelation(("A", "B"), "I"),
+                                    AdditivityRelation(("C", "Cc"), "I"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_discovery_returns_what_the_relation_check_accepts(self, seed):
+        rng = rng_from_seed(seed)
+        dim = 2 + seed % 3
+        for factor in (0.5, 2.0):
+            pool = planted_identity_pool(rng, dim, factor)
+            labels = list(pool)
+            candidates = [AdditivityRelation(pair, target)
+                          for pair in itertools.combinations_with_replacement(
+                              labels, 2)
+                          for target in ["I"] + labels if target not in pair]
+            candidates += [AdditivityRelation(triple, "I") for triple in
+                           itertools.combinations_with_replacement(labels, 3)]
+            accepted = [rel for rel in candidates
+                        if accepts(rel, pool.__getitem__)]
+            assert discover_sum_relations(pool) == accepted
+            planted = {AdditivityRelation(("a", "ac"), "I"),
+                       AdditivityRelation(("b", "c"), "bc"),
+                       AdditivityRelation(("e", "f", "g"), "I")}
+            assert (planted <= set(accepted)) is (factor < 1), factor
 
 
 class TestSearch:

@@ -95,6 +95,53 @@ def peres_33_context_set():
                                                                  contexts)
 
 
+def kernaghan_peres_rays():
+    """Kernaghan & Peres's 40 rays in C^8 (Phys. Lett. A 198, 1, 1995), as
+    rank-one projectors: the joint eigenbases of the five lines of Mermin's
+    three-qubit star. Each line is given by three commuting Pauli products
+    that generate it, and its eight projectors are prod_k (I + s_k G_k)/2
+    over the signs s in ``itertools.product((1, -1), repeat=3)`` order."""
+    paulis = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+              "Y": np.array([[0, -1j], [1j, 0]])}
+
+    def pauli(word):
+        out = np.eye(1)
+        for ch in word:
+            out = np.kron(out, paulis[ch])
+        return out
+
+    lines = (("XII", "IXI", "IIX"), ("XII", "IYI", "IIY"),
+             ("YII", "IXI", "IIY"), ("YII", "IYI", "IIX"),
+             ("XXX", "XYY", "YXY"))
+    rays = []
+    for generators in lines:
+        for signs in itertools.product((1, -1), repeat=3):
+            proj = np.eye(8)
+            for sign, word in zip(signs, generators):
+                proj = proj @ (np.eye(8) + sign * pauli(word)) / 2
+            rays.append(proj)
+    return rays
+
+
+def orthogonal_bases(projectors, size):
+    """Every set of ``size`` mutually orthogonal projectors, by a clique
+    search in lexicographic order."""
+    stack = np.array(projectors)
+    orthogonal = np.abs(np.einsum("aij,bji->ab", stack, stack)) < 1e-12
+    found = []
+
+    def extend(chosen, candidates):
+        if len(chosen) == size:
+            found.append(tuple(chosen))
+            return
+        for k, c in enumerate(candidates):
+            extend(chosen + [c],
+                   [d for d in candidates[k + 1:] if orthogonal[c, d]])
+
+    extend([], list(range(len(stack))))
+    return found
+
+
 def orthogonal_tetrads(rays):
     """Every set of four mutually orthogonal rays, in lexicographic order."""
     return [t for t in itertools.combinations(range(len(rays)), 4)
@@ -238,6 +285,38 @@ class TestKnownAnswers:
         # minimal: every context is needed
         for k in range(len(cs.contexts)):
             rest = [d for i, d in enumerate(cs.constraints()) if i != k]
+            assert search_dispersion_free(
+                constraint_subset_as_context_set(cs, rest)).status == "sat"
+
+    def test_kernaghan_peres_40_rays(self):
+        rays = kernaghan_peres_rays()
+        bases = orthogonal_bases(rays, 8)
+        # the literature's answer: 40 rays in 25 bases
+        assert (len(rays), len(bases)) == (40, 25)
+        labels = [f"r{i:02d}" for i in range(len(rays))]
+        cs = build_context_set(
+            [Effect(HermitianOperator(r), lb) for r, lb in zip(rays, labels)],
+            [[labels[i] for i in b] for b in bases])
+        search_s, verify_s = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = search_dispersion_free(cs)
+            search_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            verdict = verify_certificate(result, cs)
+            verify_s.append(time.perf_counter() - start)
+            assert verdict, verdict.reason
+        assert result.status == "unsat"
+        # the checked-in search for this construction order
+        assert result.nodes_explored == 1710
+        assert [bases.index(tuple(labels.index(lb) for lb in c.labels))
+                for c in result.unsat_core] == [
+            5, 6, 7, 8, 12, 14, 15, 19, 20, 22, 24]
+        assert len(core_labels(result)) == 36
+        assert 5 * min(verify_s) < min(search_s)
+        # minimal: every core context is needed
+        for k in range(len(result.unsat_core)):
+            rest = [d for i, d in enumerate(result.unsat_core) if i != k]
             assert search_dispersion_free(
                 constraint_subset_as_context_set(cs, rest)).status == "sat"
 

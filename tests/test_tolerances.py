@@ -9,7 +9,9 @@ guard, a second source guard finds imports that a module never uses, which
 a removed function or tolerance parameter can leave behind, a third
 keeps ``effectkit validate`` reading files with the library's readers
 alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
-operator comparison and axiom rule it reports is the library's.
+operator comparison and axiom rule it reports is the library's. A fifth
+keeps the bound of every sum identity read at one site, so a POVM, a
+context and a relation are accepted by one test.
 """
 
 import ast
@@ -19,7 +21,16 @@ from pathlib import Path
 import numpy as np
 
 import effectkit
-from effectkit import TOL, DensityOperator, Effect, HermitianOperator, jsonio
+from effectkit import (
+    TOL,
+    AdditivityRelation,
+    DensityOperator,
+    Effect,
+    HermitianOperator,
+    Povm,
+    build_context_set,
+    jsonio,
+)
 from effectkit.cli import main
 
 PACKAGE = Path(effectkit.__file__).parent
@@ -105,6 +116,43 @@ def test_cli_imports_neither_numpy_nor_the_tolerance_table():
             imported.update(alias.name for alias in node.names)
     assert "numpy" not in imported
     assert "TOL" not in imported
+
+
+def test_the_sum_bound_is_read_at_one_site():
+    """``effects.sum_equals`` alone reads ``TOL.sum_per_dim``, by attribute
+    or by name, so no second sum-identity test can have its own bound."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr == "sum_per_dim")
+                  or (isinstance(node, ast.Constant)
+                      and node.value == "sum_per_dim")]
+    assert len(reads) == 1, reads
+    assert reads[0].startswith("effects.py:"), reads
+
+
+def _sum_cases():
+    """d rank-one diagonal projectors whose last is scaled by 1 - x, so
+    that they sum to I within x, for x at half and twice the bound d *
+    TOL.sum_per_dim, and whether x is inside it."""
+    for dim in (1, 2, 3, 8):
+        for factor, inside in ((0.5, True), (2.0, False)):
+            diags = np.eye(dim)
+            diags[-1] *= 1.0 - factor * dim * TOL.sum_per_dim
+            yield [Effect(HermitianOperator(np.diag(row)), f"P{k}")
+                   for k, row in enumerate(diags)], inside
+
+
+def test_povm_context_and_relation_agree_at_the_sum_bound():
+    for effects, inside in _sum_cases():
+        labels = [e.label for e in effects]
+        dim = effects[0].dim
+        assert _accepts(lambda: Povm(tuple(effects), dim)) is inside
+        assert _accepts(lambda: build_context_set(effects, [labels])) is inside
+        assert _accepts(lambda: build_context_set(
+            effects, [], [AdditivityRelation(tuple(labels), "I")])) is inside
 
 
 def test_every_table_entry_is_used():

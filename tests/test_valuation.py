@@ -140,7 +140,7 @@ class TestCheckGpm:
             build_context_set([a, b], [], [rel])
         assert str(from_gpm.value) == str(from_contexts.value) == (
             "claimed identity A + B = I fails: Frobenius deviation "
-            "7.906e-01 > 1e-10")
+            "7.906e-01 > 2e-08")
 
     def test_p2_checked_on_every_identity_label_only(self):
         eye = HermitianOperator.identity(3)
