@@ -24,6 +24,10 @@ the library makes. For a valuation: (P1) on every value, and with
 file, read as the relation "its labels = I" (exit 2 unless its operators
 are the effects file's).
 
+An effects file that ``reconstruct``, ``validate --effects`` or a context
+set reads must not repeat a label (exit 2, ``invalid input: duplicate
+effect label``); a POVM file may, as a context may.
+
 The argparse parser is built once per process, on the first call of
 ``main``, and reused by every later call, so ``main`` can be called
 repeatedly, also from several threads at once. Two labels with the same
@@ -45,6 +49,7 @@ from .effects import (
     Povm,
     effect_checks,
     effect_from_json,
+    effects_by_label,
     effects_from_json_dict,
     report_duplicate_operators,
 )
@@ -169,8 +174,8 @@ def cmd_validate(args) -> int:
         check("p1_range", not bad, out_of_range=bad)
         if args.effects:
             _, effects = _load_effects(args.effects)
-            by_label = {e.label: e for e in effects}
-            table = ValuationTable.from_json_dict(payload, by_label)
+            table = ValuationTable.from_json_dict(payload,
+                                                  effects_by_label(effects))
             povm_paths = args.povm or []
             relations = [povm_relation(table, _load_povm(path))
                          for path in povm_paths]
@@ -200,8 +205,7 @@ def cmd_born(args) -> int:
 def cmd_reconstruct(args) -> int:
     _, frame = _load_effects(args.frame)
     table_raw = _load_json(args.values)
-    by_label = {e.label: e for e in frame}
-    table = ValuationTable.from_json_dict(table_raw, by_label)
+    table = ValuationTable.from_json_dict(table_raw, effects_by_label(frame))
     values = [table.value(e.label) for e in frame]
     state, diag = reconstruct_density(
         frame, values, min_norm=args.min_norm, project_psd=args.project_psd)
@@ -245,6 +249,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind != "povm" and args.outcomes is not None:
+        raise _CliFailure(EXIT_INVALID,
+                          "--outcomes applies only to --kind povm")
     rng = rng_from_seed(args.seed)
     if args.kind == "state":
         payload = random_density(args.dim, rng).to_json_dict()
@@ -334,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outcomes", type=int,
-                   help="POVM outcome count (default: dim)")
+                   help="POVM outcome count, --kind povm only "
+                        "(default: dim)")
     common(p)
     return parser
 

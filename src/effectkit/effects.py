@@ -270,6 +270,19 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     return dim, effects
 
 
+def effects_by_label(effects) -> dict[str, Effect]:
+    """Each effect under its label, in input order; a label given twice
+    raises ValueError. A pool of effects (a frame, a valuation's or a
+    context set's effects file) is mapped here; a POVM, like a context, may
+    repeat a label and is not."""
+    pool: dict[str, Effect] = {}
+    for e in effects:
+        if e.label in pool:
+            raise ValueError(f"duplicate effect label {shown(e.label)}")
+        pool[e.label] = e
+    return pool
+
+
 # Groups of at most this many effects of one dimension are scanned pair by
 # pair with the exact test alone: 1128 pairs at most, about 8 ms at d = 16 on
 # a 2-vCPU Xeon guest. Larger groups are filtered through a Gram matrix, which

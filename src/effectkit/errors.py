@@ -2,8 +2,9 @@
 
 Every domain error derives from :class:`EffectKitError` so callers (and the
 CLI exit-code mapping) can distinguish validation failures from genuine bugs.
-Messages echo labels through :func:`shown`, so a long label keeps a message
-one short line.
+Messages echo labels through :func:`shown` and lists of them through
+:func:`listed`, so a long label or a long list keeps a message one short
+line.
 """
 
 import reprlib
@@ -19,6 +20,20 @@ def shown(label: str, quote: bool = True) -> str:
     joined into a relation such as ``A + B = I``."""
     text = _LABELS.repr(label)
     return text if quote else text[1:-1]
+
+
+# Items a message lists before it counts the rest.
+_LISTED_MAX = 8
+
+
+def listed(items: list[str], sep: str) -> str:
+    """``items`` joined by ``sep`` as a message lists them: whole up to
+    ``_LISTED_MAX`` items, else the first ``_LISTED_MAX`` and a count of
+    the rest, ``... (N more)``."""
+    if len(items) <= _LISTED_MAX:
+        return sep.join(items)
+    rest = len(items) - _LISTED_MAX
+    return sep.join(items[:_LISTED_MAX]) + f"{sep}... ({rest} more)"
 
 
 class EffectKitError(Exception):

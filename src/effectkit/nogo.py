@@ -18,17 +18,20 @@ valuations cannot cover all effects:
   outside this discrete model; they belong to the witness route.
 
 Certificates from the search are re-checked by :func:`verify_certificate`
-in pure integer arithmetic, independent of the solver. An UNSAT core is
-checked by walking its refutation tree: every internal node branches on one
-core label, every leaf names a core constraint whose integer bounds exclude
-its right-hand side on its path, in time linear in the tree, not 2^labels.
+in pure integer arithmetic. The search and the re-check share one thing:
+what a constraint means as an integer equation, :meth:`ConstraintDesc.row`.
+The re-check has its own tree walk and its own bound arithmetic, so no
+solver code vouches for the solver. An UNSAT core is checked by walking its
+refutation tree: every internal node branches on one core label, every leaf
+names a core constraint whose integer bounds exclude its right-hand side on
+its path, in time linear in the tree, not 2^labels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +43,7 @@ from .effects import (
     Effect,
     Povm,
     bloch_to_operator,
+    effects_by_label,
     sum_equals,
     warn_duplicate_operators,
 )
@@ -52,6 +56,7 @@ from .errors import (
     ParallelVectors,
     SumNotIdentity,
     UnknownLabel,
+    listed,
     shown,
 )
 from .operators import TOL, eigenvalues_of
@@ -163,11 +168,30 @@ class ConstraintDesc:
     labels: tuple[str, ...]        # context members or relation addends
     target: str | None = None      # relation target (label or "I")
 
+    def row(self) -> tuple[dict[str, int], int]:
+        """The constraint as the integer equation sum(c_l * v(l)) = rhs:
+        each label's coefficient, netted over its occurrences, in order of
+        first occurrence (addends, then target), and rhs. A context or a
+        relation to I has rhs 1; a label target counts -1 and gives rhs 0. A
+        label whose coefficient nets to 0 (``A + Z = A``) is kept."""
+        coeffs: dict[str, int] = {}
+        for lb in self.labels:
+            coeffs[lb] = coeffs.get(lb, 0) + 1
+        if self.kind == "relation" and self.target != "I":
+            coeffs[self.target] = coeffs.get(self.target, 0) - 1
+            return coeffs, 0
+        return coeffs, 1
+
     def describe(self) -> str:
+        """The constraint as one short line: labels through ``shown``, and
+        a long list cut by ``listed``."""
+        lhs = listed([f"v({shown(lb, quote=False)})" for lb in self.labels],
+                     " + ")
         if self.kind == "context":
-            return "context: " + " + ".join(f"v({lb})" for lb in self.labels) + " = 1"
-        tgt = "1" if self.target == "I" else f"v({self.target})"
-        return "relation: " + " + ".join(f"v({lb})" for lb in self.labels) + f" = {tgt}"
+            return f"context: {lhs} = 1"
+        tgt = ("1" if self.target == "I"
+               else f"v({shown(self.target, quote=False)})")
+        return f"relation: {lhs} = {tgt}"
 
     def to_json_dict(self) -> dict:
         if self.kind == "context":
@@ -212,11 +236,7 @@ def build_context_set(effects: Iterable[Effect],
     identity that test accepts; deeper scans are intentionally not
     attempted.
     """
-    pool: dict[str, Effect] = {}
-    for e in effects:
-        if e.label in pool:
-            raise ValueError(f"duplicate effect label {shown(e.label)}")
-        pool[e.label] = e
+    pool = effects_by_label(effects)
     warn_duplicate_operators(pool.values())
 
     def resolve(label: str) -> Effect:
@@ -232,8 +252,8 @@ def build_context_set(effects: Iterable[Effect],
             Povm(tuple(resolve(lb) for lb in members),
                  resolve(members[0]).dim if members else 0)
         except (SumNotIdentity, DimMismatch) as exc:
-            listed = ", ".join(map(shown, members))
-            raise BadContext(f"context #{i} [{listed}]: {exc}") from exc
+            names = listed([shown(lb) for lb in members], ", ")
+            raise BadContext(f"context #{i} [{names}]: {exc}") from exc
         checked_contexts.append(members)
 
     checked_relations = list(relations)
@@ -329,28 +349,6 @@ class SearchResult:
         }
 
 
-def _to_linear(desc: ConstraintDesc, var_index: Mapping[str, int]
-               ) -> tuple[tuple[tuple[int, int], ...], int]:
-    """``desc`` as sum(c * x) = rhs: the (variable index, nonzero integer
-    coefficient) terms in order of first occurrence, and rhs."""
-    coeffs = Counter(var_index[lb] for lb in desc.labels)
-    rhs = 1
-    if desc.kind == "relation" and desc.target != "I":
-        coeffs[var_index[desc.target]] -= 1
-        rhs = 0
-    return tuple((vi, c) for vi, c in coeffs.items() if c != 0), rhs
-
-
-def _variables_of(constraints: Sequence[ConstraintDesc]) -> list[str]:
-    seen: dict[str, None] = {}
-    for desc in constraints:
-        for lb in desc.labels:
-            seen.setdefault(lb)
-        if desc.kind == "relation" and desc.target != "I":
-            seen.setdefault(desc.target)
-    return list(seen)
-
-
 class _Budget(Exception):
     pass
 
@@ -376,11 +374,11 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
 
     Bound propagation is monotone: its fixpoint, and whether it reaches a
     conflict, do not depend on the order in which constraints are visited.
-    The search branches on the first unassigned variable in
-    ``_variables_of`` order, 0 before 1, so the search tree, ``nodes``, the
-    model count and the stored assignments and their order are fixed by the
-    constraints alone; only the order of forced variables in a refutation
-    tree depends on the queue.
+    The search branches on the first unassigned variable, in the order of
+    first occurrence in ``ConstraintDesc.row()`` over the constraints, 0
+    before 1, so the search tree, ``nodes``, the model count and the stored
+    assignments and their order are fixed by the constraints alone; only the
+    order of forced variables in a refutation tree depends on the queue.
 
     A repeated subtree is counted from its first walk, not walked again.
     At a node whose branch variable is vi, every variable before vi is set,
@@ -409,17 +407,18 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     only kept for an UNSAT answer; without ``record`` the search allocates
     nothing for it.
     """
-    variables = _variables_of(constraints)
+    rows = [desc.row() for desc in constraints]
+    variables = list(dict.fromkeys(lb for coeffs, _ in rows for lb in coeffs))
     var_index = {lb: i for i, lb in enumerate(variables)}
-    linear = [_to_linear(desc, var_index) for desc in constraints]
     nv = len(variables)
     assign = [-1] * nv
     solutions: list[dict[str, int]] = []
     state = {"nodes": 0, "total": 0}
     memo: list[tuple | None] = [None] * nv
 
-    terms = [t for t, _ in linear]
-    rhs = [r for _, r in linear]
+    terms = [tuple((var_index[lb], c) for lb, c in coeffs.items() if c)
+             for coeffs, _ in rows]
+    rhs = [r for _, r in rows]
     lo = [sum(c for _, c in t if c < 0) for t in terms]
     hi = [sum(c for _, c in t if c > 0) for t in terms]
     # A constraint can force a variable only while rhs is closer than its
@@ -633,13 +632,6 @@ def search_dispersion_free(cs: ContextSet,
     return SearchResult(status, solutions, total, [], nodes)
 
 
-def _eval_constraint(desc: ConstraintDesc, values: Mapping[str, int]) -> bool:
-    total = sum(values[lb] for lb in desc.labels)
-    if desc.kind == "context" or desc.target == "I":
-        return total == 1
-    return total == values[desc.target]
-
-
 @dataclass(frozen=True)
 class Verification:
     """Verdict of :func:`verify_certificate`: true when the certificate holds.
@@ -656,34 +648,34 @@ class Verification:
 def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     """Independently re-check a search result in pure integer arithmetic.
 
+    Each constraint is read as its integer equation, ``ConstraintDesc.row()``,
+    the one piece shared with the search. The rest is the re-check's own.
     SAT: every returned assignment must give every label of every constraint
-    of the context set a value in {0,1} and satisfy the constraint. UNSAT:
+    of the context set a value in {0,1} and satisfy the equation. UNSAT:
     the reported core must be made of the set's constraints, and its
     refutation tree must refute it; the tree is walked once with bounds
-    arithmetic read from the constraints themselves (no solver code
-    involved), in time linear in its size. UNKNOWN asserts nothing and
-    verifies vacuously. A malformed or wrong certificate gives a false
-    Verification whose reason names the failed check.
+    arithmetic of its own (no solver code involved), in time linear in its
+    size. UNKNOWN asserts nothing and verifies vacuously. A malformed or
+    wrong certificate gives a false Verification whose reason names the
+    failed check.
     """
     constraints = cs.constraints()
     if result.status == SAT:
         if not result.assignments:
             return Verification("sat result stores no assignment")
+        rows = [(desc, *desc.row()) for desc in constraints]
         for i, assignment in enumerate(result.assignments):
             for lb, v in assignment.items():
                 if v not in (0, 1):
                     return Verification(
                         f"assignment #{i} gives v({lb}) = {v!r}, not 0 or 1")
-            for desc in constraints:
-                needed = desc.labels
-                if desc.kind == "relation" and desc.target != "I":
-                    needed += (desc.target,)
-                missing = [lb for lb in needed if lb not in assignment]
+            for desc, coeffs, rhs in rows:
+                missing = [lb for lb in coeffs if lb not in assignment]
                 if missing:
                     return Verification(
                         f"assignment #{i} has no value for "
                         f"{shown(missing[0])}")
-                if not _eval_constraint(desc, assignment):
+                if sum(c * assignment[lb] for lb, c in coeffs.items()) != rhs:
                     return Verification(
                         f"assignment #{i} breaks {desc.describe()}")
         return Verification()
@@ -706,22 +698,13 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
 def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
     """Why ``tree`` does not refute ``core``, or None when it does.
 
-    Each core constraint is read as sum(c_l * v(l)) = rhs with coefficients
-    netted per label, so a repeated label counts twice and a label that is
-    both addend and target counts zero. The walk keeps the assignment of the
-    current path; a leaf holds when its constraint's integer bounds under
-    that assignment exclude rhs.
+    Each core constraint is read as its equation ``ConstraintDesc.row()``,
+    sum(c_l * v(l)) = rhs with coefficients netted per label, so a repeated
+    label counts twice and a label that is both addend and target counts
+    zero. The walk keeps the assignment of the current path; a leaf holds
+    when its constraint's integer bounds under that assignment exclude rhs.
     """
-    rows: dict[ConstraintDesc, tuple[dict[str, int], int]] = {}
-    for desc in core:
-        coeffs: dict[str, int] = {}
-        for lb in desc.labels:
-            coeffs[lb] = coeffs.get(lb, 0) + 1
-        rhs = 1
-        if desc.kind == "relation" and desc.target != "I":
-            coeffs[desc.target] = coeffs.get(desc.target, 0) - 1
-            rhs = 0
-        rows[desc] = (coeffs, rhs)
+    rows = {desc: desc.row() for desc in core}
     core_labels = {lb for coeffs, _ in rows.values() for lb in coeffs}
 
     values: dict[str, int] = {}

@@ -36,6 +36,7 @@ from .errors import (
     TraceNotOne,
     UnknownLabel,
     ValuesInconsistent,
+    listed,
     shown,
 )
 from .operators import (
@@ -267,7 +268,7 @@ def _check_relation_identity(rel: AdditivityRelation,
     target = None if rel.target == "I" else resolve(rel.target).op.array
     holds, dev, bound = sum_equals(addends, target)
     if not holds:
-        text = " + ".join(shown(lb, quote=False) for lb in rel.addends)
+        text = listed([shown(lb, quote=False) for lb in rel.addends], " + ")
         raise BadRelation(
             f"claimed identity {text} = {shown(rel.target, quote=False)} "
             f"fails: Frobenius deviation {dev:.3e} > {bound:g}")

@@ -26,8 +26,6 @@ from effectkit.nogo import (
     UNSAT,
     Branch,
     _Budget,
-    _to_linear,
-    _variables_of,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -210,6 +208,13 @@ def constraint_subset_as_context_set(cs, descs):
     return build_context_set(cs.effects.values(), contexts, relations)
 
 
+def variables_of(constraints) -> list[str]:
+    """The search's variables in its branching order: each label at its
+    first occurrence in ``ConstraintDesc.row()`` over the constraints."""
+    return list(dict.fromkeys(lb for desc in constraints
+                              for lb in desc.row()[0]))
+
+
 def solve_by_walking(constraints, node_budget: int, max_store: int,
                      stop_after: int | None = None, record: bool = False):
     """Exhaustive DFS with incremental bound propagation that walks every
@@ -217,16 +222,17 @@ def solve_by_walking(constraints, node_budget: int, max_store: int,
     ``nogo._solve``: the same constraints, budget and flags must give the
     same (status, assignments, total, nodes), and an UNSAT tree that refutes
     the constraints."""
-    variables = _variables_of(constraints)
+    rows = [desc.row() for desc in constraints]
+    variables = variables_of(constraints)
     var_index = {lb: i for i, lb in enumerate(variables)}
-    linear = [_to_linear(desc, var_index) for desc in constraints]
     nv = len(variables)
     assign = [-1] * nv
     solutions: list[dict[str, int]] = []
     state = {"nodes": 0, "total": 0}
 
-    terms = [t for t, _ in linear]
-    rhs = [r for _, r in linear]
+    terms = [tuple((var_index[lb], c) for lb, c in coeffs.items() if c)
+             for coeffs, _ in rows]
+    rhs = [r for _, r in rows]
     lo = [sum(c for _, c in t if c < 0) for t in terms]
     hi = [sum(c for _, c in t if c > 0) for t in terms]
     # A constraint can force a variable only while rhs is closer than its

@@ -749,6 +749,72 @@ def test_a_long_label_prints_one_short_stderr_line(tmp_path, capsys, where):
     assert len(captured.err.encode()) < 200
 
 
+@pytest.mark.parametrize("where", ["context", "relation"])
+def test_a_long_label_list_prints_one_short_stderr_line(tmp_path, capsys,
+                                                         where):
+    quarter = HermitianOperator(np.diag([0.25, 0.25])).to_json_dict()
+    write(tmp_path / "effects.json",
+          {"dim": 2, "effects": [{"label": "H", "op": quarter}]})
+    labels = ["H"] * 5000
+    contexts, relations = (([labels], []) if where == "context"
+                           else ([], [{"addends": labels, "target": "I"}]))
+    argv = ["dfsearch", write(tmp_path / "c.json", {
+        "effects_file": "effects.json", "contexts": contexts,
+        "relations": relations})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    if where == "context":
+        assert captured.err.startswith(
+            "BadContext: context #0 [" + "'H', " * 8 + "... (4992 more)]: ")
+    else:
+        assert captured.err.startswith(
+            "BadRelation: claimed identity " + "H + " * 8
+            + "... (4992 more) = I fails: Frobenius deviation ")
+
+
+def repeated_label_files(tmp_path):
+    """An effects file naming diag(1, 0) and diag(0, 1) both ``A``, a
+    valuation with v(A) = 0.3, and a context set over the effects file."""
+    def op(*diag):
+        return HermitianOperator(np.diag(diag)).to_json_dict()
+    effects = write(tmp_path / "effects.json", {"dim": 2, "effects": [
+        {"label": "A", "op": op(1.0, 0.0)},
+        {"label": "A", "op": op(0.0, 1.0)}]})
+    values = write(tmp_path / "v.json", {"dim": 2, "entries": [
+        {"label": "A", "value": 0.3}]})
+    contexts = write(tmp_path / "c.json", {"effects_file": "effects.json",
+                                           "contexts": [["A"]]})
+    return effects, values, contexts
+
+
+class TestRepeatedEffectLabel:
+    def test_every_command_rejects_it(self, tmp_path, capsys):
+        effects, values, contexts = repeated_label_files(tmp_path)
+        for argv in (["reconstruct", effects, values],
+                     ["validate", values, "--kind", "valuation",
+                      "--effects", effects],
+                     ["dfsearch", contexts]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "invalid input: duplicate effect label 'A'\n"), argv
+
+    def test_a_povm_file_may_repeat_a_label(self, tmp_path, capsys):
+        half = HermitianOperator(np.diag([0.5, 0.5])).to_json_dict()
+        povm = write(tmp_path / "p.json", {"dim": 2, "effects": [
+            {"label": "u", "op": half}, {"label": "u", "op": half}]})
+        state = write(tmp_path / "s.json", ground_state_payload())
+        code, report = run_cli(["validate", povm, "--kind", "povm"], capsys)
+        assert code == 0 and report["valid"]
+        code, payload = run_cli(["born", state, povm], capsys)
+        assert code == 0
+        assert payload["probs"] == [0.5, 0.5]
+
+
 class TestSampleAndGen:
     def test_sample_eigenstate(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())
@@ -810,6 +876,16 @@ class TestSampleAndGen:
                                  "--outcomes", "0"], capsys)
         assert code == 2
         assert payload is None
+
+    @pytest.mark.parametrize("kind", ["state", "effect"])
+    @pytest.mark.parametrize("outcomes", ["3", "-3"])
+    def test_gen_outcomes_without_a_povm_is_a_parameter_error(
+            self, capsys, kind, outcomes):
+        assert main(["gen", "--kind", kind, "--dim", "2",
+                     "--outcomes", outcomes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--outcomes applies only to --kind povm\n"
 
     @pytest.mark.parametrize("kind", ["state", "effect", "povm"])
     def test_gen_dim_below_one_is_a_parameter_error(self, capsys, kind):

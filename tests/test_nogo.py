@@ -31,7 +31,6 @@ from effectkit import (
     verify_certificate,
     witness_2d,
 )
-from effectkit.nogo import _variables_of
 from effectkit.valuation import _check_relation_identity
 
 from conftest import (
@@ -41,6 +40,7 @@ from conftest import (
     haar_bases_context_set,
     pauli_op,
     random_context_set,
+    variables_of,
 )
 
 
@@ -388,7 +388,7 @@ class TestSearch:
         checked = 0
         for trial in range(40):
             cs = random_context_set(rng, max_effects=12)
-            order = _variables_of(cs.constraints())
+            order = variables_of(cs.constraints())
             models = sorted(tuple(s[lb] for lb in order)
                             for s in brute_force_solutions(cs))
             for cap in (1, 3):
@@ -517,6 +517,23 @@ class TestVerifyCertificate:
         assert not verdict
         assert verdict.reason == "assignment #0 has no value for 'Qp'"
 
+    def test_a_label_that_nets_to_zero_still_needs_a_value(self):
+        # in A + Z = A the coefficient of A nets to 0, yet A is a label of
+        # the relation and an assignment must give it a value
+        cs = build_context_set(
+            [Effect(pauli_op(0, 0, 1), "A"),
+             Effect(HermitianOperator(np.zeros((2, 2))), "Z")],
+            [], [AdditivityRelation(("A", "Z"), "A")])
+        result = search_dispersion_free(cs)
+        assert result.status == "sat"
+        assert all(set(a) == {"A", "Z"} for a in result.assignments)
+        assert verify_certificate(result, cs)
+        bad = SearchResult(status="sat", assignments=[{"Z": 0}],
+                           total_solutions=1, unsat_core=[], nodes_explored=1)
+        verdict = verify_certificate(bad, cs)
+        assert not verdict
+        assert verdict.reason == "assignment #0 has no value for 'A'"
+
     def test_sat_without_assignments_fails_with_reason(self):
         cs = projective_pair_context_set()
         bad = SearchResult(status="sat", assignments=[], total_solutions=4,
@@ -530,3 +547,55 @@ class TestVerifyCertificate:
         bad = SearchResult(status="maybe", assignments=[], total_solutions=None,
                            unsat_core=[], nodes_explored=0)
         assert not verify_certificate(bad, cs)
+
+
+class TestConstraintRow:
+    """``ConstraintDesc.row()`` is what a constraint means as an integer
+    equation, for the search and the re-check alike; it must agree with
+    the constraint's sum evaluated directly."""
+
+    CASES = [
+        (ConstraintDesc("context", ("A", "B", "A")), {"A": 2, "B": 1}, 1),
+        (ConstraintDesc("relation", ("A", "B"), "I"), {"A": 1, "B": 1}, 1),
+        (ConstraintDesc("relation", ("A", "B"), "C"),
+         {"A": 1, "B": 1, "C": -1}, 0),
+        (ConstraintDesc("relation", ("A", "Z"), "A"), {"A": 0, "Z": 1}, 0),
+        (ConstraintDesc("relation", ("Z", "A", "Z"), "Z"),
+         {"Z": 1, "A": 1}, 0),
+    ]
+
+    @staticmethod
+    def direct(desc, values):
+        total = sum(values[lb] for lb in desc.labels)
+        if desc.kind == "context" or desc.target == "I":
+            return total == 1
+        return total == values[desc.target]
+
+    @pytest.mark.parametrize("desc, coeffs, rhs", CASES)
+    def test_row_is_the_netted_equation(self, desc, coeffs, rhs):
+        got, got_rhs = desc.row()
+        assert got == coeffs
+        assert list(got) == list(coeffs)  # first occurrence, target last
+        assert got_rhs == rhs
+
+    @pytest.mark.parametrize("desc", [case[0] for case in CASES])
+    def test_row_agrees_with_the_direct_sum(self, desc):
+        coeffs, rhs = desc.row()
+        labels = set(desc.labels) | ({desc.target} - {None, "I"})
+        assert set(coeffs) == labels
+        for bits in itertools.product((0, 1), repeat=len(coeffs)):
+            values = dict(zip(coeffs, bits))
+            assert ((sum(c * values[lb] for lb, c in coeffs.items()) == rhs)
+                    == self.direct(desc, values)), values
+
+    def test_a_long_constraint_describes_itself_in_one_short_line(self):
+        assert (ConstraintDesc("context", ("H", "H")).describe()
+                == "context: v(H) + v(H) = 1")
+        assert (ConstraintDesc("relation", ("A", "B"), "C").describe()
+                == "relation: v(A) + v(B) = v(C)")
+        context = ConstraintDesc("context", ("H",) * 5000).describe()
+        relation = ConstraintDesc("relation", ("H",) * 5000, "x" * 10_000
+                                  ).describe()
+        assert context == ("context: " + "v(H) + " * 8 + "... (4992 more) = 1")
+        assert relation.startswith("relation: v(H) + ")
+        assert len(context) < 200 and len(relation) < 200

@@ -11,7 +11,9 @@ keeps ``effectkit validate`` reading files with the library's readers
 alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
 operator comparison and axiom rule it reports is the library's. A fifth
 keeps the bound of every sum identity read at one site, so a POVM, a
-context and a relation are accepted by one test.
+context and a relation are accepted by one test. A sixth keeps the integer
+reading of a search constraint in ``ConstraintDesc.row()``, so the search
+and its certificate re-check read one equation per constraint.
 """
 
 import ast
@@ -131,6 +133,23 @@ def test_the_sum_bound_is_read_at_one_site():
                       and node.value == "sum_per_dim")]
     assert len(reads) == 1, reads
     assert reads[0].startswith("effects.py:"), reads
+
+
+def test_constraints_are_read_only_through_their_row():
+    """In ``nogo.py`` no comparison reads a constraint's ``kind`` or
+    ``target`` outside ``ConstraintDesc``: what a constraint means as an
+    integer equation is ``ConstraintDesc.row()``, for the search and the
+    certificate re-check alike."""
+    tree = ast.parse((PACKAGE / "nogo.py").read_text(encoding="utf-8"))
+    desc = [node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "ConstraintDesc"]
+    assert len(desc) == 1, "ConstraintDesc is missing"
+    inside = {id(node) for node in ast.walk(desc[0])}
+    reads = [f"nogo.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and id(node) not in inside
+             and any(isinstance(a, ast.Attribute)
+                     and a.attr in ("kind", "target") for a in ast.walk(node))]
+    assert not reads, reads
 
 
 def _sum_cases():
