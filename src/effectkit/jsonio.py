@@ -6,6 +6,14 @@ IEEE doubles), keys keep insertion order, and there is exactly one layout per
 (payload, pretty) pair, so output files can be compared byte for byte.
 Parsing accepts any standard JSON number but rejects the NaN/Infinity
 extensions.
+
+An ``entries`` array whose items are all ``[re, im]`` pairs of plain floats
+is decoded as it is read into one flat complex array, a
+:class:`PackedEntries`, so a large operator file never holds its entries as
+one Python list per pair. Every reader still sees lists:
+:func:`expect_list` returns the pairs, bit for bit, and the wrapper compares
+equal to them. Only ``HermitianOperator.from_json_dict`` takes the array
+itself.
 """
 
 from __future__ import annotations
@@ -31,7 +39,48 @@ def format_float(x: float) -> str:
     return s
 
 
+class PackedEntries:
+    """A decoded ``entries`` array of [re, im] float pairs, held as one flat
+    complex128 array ``values``. It reads as the list of pairs it replaced:
+    ``tolist()`` gives it back bit for bit, signed zeros included."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    @classmethod
+    def pack(cls, entries: Any) -> "PackedEntries | None":
+        """The packed form of a non-empty list whose every item is a list of
+        two plain floats; None for any other value."""
+        if type(entries) is not list or not entries:
+            return None
+        numbers: list[float] = []
+        for pair in entries:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            re, im = pair
+            if type(re) is not float or type(im) is not float:
+                return None
+            numbers.append(re)
+            numbers.append(im)
+        return cls(np.array(numbers, dtype=np.float64).view(np.complex128))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def tolist(self) -> list[list[float]]:
+        return self.values.view(np.float64).reshape(-1, 2).tolist()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedEntries):
+            other = other.tolist()
+        return self.tolist() == other
+
+
 def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
+    if isinstance(obj, PackedEntries):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         _emit_container(obj.items(), "{", "}", out, indent, level, keyed=True)
     elif isinstance(obj, (list, tuple)):
@@ -91,8 +140,18 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite JSON constant {name!r} is not accepted")
 
 
+def _pack_entries(obj: dict) -> dict:
+    # Runs on each object as soon as it is decoded, so the pair lists of one
+    # operator are freed before the next operator is read.
+    packed = PackedEntries.pack(obj.get("entries"))
+    if packed is not None:
+        obj["entries"] = packed
+    return obj
+
+
 def loads(text: str) -> Any:
-    return json.loads(text, parse_constant=_reject_constant)
+    return json.loads(text, parse_constant=_reject_constant,
+                      object_hook=_pack_entries)
 
 
 def load(path) -> Any:
@@ -113,6 +172,8 @@ def expect_key(obj: dict, key: str, what: str) -> Any:
 
 
 def expect_list(obj: Any, what: str) -> list:
+    if isinstance(obj, PackedEntries):
+        return obj.tolist()
     if not isinstance(obj, list):
         raise SchemaError(f"{what}: expected a JSON array, got {type(obj).__name__}")
     return obj

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -668,7 +669,8 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
             for lb, v in assignment.items():
                 if v not in (0, 1):
                     return Verification(
-                        f"assignment #{i} gives v({lb}) = {v!r}, not 0 or 1")
+                        f"assignment #{i} gives v({shown(str(lb), quote=False)})"
+                        f" = {reprlib.repr(v)}, not 0 or 1")
             for desc, coeffs, rhs in rows:
                 missing = [lb for lb in coeffs if lb not in assignment]
                 if missing:
@@ -683,8 +685,10 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
         available = set(constraints)
         for k, desc in enumerate(result.unsat_core):
             if not isinstance(desc, ConstraintDesc) or desc not in available:
+                entry = (desc.describe() if isinstance(desc, ConstraintDesc)
+                         else reprlib.repr(desc))
                 return Verification(
-                    f"core entry #{k} ({desc!r}) is not a constraint of the "
+                    f"core entry #{k} ({entry}) is not a constraint of the "
                     "context set")
         if result.refutation is None:
             return Verification("unsat result carries no refutation tree")

@@ -4,9 +4,11 @@
 for effects, states, and observables. Everything here is immutable after
 construction and every operation is a pure function, so values can be
 shared freely across threads. Dimensions are capped at :data:`MAX_DIM`
-(rebind it before constructing larger matrices); the dense O(d^3) routines
-below are meant for desk-scale work. :data:`TOL` holds every numerical
-tolerance of the package.
+(rebind it before constructing larger matrices). The cap is measured:
+``reconstruct --project-psd`` from a frame of d^2 + 3 effects at d = 64 (a
+0.78 GB file) ran in 101 s with a 1.5 GB peak RSS, on one BLAS thread of a
+2-vCPU Xeon guest. :data:`TOL` holds every numerical tolerance of the
+package.
 """
 
 from __future__ import annotations
@@ -112,10 +114,15 @@ class HermitianOperator:
 
     @classmethod
     def from_json_dict(cls, obj) -> "HermitianOperator":
+        """Read the wire format. Entries that ``jsonio.load`` packed while
+        decoding are taken as their array; any other list (ints, odd
+        entries, a dict built in code) is read by :func:`_entry_array`,
+        whose SchemaError names the entry at fault."""
         obj = jsonio.expect_dict(obj, "matrix")
         d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
-        entries = jsonio.expect_list(
-            jsonio.expect_key(obj, "entries", "matrix"), "matrix.entries")
+        entries = jsonio.expect_key(obj, "entries", "matrix")
+        if not isinstance(entries, jsonio.PackedEntries):
+            entries = jsonio.expect_list(entries, "matrix.entries")
         if d < 1:
             raise SchemaError("matrix.dim must be a positive integer")
         if len(entries) != d * d:
@@ -141,19 +148,18 @@ class HermitianOperator:
     __rmul__ = __mul__
 
 
-def _entry_array(entries: list) -> np.ndarray:
-    """The [re, im] entries as one flat complex array, in one pass. A pair
-    of plain floats is taken as it is; anything else is checked and
-    converted by jsonio, whose SchemaError names the entry at fault.
-    Viewing the floats as complex keeps every bit, signed zeros included."""
+def _entry_array(entries) -> np.ndarray:
+    """The [re, im] entries as one flat complex array. Packed entries, or a
+    list of plain-float pairs, are taken as they are; anything else is
+    checked and converted by jsonio, whose SchemaError names the entry at
+    fault. Viewing the floats as complex keeps every bit, signed zeros
+    included."""
+    packed = (entries if isinstance(entries, jsonio.PackedEntries)
+              else jsonio.PackedEntries.pack(entries))
+    if packed is not None:
+        return packed.values
     numbers: list[float] = []
     for k, pair in enumerate(entries):
-        if type(pair) is list and len(pair) == 2:
-            re, im = pair
-            if type(re) is float and type(im) is float:
-                numbers.append(re)
-                numbers.append(im)
-                continue
         pair = jsonio.expect_list(pair, f"matrix.entries[{k}]")
         if len(pair) != 2:
             raise SchemaError(f"matrix.entries[{k}]: expected [re, im]")

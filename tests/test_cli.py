@@ -408,6 +408,65 @@ def test_validate_reports_a_povm_of_non_effects_as_born_does(tmp_path, capsys):
                             "1.500000e+00 > 1\n")
 
 
+# Matrices of plain-float pairs, which jsonio packs as it reads them, that
+# fail the matrix checks; and the stderr line each gives.
+PACKED_MATRIX_FAULTS = {
+    "d*d - 1 pairs": ({"dim": 2, "entries": [[0.25 * k, -0.0] for k in range(3)]},
+                      "SchemaError: matrix.entries: expected 4 [re, im] pairs, "
+                      "got 3\n"),
+    "d*d + 1 pairs": ({"dim": 2, "entries": [[0.25 * k, -0.0] for k in range(5)]},
+                      "SchemaError: matrix.entries: expected 4 [re, im] pairs, "
+                      "got 5\n"),
+    "dim 0": ({"dim": 0, "entries": [[0.0, -0.0]]},
+              "SchemaError: matrix.dim must be a positive integer\n"),
+}
+
+# Each command that reads such a matrix: as a state, a POVM effect, a frame
+# effect.
+PACKED_MATRIX_ARGVS = {
+    "validate state": ["validate", "bad_s.json", "--kind", "state"],
+    "validate povm": ["validate", "bad_p.json", "--kind", "povm"],
+    "validate --effects": ["validate", "v.json", "--kind", "valuation",
+                           "--effects", "bad_f.json"],
+    "born state": ["born", "bad_s.json", "p.json"],
+    "born povm": ["born", "s.json", "bad_p.json"],
+    "reconstruct frame": ["reconstruct", "bad_f.json", "v.json"],
+}
+
+
+@pytest.mark.parametrize("where", list(PACKED_MATRIX_ARGVS))
+@pytest.mark.parametrize("fault", list(PACKED_MATRIX_FAULTS))
+def test_a_packed_matrix_fails_its_checks_as_a_list_does(tmp_path, capsys,
+                                                         fault, where):
+    matrix, message = PACKED_MATRIX_FAULTS[fault]
+    povm, frame = z_povm_payload(), pauli_frame_payload()
+    povm["effects"][1]["op"] = matrix
+    frame["effects"][1]["op"] = matrix
+    write(tmp_path / "bad_s.json", matrix)
+    write(tmp_path / "bad_p.json", povm)
+    write(tmp_path / "bad_f.json", frame)
+    write(tmp_path / "s.json", ground_state_payload())
+    write(tmp_path / "p.json", z_povm_payload())
+    write(tmp_path / "v.json", frame_values_payload())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in PACKED_MATRIX_ARGVS[where]]
+    assert (main(argv), *capsys.readouterr()) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "v.json", "--kind", "valuation"],
+    ["validate", "v.json", "--kind", "valuation", "--effects", "f.json"],
+    ["reconstruct", "f.json", "v.json"]], ids=["validate", "validate --effects",
+                                              "reconstruct"])
+def test_a_valuation_of_float_pairs_is_read_as_a_list(tmp_path, capsys, argv):
+    write(tmp_path / "v.json", {"dim": 2, "entries": [[1.0, 0.0], [0.5, -0.0]]})
+    write(tmp_path / "f.json", pauli_frame_payload())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert (main(argv), *capsys.readouterr()) == (
+        1, "", "SchemaError: valuation.entries[0]: expected a JSON object, "
+               "got list\n")
+
+
 class TestBorn:
     def test_ground_state_z_povm(self, tmp_path, capsys):
         state = write(tmp_path / "s.json", ground_state_payload())

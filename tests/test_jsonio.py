@@ -1,6 +1,8 @@
 """Deterministic JSON emission and strict parsing."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,3 +120,50 @@ def test_file_round_trip(tmp_path):
     jsonio.dump(payload, path)
     assert jsonio.load(path) == payload
     assert path.read_text().endswith("\n")
+
+
+def test_a_packed_file_reads_as_its_lists(tmp_path):
+    path = tmp_path / "payload.json"
+    payload = {"dim": 1, "entries": [[-0.0, 5e-324]],
+               "effects": [{"op": {"entries": [[1.0, 0.0], [0.0, -0.0]]}}],
+               "ints": {"entries": [[1, 0]]}, "empty": {"entries": []}}
+    jsonio.dump(payload, path)
+    loaded = jsonio.load(path)
+    packed = loaded["entries"], loaded["effects"][0]["op"]["entries"]
+    assert all(isinstance(p, jsonio.PackedEntries) for p in packed)
+    assert loaded["ints"]["entries"] == [[1, 0]]
+    assert loaded["empty"]["entries"] == []
+    assert loaded == payload
+    listed = jsonio.expect_list(loaded["entries"], "entries")
+    assert type(listed) is list and listed == [[-0.0, 5e-324]]
+    assert math.copysign(1.0, listed[0][0]) == -1.0
+    assert jsonio.dumps(loaded) == jsonio.dumps(payload)
+
+
+def _traced(read):
+    """What ``read()`` returns, and the memory it still holds and its peak,
+    in bytes, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = read()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_load_holds_operator_entries_packed(tmp_path):
+    # A tomography-sized frame: 259 operators of d = 16, 66 304 entries.
+    rng = np.random.default_rng(7)
+    d = 16
+    ops = rng.standard_normal((d * d + 3, d, d, 2))
+    path = tmp_path / "frame.json"
+    jsonio.dump({"dim": d, "effects": [
+        {"label": f"F{i}", "op": {"dim": d, "entries": op.reshape(-1, 2).tolist()}}
+        for i, op in enumerate(ops)]}, path)
+    plain, plain_kept, plain_peak = _traced(
+        lambda: json.loads(path.read_text(encoding="utf-8")))
+    loaded, kept, peak = _traced(lambda: jsonio.load(path))
+    assert kept < 0.2 * plain_kept
+    assert peak < 0.6 * plain_peak
+    assert loaded == plain

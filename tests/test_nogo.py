@@ -534,6 +534,48 @@ class TestVerifyCertificate:
         assert not verdict
         assert verdict.reason == "assignment #0 has no value for 'A'"
 
+    def test_non_binary_value_reason_keeps_its_short_text(self):
+        cs = projective_pair_context_set()
+        bad = SearchResult(
+            status="sat", assignments=[{"P": 2, "Pp": -1, "Q": 1, "Qp": 0}],
+            total_solutions=1, unsat_core=[], nodes_explored=1)
+        assert verify_certificate(bad, cs).reason == \
+            "assignment #0 gives v(P) = 2, not 0 or 1"
+
+    @pytest.mark.parametrize("label, value", [("x" * 5000, 2),
+                                              ("P", 10 ** 1000),
+                                              ("P", "y" * 5000)],
+                             ids=["long label", "long int", "long string"])
+    def test_non_binary_value_reason_is_short(self, label, value):
+        cs = projective_pair_context_set()
+        bad = SearchResult(status="sat", assignments=[{label: value}],
+                           total_solutions=1, unsat_core=[], nodes_explored=1)
+        reason = verify_certificate(bad, cs).reason
+        assert reason.startswith("assignment #0 gives v(")
+        assert reason.endswith(", not 0 or 1")
+        assert len(reason.encode()) < 200
+
+    def test_foreign_core_reason_describes_the_entry(self):
+        cs = half_identity_context_set()
+        bad = SearchResult(status="unsat", assignments=[], total_solutions=0,
+                           unsat_core=[ConstraintDesc("context", ("I",))],
+                           nodes_explored=1)
+        assert verify_certificate(bad, cs).reason == (
+            "core entry #0 (context: v(I) = 1) is not a constraint of the "
+            "context set")
+
+    @pytest.mark.parametrize("entry", [
+        ConstraintDesc("context", tuple(f"L{i}" for i in range(5000))),
+        [f"L{i}" for i in range(5000)]], ids=["constraint", "list"])
+    def test_foreign_core_reason_is_short(self, entry):
+        cs = half_identity_context_set()
+        bad = SearchResult(status="unsat", assignments=[], total_solutions=0,
+                           unsat_core=[entry], nodes_explored=1)
+        reason = verify_certificate(bad, cs).reason
+        assert reason.startswith("core entry #0 (")
+        assert reason.endswith(") is not a constraint of the context set")
+        assert len(reason.encode()) < 200
+
     def test_sat_without_assignments_fails_with_reason(self):
         cs = projective_pair_context_set()
         bad = SearchResult(status="sat", assignments=[], total_solutions=4,

@@ -19,7 +19,7 @@ from effectkit import (
     frobenius_inner,
     state_checks,
 )
-from effectkit import operators
+from effectkit import jsonio, operators
 
 from conftest import (SX, SY, SZ, char_poly_eigs_2x2, entries_by_loop,
                       matrix_by_entry_loop, pauli_op)
@@ -296,7 +296,7 @@ def _outcome(parse, arg):
 
 def test_from_json_dict_matches_the_entry_loop():
     rng = np.random.default_rng(17)
-    parsed = 0
+    parsed = packed = 0
     for _ in range(400):
         d = int(rng.integers(1, 5))
         arr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -317,7 +317,17 @@ def test_from_json_dict_matches_the_entry_loop():
         flat = _outcome(operators._entry_array, entries)
         assert flat == _outcome(entries_by_loop, entries)
         parsed += isinstance(flat, bytes)
+        # The same file read by jsonio, which packs plain-float pairs as it
+        # decodes, against the oracle on what json.loads gives.
+        text = json.dumps(payload)
+        decoded, plain = jsonio.loads(text), json.loads(text)
+        assert _outcome(HermitianOperator.from_json_dict, decoded) == \
+            _outcome(matrix_by_entry_loop, plain)
+        assert _outcome(operators._entry_array, decoded["entries"]) == \
+            _outcome(entries_by_loop, plain["entries"])
+        packed += isinstance(decoded["entries"], jsonio.PackedEntries)
     assert parsed > 100
+    assert 100 < packed < 400
 
 
 def test_entry_array_keeps_every_bit():
