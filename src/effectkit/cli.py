@@ -28,6 +28,11 @@ An effects file that ``reconstruct``, ``validate --effects`` or a context
 set reads must not repeat a label (exit 2, ``invalid input: duplicate
 effect label``); a POVM file may, as a context may.
 
+An UNSAT ``dfsearch`` result carries ``"core_minimal": false`` right after
+``"core"`` when a deletion trial ran out of ``--budget``, so a constraint of
+the printed core may be droppable. The key is absent whenever the core is
+minimal.
+
 The argparse parser is built once per process, on the first call of
 ``main``, and reused by every later call, so ``main`` can be called
 repeatedly, also from several threads at once. Two labels with the same

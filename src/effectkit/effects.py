@@ -10,7 +10,6 @@ non-contextuality questions stay explicit.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -283,13 +282,6 @@ def effects_by_label(effects) -> dict[str, Effect]:
     return pool
 
 
-# Groups of at most this many effects of one dimension are scanned pair by
-# pair with the exact test alone: 1128 pairs at most, about 8 ms at d = 16 on
-# a 2-vCPU Xeon guest. Larger groups are filtered through a Gram matrix, which
-# costs a process about 0.5 MB of peak memory the first time (BLAS buffers and
-# numpy code that a small pool would not otherwise touch).
-_EXACT_SCAN_MAX = 48
-
 # Rows of the Gram matrix formed at once by the filter. Blocks keep its
 # temporaries small: the whole K x K matrix and the arrays derived from it
 # raised peak RSS by 1.1 MB at K = 259, blocks of 32 rows by 0.3 MB.
@@ -323,16 +315,16 @@ def warn_duplicate_operators(effects) -> None:
     :func:`report_duplicate_operators` each message goes to its handler
     instead.
 
-    Effects are compared within each dimension d, and every pair is decided
-    by the exact test ||A_i - A_j||_F < TOL.same_operator on the arrays.
-    In a group of more than ``_EXACT_SCAN_MAX`` effects, only the pairs
-    that pass a filter are tested. The real and imaginary parts of an
-    operator's entries form a vector x_k of n = 2d^2 reals, and
-    ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared distances
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j from the Gram matrix of the x_k (formed
-    ``_SCAN_ROWS`` rows at a time) and passes a pair when its squared
-    distance is at most T^2 + 4(n + 2) eps (T^2 + |x_i|^2 + |x_j|^2), with
-    T = ``TOL.same_operator`` and eps = ``np.finfo(float).eps``.
+    Effects are compared within each dimension d, in one filtered pass: only
+    the pairs that pass a Gram-matrix filter are decided, each by the exact
+    test ||A_i - A_j||_F < TOL.same_operator on the arrays. The real and
+    imaginary parts of an operator's entries form a vector x_k of n = 2d^2
+    reals, and ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared
+    distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j from the Gram matrix of the x_k
+    (formed ``_SCAN_ROWS`` rows at a time) and passes a pair when its
+    squared distance is at most T^2 + 4(n + 2) eps (T^2 + |x_i|^2 +
+    |x_j|^2), with T = ``TOL.same_operator`` and eps =
+    ``np.finfo(float).eps``.
 
     The bound is derived from the float error on both sides. A dot product
     of n terms is off by at most about n eps/2 |x||y|, so the expansion is
@@ -348,12 +340,8 @@ def warn_duplicate_operators(effects) -> None:
         groups.setdefault(e.dim, []).append(k)
     flagged = []
     for members in groups.values():
-        if len(members) <= _EXACT_SCAN_MAX:
-            candidates = itertools.combinations(range(len(members)), 2)
-        else:
-            candidates = _near_pairs(
-                np.array([items[k].op.array for k in members]))
-        for a, b in candidates:
+        for a, b in _near_pairs(np.array([items[k].op.array
+                                          for k in members])):
             i, j = members[a], members[b]
             if (items[i].label != items[j].label
                     and np.linalg.norm(items[i].op.array - items[j].op.array)

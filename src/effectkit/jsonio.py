@@ -7,6 +7,16 @@ IEEE doubles), keys keep insertion order, and there is exactly one layout per
 Parsing accepts any standard JSON number but rejects the NaN/Infinity
 extensions.
 
+A non-empty container whose exact type is ``dict`` or ``list``, whose keys
+are all of exact type ``str`` and whose items are all of exact type
+``str``, ``int``, ``bool`` or ``NoneType`` is written by json's C encoder,
+with the same separators and ASCII escaping, so its bytes are those of the
+Python path. A list of plain floats is joined through :func:`format_float`
+in one pass. Floats never reach the C encoder, and every other value
+(tuples, subclasses, numpy scalars, mixed containers) takes the Python
+path, one call per value. In pretty mode a plain container is encoded with
+a bare newline between items, which is then indented to its level.
+
 An ``entries`` array whose items are all ``[re, im]`` pairs of plain floats
 is decoded as it is read into one flat complex array, a
 :class:`PackedEntries`, so a large operator file never holds its entries as
@@ -21,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -78,7 +89,68 @@ class PackedEntries:
         return self.tolist() == other
 
 
+# Exact types that json's C encoder writes byte for byte as the Python path
+# of _emit does: ints and bools by their repr, None as null, strings
+# ASCII-escaped. Floats are not among them; they always go through
+# format_float.
+_PLAIN = frozenset((str, int, bool, type(None)))
+_STR = frozenset((str,))
+_FLOAT = frozenset((float,))
+
+
+def _c_encoder(item_separator: str):
+    """json's C encoder with this item separator, made once (json builds one
+    per call). An interpreter without it gets json's Python encoder, which
+    writes the same bytes."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=(item_separator, ": ")).encode
+    encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
+                            item_separator, False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_encode = _c_encoder(", ")
+# Ends each item with a bare newline, which _emit indents to the level. A
+# JSON string never holds a raw newline, so no other newline is touched.
+_encode_lines = _c_encoder(",\n")
+
+
+def _frame(indent: int | None, level: int) -> tuple[str, str, str]:
+    """The text after the opening bracket, between two items and before
+    the closing bracket of a non-empty container at ``level``."""
+    if indent is None:
+        return "", ", ", ""
+    pad = "\n" + " " * (indent * (level + 1))
+    return pad, "," + pad, pad[:-indent]
+
+
 def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+        return
+    if (kind is dict or kind is list) and obj:
+        # issuperset stops at the first item of another type, so a list of
+        # floats pays for one item of the plainness check, not all of them.
+        if kind is dict:
+            plain = (_PLAIN.issuperset(map(type, obj.values()))
+                     and _STR.issuperset(map(type, obj)))
+        else:
+            plain = _PLAIN.issuperset(map(type, obj))
+            if not plain and _FLOAT.issuperset(map(type, obj)):
+                lead, sep, tail = _frame(indent, level)
+                out.append("[" + lead + sep.join(map(format_float, obj))
+                           + tail + "]")
+                return
+        if plain:
+            if indent is None:
+                out.append(_encode(obj))
+            else:
+                pad = "\n" + " " * (indent * (level + 1))
+                text = _encode_lines(obj)
+                out.append(text[0] + pad + text[1:-1].replace("\n", pad)
+                           + pad[:-indent] + text[-1])
+            return
     if isinstance(obj, PackedEntries):
         obj = obj.tolist()
     if isinstance(obj, dict):
@@ -90,7 +162,7 @@ def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -104,23 +176,20 @@ def _emit_container(items, open_ch, close_ch, out, indent, level, *, keyed):
     if not items:
         out.append(open_ch + close_ch)
         return
-    out.append(open_ch)
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    closing = "" if indent is None else "\n" + " " * (indent * level)
+    lead, sep, tail = _frame(indent, level)
+    out.append(open_ch + lead)
     for i, item in enumerate(items):
         if i:
-            out.append("," + (pad if indent is not None else " "))
-        else:
-            out.append(pad)
+            out.append(sep)
         if keyed:
             key, value = item
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings")
-            out.append(json.dumps(key) + ": ")
+            out.append(encode_basestring_ascii(key) + ": ")
             _emit(value, out, indent, level + 1)
         else:
             _emit(item, out, indent, level + 1)
-    out.append(closing + close_ch)
+    out.append(tail + close_ch)
 
 
 def dumps(obj: Any, pretty: bool = False) -> str:

@@ -329,7 +329,10 @@ class SearchResult:
     walk rather than walked again. An UNSAT result carries ``refutation``, a
     tree of Branch nodes over the core's labels whose leaves are core
     constraints; it proves the core unsatisfiable and stays out of the JSON
-    output.
+    output. ``core_minimal`` is False when a deletion trial ran out of node
+    budget, so a constraint of the core may be droppable; the JSON then
+    carries ``"core_minimal": false`` after ``"core"``, and has no such key
+    otherwise.
     """
 
     status: str
@@ -338,16 +341,20 @@ class SearchResult:
     unsat_core: list[ConstraintDesc]
     nodes_explored: int
     refutation: Branch | ConstraintDesc | None = field(default=None, repr=False)
+    core_minimal: bool = True
 
     def to_json_dict(self, toolkit_version: str) -> dict:
-        return {
+        out = {
             "status": self.status,
             "assignments": self.assignments,
             "core": [c.to_json_dict() for c in self.unsat_core],
-            "nodes": self.nodes_explored,
-            "total_solutions": self.total_solutions,
-            "toolkit_version": toolkit_version,
         }
+        if not self.core_minimal:
+            out["core_minimal"] = False
+        out.update(nodes=self.nodes_explored,
+                   total_solutions=self.total_solutions,
+                   toolkit_version=toolkit_version)
+        return out
 
 
 class _Budget(Exception):
@@ -577,23 +584,27 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
 
 
 def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
-                   ) -> tuple[list[ConstraintDesc], int]:
+                   ) -> tuple[list[ConstraintDesc], int, bool]:
     """Deletion-based shrinking in deterministic input order.
 
     Each constraint in turn is dropped for good when the rest is still
     UNSAT. A trial that exhausts ``node_budget`` ends "unknown" and keeps
     its constraint, so the core is minimal (no single constraint can be
-    dropped) only when every trial finishes within the budget.
+    dropped) only when every trial finishes within the budget. Returns the
+    core, the nodes of all trials and whether the core is minimal.
     """
     core = list(constraints)
     nodes = 0
+    minimal = True
     for desc in list(core):
         trial = [d for d in core if d is not desc]
         status, _, _, used, _ = _solve(trial, node_budget, stop_at_first=True)
         nodes += used
         if status == UNSAT:
             core = trial
-    return core, nodes
+        elif status == UNKNOWN:
+            minimal = False
+    return core, nodes, minimal
 
 
 def search_dispersion_free(cs: ContextSet,
@@ -610,11 +621,12 @@ def search_dispersion_free(cs: ContextSet,
     shrinking and a refutation tree for that core, taken from one more solve
     of the core alone (its nodes are not counted in ``nodes_explored``). The
     core is minimal only when every deletion trial finishes within
-    ``node_budget``: a trial that ends "unknown" keeps its constraint. If
-    the node budget is exhausted by the search itself, the status is
-    "unknown". ``nodes_explored`` and ``node_budget`` count search-tree
-    nodes; a repeated subtree is counted from its first walk, not walked
-    again, so the count is the same as for a search that walks every node.
+    ``node_budget``: a trial that ends "unknown" keeps its constraint, and
+    the result's ``core_minimal`` is then False. If the node budget is
+    exhausted by the search itself, the status is "unknown".
+    ``nodes_explored`` and ``node_budget`` count search-tree nodes; a
+    repeated subtree is counted from its first walk, not walked again, so
+    the count is the same as for a search that walks every node.
     ``max_solutions`` and ``node_budget`` below 1 raise ValueError.
     """
     if max_solutions < 1:
@@ -625,11 +637,11 @@ def search_dispersion_free(cs: ContextSet,
     status, solutions, total, nodes, _ = _solve(
         constraints, node_budget, max_store=max_solutions)
     if status == UNSAT:
-        core, extra = _minimize_core(constraints, node_budget)
+        core, extra, minimal = _minimize_core(constraints, node_budget)
         # The core was proved UNSAT within the budget by a solve of this very
         # list, and the search is deterministic, so this re-solve completes.
         tree = _solve(core, node_budget, record=True)[4]
-        return SearchResult(UNSAT, [], 0, core, nodes + extra, tree)
+        return SearchResult(UNSAT, [], 0, core, nodes + extra, tree, minimal)
     return SearchResult(status, solutions, total, [], nodes)
 
 

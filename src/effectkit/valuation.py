@@ -593,18 +593,28 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     )
 
 
+# Uniform draws made at once by sample_outcomes: 8 MB of doubles. PCG64
+# gives the same stream in chunks as in one call, so the counts do not
+# depend on it.
+_SHOT_CHUNK = 1 << 20
+
+
 def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
                     seed: int) -> SampleRecord:
     """Draw n i.i.d. outcomes from the Born distribution of (rho, povm).
 
     Sampling is inverse-CDF on the cumulative probability vector with ties
     broken toward the lower index, driven by PCG64(seed); a fixed seed gives
-    a bit-identical record on every run.
+    a bit-identical record on every run. The draws are made and counted
+    ``_SHOT_CHUNK`` at a time, so memory does not grow with n; n must be
+    below 2**63, the range of the int64 counts.
     """
     if rho.dim != povm.dim:
         raise DimMismatch(f"state dim {rho.dim} vs POVM dim {povm.dim}")
     if n < 1:
         raise ValueError("shot count must be at least 1")
+    if n >= 2 ** 63:
+        raise ValueError("shot count must be below 2**63")
     probs = np.array([born(rho, e) for e in povm.effects])
     total = float(probs.sum())
     if abs(total - 1.0) > TOL.check:
@@ -614,10 +624,12 @@ def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(n)
-    idx = np.searchsorted(cum, draws, side="left")
-    idx = np.minimum(idx, len(probs) - 1)
-    counts = np.bincount(idx, minlength=len(probs))
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for done in range(0, n, _SHOT_CHUNK):
+        draws = rng.random(min(_SHOT_CHUNK, n - done))
+        idx = np.searchsorted(cum, draws, side="left")
+        idx = np.minimum(idx, len(probs) - 1)
+        counts += np.bincount(idx, minlength=len(probs))
     return SampleRecord(povm.labels, tuple(int(c) for c in counts), n, seed)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 import numpy as np
@@ -61,6 +62,42 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
+def peres_rays():
+    """Peres's 24 rays in C^4 (J. Phys. A 24, L175, 1991).
+
+    Every ray of the form (1,0,0,0), (1,+-1,0,0) or (1,+-1,+-1,+-1) up to
+    permutation, with first nonzero entry +1. Listed form by form, sign
+    pattern by sign pattern, each pattern's distinct permutations in
+    descending order.
+    """
+    rays = []
+    for form in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        support = sum(1 for x in form if x)
+        for signs in itertools.product((1, -1), repeat=support - 1):
+            signed = (1,) + signs + (0,) * (4 - support)
+            for perm in sorted(set(itertools.permutations(signed)), reverse=True):
+                lead = next(x for x in perm if x)
+                ray = tuple(lead * x for x in perm)
+                if ray not in rays:
+                    rays.append(ray)
+    return rays
+
+
+# The deletion-minimised core of Peres's 24 rays and their tetrads, in the
+# order of peres_rays and orthogonal_tetrads, by ray index.
+PERES_CORE = [[1, 2, 6, 10], [1, 3, 5, 11], [2, 3, 4, 12], [4, 15, 19, 20],
+              [5, 13, 18, 20], [6, 14, 17, 20], [10, 14, 16, 23],
+              [11, 13, 16, 22], [12, 15, 16, 21], [16, 21, 22, 23],
+              [17, 18, 19, 20]]
+
+
+def orthogonal_tetrads(rays):
+    """Every set of four mutually orthogonal rays, in lexicographic order."""
+    return [t for t in itertools.combinations(range(len(rays)), 4)
+            if all(np.dot(rays[a], rays[b]) == 0
+                   for a, b in itertools.combinations(t, 2))]
+
+
 def duplicate_messages_by_pairs(effects) -> list[str]:
     """The ``DuplicateOperatorWarning`` messages of a direct scan over every
     pair i < j. Oracle for ``warn_duplicate_operators``."""
@@ -105,6 +142,54 @@ def matrix_by_entry_loop(obj) -> HermitianOperator:
         raise SchemaError(
             f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")
     return HermitianOperator(entries_by_loop(entries).reshape(d, d))
+
+
+def dumps_by_recursion(obj, pretty: bool = False) -> str:
+    """``jsonio.dumps`` as one recursive call per value, each string and key
+    through ``json.dumps`` and each float through ``format_float``. Oracle
+    for the emitter that hands plain containers to json's C encoder."""
+    out: list[str] = []
+    _emit_by_recursion(obj, out, 2 if pretty else None, 0)
+    return "".join(out)
+
+
+def _emit_by_recursion(obj, out, indent, level):
+    if isinstance(obj, jsonio.PackedEntries):
+        obj = obj.tolist()
+    if isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        items = list(obj.items() if keyed else obj)
+        open_ch, close_ch = "{}" if keyed else "[]"
+        if not items:
+            out.append(open_ch + close_ch)
+            return
+        out.append(open_ch)
+        pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+        closing = "" if indent is None else "\n" + " " * (indent * level)
+        for i, item in enumerate(items):
+            if i:
+                out.append("," + (pad if indent is not None else " "))
+            else:
+                out.append(pad)
+            if keyed:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError("JSON object keys must be strings")
+                out.append(json.dumps(key) + ": ")
+            _emit_by_recursion(item, out, indent, level + 1)
+        out.append(closing + close_ch)
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(jsonio.format_float(float(obj)))
+    else:
+        raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def char_poly_eigs_2x2(arr: np.ndarray) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from effectkit import __version__, cli, generate, operators
 from effectkit.cli import main
 from effectkit.valuation import SampleRecord
 
-from conftest import pauli_op
+from conftest import PERES_CORE, orthogonal_tetrads, pauli_op, peres_rays
 
 
 def write(path, payload):
@@ -610,7 +610,54 @@ def declared_relation_context_files(tmp_path):
     return write(tmp_path / "contexts.json", contexts)
 
 
+def peres_context_files(tmp_path):
+    """Peres's 24 rays as effects r00..r23 and their 24 orthogonal tetrads
+    as contexts, in the order of ``peres_rays``."""
+    rays = np.array(peres_rays(), dtype=float)
+    labels = [f"r{i:02d}" for i in range(len(rays))]
+    effects = {"dim": 4, "effects": [
+        Effect(HermitianOperator(np.outer(v, v) / np.dot(v, v)),
+               lb).to_json_dict() for lb, v in zip(labels, rays)]}
+    write(tmp_path / "effects.json", effects)
+    contexts = {"effects_file": "effects.json",
+                "contexts": [[labels[i] for i in t]
+                             for t in orthogonal_tetrads(peres_rays())]}
+    return write(tmp_path / "contexts.json", contexts)
+
+
 class TestDfsearch:
+    # 17 nodes are the least budget in which every deletion trial finishes
+    @pytest.mark.parametrize("flags", [[], ["--budget", "17"]])
+    def test_a_minimal_core_prints_no_core_minimal_key(self, tmp_path,
+                                                       capsys, flags):
+        contexts = peres_context_files(tmp_path)
+        code = main(["dfsearch", contexts, *flags])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        core = ", ".join(
+            '{"kind": "context", "labels": [%s]}'
+            % ", ".join(f'"r{i:02d}"' for i in ctx) for ctx in PERES_CORE)
+        assert captured.out == (
+            f'{{"status": "unsat", "assignments": [], "core": [{core}], '
+            f'"nodes": 295, "total_solutions": 0, '
+            f'"toolkit_version": "{__version__}"}}\n')
+
+    @pytest.mark.parametrize("budget", ["15", "16"])
+    def test_a_starved_minimisation_says_its_core_is_not_minimal(
+            self, tmp_path, capsys, budget):
+        # the search closes within 15 nodes, but some deletion trials do not
+        contexts = peres_context_files(tmp_path)
+        code, payload = run_cli(["dfsearch", contexts, "--budget", budget],
+                                capsys)
+        assert code == 0
+        assert list(payload) == ["status", "assignments", "core",
+                                 "core_minimal", "nodes", "total_solutions",
+                                 "toolkit_version"]
+        assert payload["status"] == "unsat"
+        assert payload["core_minimal"] is False
+        assert len(payload["core"]) == 15
+
     def test_half_identity_unsat(self, tmp_path, capsys):
         contexts = half_identity_context_files(tmp_path)
         code, payload = run_cli(["dfsearch", contexts], capsys)
@@ -957,6 +1004,16 @@ class TestSampleAndGen:
         povm = write(tmp_path / "p.json", z_povm_payload())
         code, _ = run_cli(["sample", state, povm, "--shots", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("shots", [str(2 ** 63), str(10 ** 22)])
+    def test_a_shot_count_past_int64_is_named(self, tmp_path, capsys, shots):
+        state = write(tmp_path / "s.json", ground_state_payload())
+        povm = write(tmp_path / "p.json", z_povm_payload())
+        code = main(["sample", state, povm, "--shots", shots])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "invalid input: shot count must be below 2**63\n"
 
 
 class TestArgumentHandling:

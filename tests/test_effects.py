@@ -33,7 +33,7 @@ from effectkit import (
     rng_from_seed,
     spectral_split,
 )
-from effectkit.effects import _EXACT_SCAN_MAX, warn_duplicate_operators
+from effectkit.effects import warn_duplicate_operators
 
 from conftest import char_poly_eigs_2x2, duplicate_messages_by_pairs, pauli_op
 
@@ -313,10 +313,9 @@ def _duplicate_messages(effects) -> list[str]:
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (4,), (16,), (1, 2, 4)])
-@pytest.mark.parametrize("size", [0, 1, 2, 60])
+# 24 and 32 are the pool sizes of the ks-unsat and ks-sat benchmark inputs
+@pytest.mark.parametrize("size", [0, 1, 2, 24, 32, 48, 49, 60])
 def test_duplicate_scan_matches_pairwise_scan(dims, size):
-    # 0, 1 and 2 effects per dimension take the exact scan, 60 the filter
-    assert (size > _EXACT_SCAN_MAX) == (size == 60)
     rng = rng_from_seed(1000 * size + sum(dims))
     flagged = 0
     for _ in range(3):

@@ -6,9 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectkit import SchemaError
 from effectkit import jsonio
+
+from conftest import dumps_by_recursion
 
 
 class TestFloatFormat:
@@ -62,6 +66,83 @@ class TestDumps:
     def test_nan_payload_rejected(self):
         with pytest.raises(ValueError):
             jsonio.dumps({"x": float("nan")})
+
+
+class Label(str):
+    def __str__(self):
+        return "not the label"
+
+
+class Count(int):
+    def __repr__(self):
+        return "not the count"
+
+    __str__ = __repr__
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308]))
+_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([-(10 ** 3999), 10 ** 3999 + 7, -1]))
+_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2028",
+                     "\ud800", "\U0001f600", 'a"b\\c']))
+_plain = st.one_of(st.none(), st.booleans(), _ints, _strings)
+_scalars = st.one_of(
+    _plain, _floats, _ints.map(Count), _strings.map(Label),
+    st.lists(_plain, min_size=2), st.dictionaries(_strings, _plain, min_size=2),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    _floats.map(np.float64), st.booleans().map(np.bool_),
+    st.lists(_floats, min_size=1),
+    st.lists(st.one_of(_ints, _floats), min_size=1),
+    st.lists(st.tuples(_floats, _floats), min_size=1).map(
+        lambda pairs: jsonio.PackedEntries.pack([list(p) for p in pairs])))
+_keys = st.one_of(_strings, _strings.map(Label))
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_keys, inner)),
+    max_leaves=20)
+
+
+class TestDumpsParity:
+    """``dumps`` writes the bytes of the recursive emitter it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_payloads, st.booleans())
+    def test_bytes_equal_the_recursive_emitter(self, payload, pretty):
+        assert (jsonio.dumps(payload, pretty=pretty)
+                == dumps_by_recursion(payload, pretty=pretty))
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_plain_containers_equal_the_recursive_emitter(self, pretty):
+        payload = {"a": {"x": 1, "y": [True, None, "\u00e9\n"]},
+                   "b": [{"k": -(10 ** 3999)}, [], {}, [0.5, -0.0]],
+                   "c": ["s", 2, False]}
+        assert (jsonio.dumps(payload, pretty=pretty)
+                == dumps_by_recursion(payload, pretty=pretty))
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("payload, error", [
+        ({1: 2}, TypeError), ({"a": 1, None: 2}, TypeError),
+        ({(1, 2): 3}, TypeError), ([{"a": "b", 3: "c"}], TypeError),
+        ([float("nan")], ValueError), ({"x": float("inf")}, ValueError),
+        ([1, -math.inf], ValueError),
+        (object(), TypeError), ({"x": [object()]}, TypeError),
+        (10 ** 5000, ValueError), ([10 ** 5000], ValueError),
+        ({"n": 10 ** 5000}, ValueError)],
+        ids=["int-key", "none-key", "tuple-key", "int-key-nested", "nan",
+             "inf", "minus-inf-after-int", "object", "object-nested",
+             "long-int", "long-int-in-list", "long-int-in-dict"])
+    def test_errors_equal_the_recursive_emitter(self, payload, error, pretty):
+        with pytest.raises(error) as expected:
+            dumps_by_recursion(payload, pretty=pretty)
+        with pytest.raises(error) as got:
+            jsonio.dumps(payload, pretty=pretty)
+        assert str(got.value) == str(expected.value)
 
 
 class TestLoads:

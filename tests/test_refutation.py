@@ -22,32 +22,14 @@ from effectkit import (
 from effectkit.nogo import Branch
 
 from conftest import (
+    PERES_CORE,
     brute_force_solutions,
     constraint_subset_as_context_set,
+    orthogonal_tetrads,
     pauli_op,
+    peres_rays,
     random_context_set,
 )
-
-
-def peres_rays():
-    """Peres's 24 rays in C^4 (J. Phys. A 24, L175, 1991).
-
-    Every ray of the form (1,0,0,0), (1,+-1,0,0) or (1,+-1,+-1,+-1) up to
-    permutation, with first nonzero entry +1. Listed form by form, sign
-    pattern by sign pattern, each pattern's distinct permutations in
-    descending order.
-    """
-    rays = []
-    for form in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
-        support = sum(1 for x in form if x)
-        for signs in itertools.product((1, -1), repeat=support - 1):
-            signed = (1,) + signs + (0,) * (4 - support)
-            for perm in sorted(set(itertools.permutations(signed)), reverse=True):
-                lead = next(x for x in perm if x)
-                ray = tuple(lead * x for x in perm)
-                if ray not in rays:
-                    rays.append(ray)
-    return rays
 
 
 def peres_33_rays():
@@ -140,13 +122,6 @@ def orthogonal_bases(projectors, size):
 
     extend([], list(range(len(stack))))
     return found
-
-
-def orthogonal_tetrads(rays):
-    """Every set of four mutually orthogonal rays, in lexicographic order."""
-    return [t for t in itertools.combinations(range(len(rays)), 4)
-            if all(np.dot(rays[a], rays[b]) == 0
-                   for a, b in itertools.combinations(t, 2))]
 
 
 def ks_context_set(rays, tetrads):
@@ -251,11 +226,8 @@ class TestKnownAnswers:
         assert result.nodes_explored == 295
         assert len(result.unsat_core) == 11
         # the deletion-minimised core of the formula order, pinned
-        assert [[int(lb[1:]) for lb in c.labels] for c in result.unsat_core] == [
-            [1, 2, 6, 10], [1, 3, 5, 11], [2, 3, 4, 12], [4, 15, 19, 20],
-            [5, 13, 18, 20], [6, 14, 17, 20], [10, 14, 16, 23],
-            [11, 13, 16, 22], [12, 15, 16, 21], [16, 21, 22, 23],
-            [17, 18, 19, 20]]
+        assert [[int(lb[1:]) for lb in c.labels]
+                for c in result.unsat_core] == PERES_CORE
         assert len(core_labels(result)) == 20
         start = time.perf_counter()
         verdict = verify_certificate(result, cs)

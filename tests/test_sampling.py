@@ -22,6 +22,7 @@ from effectkit import (
     rng_from_seed,
     sample_outcomes,
 )
+from effectkit.valuation import _SHOT_CHUNK
 
 from conftest import SZ, pauli_op
 
@@ -67,6 +68,25 @@ class TestSampleOutcomes:
     def test_needs_at_least_one_shot(self):
         with pytest.raises(ValueError):
             sample_outcomes(ground_state(), z_povm(), 0, seed=0)
+
+    def test_shot_count_of_2_63_is_rejected(self):
+        with pytest.raises(ValueError, match=r"shot count must be below 2\*\*63"):
+            sample_outcomes(ground_state(), z_povm(), 2 ** 63, seed=0)
+
+    @pytest.mark.parametrize("n", [_SHOT_CHUNK - 1, _SHOT_CHUNK,
+                                   _SHOT_CHUNK + 1, 3 * _SHOT_CHUNK + 7])
+    def test_chunked_counts_equal_one_draw_of_all_shots(self, n):
+        rng = rng_from_seed(21)
+        rho = random_density(3, rng)
+        povm = random_povm(3, 4, rng)
+        probs = np.array([born(rho, e) for e in povm.effects])
+        cum = np.cumsum(probs / probs.sum())
+        cum[-1] = 1.0
+        draws = np.random.Generator(np.random.PCG64(7)).random(n)
+        idx = np.minimum(np.searchsorted(cum, draws, side="left"), 3)
+        expected = np.bincount(idx, minlength=4)
+        assert sample_outcomes(rho, povm, n, seed=7).counts == tuple(
+            int(c) for c in expected)
 
     def test_probability_deficit(self):
         # a POVM that passes the sum-to-identity tolerance but whose Born

@@ -13,7 +13,9 @@ operator comparison and axiom rule it reports is the library's. A fifth
 keeps the bound of every sum identity read at one site, so a POVM, a
 context and a relation are accepted by one test. A sixth keeps the integer
 reading of a search constraint in ``ConstraintDesc.row()``, so the search
-and its certificate re-check read one equation per constraint.
+and its certificate re-check read one equation per constraint. A seventh
+keeps the ``json`` module inside ``jsonio``, so the package has one emitter
+and one float format.
 """
 
 import ast
@@ -118,6 +120,26 @@ def test_cli_imports_neither_numpy_nor_the_tolerance_table():
             imported.update(alias.name for alias in node.names)
     assert "numpy" not in imported
     assert "TOL" not in imported
+
+
+def test_only_jsonio_imports_json():
+    """Every other module reads and writes JSON through ``jsonio``, so no
+    second emitter can print a float other than at ``.17g``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "json"]
+    assert found == []
 
 
 def test_the_sum_bound_is_read_at_one_site():
