@@ -32,7 +32,6 @@ from .errors import (  # noqa: F401
 )
 from .operators import (  # noqa: F401
     TOL,
-    EigenDecomposition,
     HermitianOperator,
     eig_hermitian,
     eigenvalues_of,
@@ -51,7 +50,6 @@ from .effects import (  # noqa: F401
 )
 from .valuation import (  # noqa: F401
     AdditivityRelation,
-    AxiomReport,
     DensityOperator,
     ReconstructionDiagnostics,
     SampleRecord,

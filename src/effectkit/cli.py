@@ -22,7 +22,10 @@ that ``born`` or ``reconstruct`` give; its report lists only the checks
 the library makes. For a valuation: (P1) on every value, and with
 ``--effects``, (P2) when that file carries I and (P3) for each ``--povm``
 file, read as the relation "its labels = I" (exit 2 unless its operators
-are the effects file's).
+are the effects file's). Each ``--povm`` file is its own (P3) row,
+``effect_valuation:<path>``, in the order given, and holds only that
+file's violation. A valuation whose ``dim`` is not in 1..MAX_DIM exits 2,
+with or without ``--effects``.
 
 An effects file that ``reconstruct``, ``validate --effects`` or a context
 set reads must not repeat a label (exit 2, ``invalid input: duplicate
@@ -80,7 +83,7 @@ from .valuation import (
     ValuationTable,
     born,
     check_gpm,
-    p1_in_range,
+    p1_range,
     povm_relation,
     reconstruct_density,
     sample_outcomes,
@@ -174,25 +177,22 @@ def cmd_validate(args) -> int:
         op = HermitianOperator.from_json_dict(payload)
         checks.extend(state_checks(op))
     elif args.kind == "valuation":
+        # Read before the effects file, so the valuation's faults come first.
         _, values = valuation_from_json(payload)
-        bad = [label for label, x in values.items() if not p1_in_range(x)]
-        check("p1_range", not bad, out_of_range=bad)
-        if args.effects:
+        if not args.effects:
+            checks.append(p1_range(values.items()))
+        else:
             _, effects = _load_effects(args.effects)
             table = ValuationTable.from_json_dict(payload,
                                                   effects_by_label(effects))
             povm_paths = args.povm or []
-            relations = [povm_relation(table, _load_povm(path))
-                         for path in povm_paths]
-            # A POVM given twice is one relation, reported under each path.
-            report = check_gpm(table, list(dict.fromkeys(relations)))
-            if report.identity_labels:
-                p2 = [v.to_json_dict() for v in report.violations_of("P2")]
-                check("p2_identity", not p2, violations=p2)
-            for path, rel in zip(povm_paths, relations):
-                p3 = [v.to_json_dict() for v in report.violations_of("P3")
-                      if v.relation == rel.describe()]
-                check(f"effect_valuation:{path}", not p3, violations=p3)
+            rows = check_gpm(table, [povm_relation(table, _load_povm(path))
+                                     for path in povm_paths])
+            # The last rows are the POVMs' (P3) rows, one per path in order.
+            head = len(rows) - len(povm_paths)
+            checks.extend(rows[:head])
+            checks.extend({**row, "name": f"effect_valuation:{path}"}
+                          for path, row in zip(povm_paths, rows[head:]))
 
     valid = all(c["ok"] for c in checks)
     _emit({"kind": args.kind, "valid": valid, "checks": checks}, args)

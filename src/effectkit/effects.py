@@ -236,8 +236,7 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
     reassemble the input to ``TOL.eig``; violations raise
     ConvergenceFailure via the eigensolver checks.
     """
-    decomp = eig_hermitian(e.op)
-    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    vals, vecs = eig_hermitian(e.op)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][-1]] <= TOL.spectral_gap:

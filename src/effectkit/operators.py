@@ -175,34 +175,15 @@ def hermitian_drift(h: HermitianOperator) -> dict:
             "deviation": h.herm_deviation}
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.complex128)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-    def reassemble(self) -> np.ndarray:
-        """Return sum_i lambda_i |v_i><v_i| as a dense array."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def _require_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator.
+def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian operator: ``(eigenvalues,
+    eigenvectors)`` as ``np.linalg.eigh`` returns them, the eigenvalues
+    ascending and the eigenvectors orthonormal columns.
 
     Uses a deterministic dense solver; identical input bits give identical
     output bits within one build of the underlying LAPACK. Within a
@@ -221,9 +202,8 @@ def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    decomp = EigenDecomposition(vals, vecs)
     norm = np.linalg.norm(arr)
-    residual = np.linalg.norm(decomp.reassemble() - arr)
+    residual = np.linalg.norm((vecs * vals) @ vecs.conj().T - arr)
     if residual > TOL.eig * (1.0 + norm):
         raise ConvergenceFailure(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance")
@@ -231,7 +211,7 @@ def eig_hermitian(h: HermitianOperator) -> EigenDecomposition:
     if gram_dev > TOL.eig:
         raise ConvergenceFailure(
             f"eigenvectors not orthonormal (deviation {gram_dev:.3e})")
-    return decomp
+    return vals, vecs
 
 
 def eigenvalues_of(h: HermitianOperator) -> np.ndarray:

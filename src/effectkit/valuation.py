@@ -18,7 +18,7 @@ frequencies that estimate v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .errors import (
 from .operators import (
     TOL,
     HermitianOperator,
+    check_dim,
     eig_hermitian,
     eigenvalues_of,
     frobenius_inner,
@@ -180,8 +181,9 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
 
     The one reader of the format, shared by
     :meth:`ValuationTable.from_json_dict` and ``effectkit validate``. Schema
-    faults raise SchemaError, entry by entry; a repeated label then raises
-    ValueError. Values are not range-checked.
+    faults raise SchemaError, entry by entry; then a repeated label, or a
+    dim that :func:`operators.check_dim` rejects, raises ValueError. Values
+    are not range-checked.
     """
     obj = jsonio.expect_dict(obj, "valuation table")
     dim = jsonio.expect_int(jsonio.expect_key(obj, "dim", "valuation table"),
@@ -203,38 +205,8 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
         if label in values:
             raise ValueError(f"duplicate label {shown(label)}")
         values[label] = value
+    check_dim(dim)
     return dim, values
-
-
-@dataclass(frozen=True)
-class Violation:
-    axiom: str  # "P1", "P2" or "P3"
-    relation: str
-    lhs: float
-    rhs: float
-    deviation: float
-
-    def to_json_dict(self) -> dict:
-        return {"relation": self.relation, "lhs": self.lhs, "rhs": self.rhs,
-                "deviation": self.deviation}
-
-
-@dataclass
-class AxiomReport:
-    """Outcome of :func:`check_gpm`: the violations found, in the order
-    (P1), (P2), (P3). (P2) was checked on each of ``identity_labels``, the
-    labels whose operator is I.
-    """
-
-    violations: list[Violation] = field(default_factory=list)
-    identity_labels: tuple[str, ...] = ()
-
-    def violations_of(self, axiom: str) -> list[Violation]:
-        return [v for v in self.violations if v.axiom == axiom]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -334,48 +306,65 @@ def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
     return AdditivityRelation(povm.labels, "I")
 
 
-def check_gpm(v: ValuationTable,
-              relations: Sequence[AdditivityRelation]) -> AxiomReport:
-    """Check axioms (P1)-(P3) of a candidate valuation table.
+def p1_range(values: Iterable[tuple[str, float]]) -> dict:
+    """The (P1) check of ``(label, value)`` pairs: ``out_of_range`` lists,
+    in order, the labels whose value fails :func:`p1_in_range`."""
+    bad = [label for label, value in values if not p1_in_range(value)]
+    return {"name": "p1_range", "ok": not bad, "out_of_range": bad}
 
-    (P1) is the range check on every stored value. (P2) is checked on each
-    label whose operator is the same as I, within ``TOL.same_operator`` in
-    Frobenius norm. (P3) checks that each relation's addend values sum to
-    its target's value (1 for ``"I"``) within ``TOL.check``. Each
-    relation's operator identity is first tested by
+
+def _violations(relation: str, lhs: float, rhs: float) -> list[dict]:
+    """``[{relation, lhs, rhs, deviation}]`` when the two sides differ by
+    more than ``TOL.check``, else ``[]``."""
+    dev = abs(lhs - rhs)
+    if dev <= TOL.check:
+        return []
+    return [{"relation": relation, "lhs": lhs, "rhs": rhs, "deviation": dev}]
+
+
+def check_gpm(v: ValuationTable,
+              relations: Sequence[AdditivityRelation]) -> list[dict]:
+    """Check axioms (P1)-(P3) of a candidate valuation table; the checks
+    are dicts ``{"name", "ok", ...}``, the form ``validate`` prints:
+
+    - ``p1_range``: :func:`p1_range` on every stored value;
+    - ``p2_identity``, only when some label's operator is the same as I
+      within ``TOL.same_operator`` in Frobenius norm: its ``violations``
+      hold each such label whose value is not 1 within ``TOL.check``, as
+      ``{"relation": "P2: v(<label>) = 1", "lhs", "rhs", "deviation"}``;
+    - one ``p3_additivity`` row per relation, in the order given (a
+      relation given twice is checked twice): its ``violations`` hold the
+      relation, named by :meth:`AdditivityRelation.describe`, when the
+      addend values do not sum to the target's value (1 for ``"I"``)
+      within ``TOL.check``.
+
+    Each relation's operator identity is first tested by
     :func:`_check_relation_identity`, at the per-dimension bound of every
     sum identity, a POVM's included: a failed one raises BadRelation, as in
     ``build_context_set``; an unknown label raises UnknownLabel.
     """
-    report = AxiomReport()
-    for label, entry in v.items():
-        if not p1_in_range(entry.value):
-            bound = min(max(entry.value, 0.0), 1.0)
-            report.violations.append(Violation(
-                "P1", f"P1 range: v({label})", entry.value, bound,
-                abs(entry.value - bound)))
+    checks = [p1_range((label, entry.value) for label, entry in v.items())]
 
     labels = v.labels
     stack = np.array([v.effect(lb).op.array for lb in labels]).reshape(
         len(labels), v.dim, v.dim)
     off_identity = np.linalg.norm(stack - np.eye(v.dim), axis=(1, 2))
-    report.identity_labels = tuple(
-        labels[k] for k in np.flatnonzero(off_identity <= TOL.same_operator))
-    for label in report.identity_labels:
-        value = v.value(label)
-        if abs(value - 1.0) > TOL.check:
-            report.violations.append(Violation(
-                "P2", f"P2: v({label}) = 1", value, 1.0, abs(value - 1.0)))
+    identity = [labels[k]
+                for k in np.flatnonzero(off_identity <= TOL.same_operator)]
+    if identity:
+        p2 = []
+        for label in identity:
+            p2 += _violations(f"P2: v({label}) = 1", v.value(label), 1.0)
+        checks.append({"name": "p2_identity", "ok": not p2, "violations": p2})
 
     for rel in relations:
         _check_relation_identity(rel, v.effect)
         lhs = float(sum(v.value(label) for label in rel.addends))
         rhs = 1.0 if rel.target == "I" else v.value(rel.target)
-        dev = abs(lhs - rhs)
-        if dev > TOL.check:
-            report.violations.append(
-                Violation("P3", rel.describe(), lhs, rhs, dev))
-    return report
+        p3 = _violations(rel.describe(), lhs, rhs)
+        checks.append({"name": "p3_additivity", "ok": not p3,
+                       "violations": p3})
+    return checks
 
 
 def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
@@ -405,8 +394,7 @@ def jordan_split(c: HermitianOperator
     Eigenvalues within ``TOL.zero`` of zero are assigned to neither part,
     which keeps numerically-zero modes from flapping between signs.
     """
-    decomp = eig_hermitian(c)
-    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    vals, vecs = eig_hermitian(c)
     pos = np.where(vals > TOL.zero, vals, 0.0)
     neg = np.where(vals < -TOL.zero, -vals, 0.0)
     c_pos = (vecs * pos) @ vecs.conj().T
@@ -505,8 +493,7 @@ def project_to_density(h: HermitianOperator) -> DensityOperator:
     so the trace is 1 (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
     Every Hermitian operator has a nearest state. Idempotent.
     """
-    decomp = eig_hermitian(h)
-    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    vals, vecs = eig_hermitian(h)
     desc = vals[::-1]
     count = np.arange(1, desc.size + 1)
     means = np.cumsum(desc) / count

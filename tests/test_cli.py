@@ -214,6 +214,55 @@ class TestValidate:
             {"name": f"effect_valuation:{again}", "ok": False,
              "violations": [row]}]
 
+    def test_povms_with_the_same_label_text_keep_their_own_rows(
+            self, tmp_path, capsys):
+        # Both POVMs read "A + B + C = I"; only p2's values miss 1.
+        def op(*diag):
+            return HermitianOperator(np.diag(diag)).to_json_dict()
+        ops = {"A": op(0.6, 0.2), "B + C": op(0.4, 0.8),
+               "A + B": op(0.8, 0.5), "C": op(0.2, 0.5)}
+        effects = write(tmp_path / "e.json", {"dim": 2, "effects": [
+            {"label": label, "op": o} for label, o in ops.items()]})
+        values = write(tmp_path / "v.json", {"dim": 2, "entries": [
+            {"label": label, "value": x}
+            for label, x in zip(ops, (0.5, 0.5, 0.7, 0.7))]})
+        p1 = write(tmp_path / "p1.json", {"dim": 2, "effects": [
+            {"label": label, "op": ops[label]} for label in ("A", "B + C")]})
+        p2 = write(tmp_path / "p2.json", {"dim": 2, "effects": [
+            {"label": label, "op": ops[label]} for label in ("A + B", "C")]})
+        code, report = run_cli(
+            ["validate", values, "--kind", "valuation", "--effects", effects,
+             "--povm", p1, "--povm", p2], capsys)
+        assert code == 2
+        assert report["checks"] == [
+            {"name": "p1_range", "ok": True, "out_of_range": []},
+            {"name": f"effect_valuation:{p1}", "ok": True, "violations": []},
+            {"name": f"effect_valuation:{p2}", "ok": False, "violations": [
+                {"relation": "A + B + C = I", "lhs": 1.4, "rhs": 1.0,
+                 "deviation": pytest.approx(0.4)}]}]
+
+    @pytest.mark.parametrize("with_effects", [False, True],
+                             ids=["alone", "with effects"])
+    @pytest.mark.parametrize("dim, message", [
+        (0, "matrix dimension must be at least 1"),
+        (-3, "matrix dimension must be at least 1"),
+        (10**9, "dimension 1000000000 exceeds MAX_DIM=64")])
+    def test_a_bad_valuation_dim_is_rejected_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, dim, message, with_effects):
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called on an unchecked dim")
+        monkeypatch.setattr(np, "eye", no_eye)
+        values = write(tmp_path / "v.json", {"dim": dim, "entries": []})
+        argv = ["validate", values, "--kind", "valuation"]
+        if with_effects:
+            argv += ["--effects",
+                     write(tmp_path / "e.json", {"dim": 2, "effects": []})]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+
     def test_valuation_p1_violation(self, tmp_path, capsys):
         table = {"dim": 2, "entries": [{"label": "up", "value": 1.4}]}
         path = write(tmp_path / "v.json", table)

@@ -15,7 +15,8 @@ context and a relation are accepted by one test. A sixth keeps the integer
 reading of a search constraint in ``ConstraintDesc.row()``, so the search
 and its certificate re-check read one equation per constraint. A seventh
 keeps the ``json`` module inside ``jsonio``, so the package has one emitter
-and one float format.
+and one float format. An eighth keeps the axiom report rows built in the
+library: the CLI neither names a relation nor tests a value's range.
 """
 
 import ast
@@ -120,6 +121,21 @@ def test_cli_imports_neither_numpy_nor_the_tolerance_table():
             imported.update(alias.name for alias in node.names)
     assert "numpy" not in imported
     assert "TOL" not in imported
+
+
+def test_cli_builds_no_axiom_row_of_its_own():
+    """``cli.py`` calls no ``describe`` and does not import ``p1_in_range``:
+    ``check_gpm`` and ``p1_range`` build every row ``validate`` prints for a
+    valuation, so the CLI only names the rows it is given."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = [node.func.attr if isinstance(node.func, ast.Attribute)
+              else getattr(node.func, "id", "")
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "describe" not in called
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "p1_in_range" not in imported
 
 
 def test_only_jsonio_imports_json():

@@ -44,6 +44,16 @@ def half_identity(d=2) -> DensityOperator:
     return DensityOperator(HermitianOperator.identity(d) * (1.0 / d))
 
 
+def all_ok(checks) -> bool:
+    """Every check of a :func:`check_gpm` report holds."""
+    return all(c["ok"] for c in checks)
+
+
+def violations(checks) -> list[tuple[str, dict]]:
+    """(check name, violation) for every violation of a report, in order."""
+    return [(c["name"], v) for c in checks for v in c.get("violations", ())]
+
+
 class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPositive):
@@ -86,8 +96,9 @@ class TestCheckGpm:
         povm = random_povm(3, 3, rng)
         table = ValuationTable.from_born(rho, povm.effects)
         rel = AdditivityRelation(povm.labels, "I")
-        report = check_gpm(table, [rel])
-        assert report.ok and not report.violations
+        checks = check_gpm(table, [rel])
+        assert all_ok(checks) and not violations(checks)
+        assert [c["name"] for c in checks] == ["p1_range", "p3_additivity"]
 
     def _half_table(self, half_value: float) -> ValuationTable:
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
@@ -96,30 +107,31 @@ class TestCheckGpm:
                                   TableEntry(eye, 1.0)])
 
     def test_additivity_violation_has_unit_residual(self):
-        report = check_gpm(self._half_table(0.0),
+        checks = check_gpm(self._half_table(0.0),
                            [AdditivityRelation(("H", "H"), "I")])
-        assert report.violations_of("P3")
-        assert report.violations[0].deviation == pytest.approx(1.0)
+        [(name, violation)] = violations(checks)
+        assert name == "p3_additivity"
+        assert violation["deviation"] == pytest.approx(1.0)
 
     def test_additive_assignment_passes(self):
-        report = check_gpm(self._half_table(0.5),
+        checks = check_gpm(self._half_table(0.5),
                            [AdditivityRelation(("H", "H"), "I")])
-        assert report.ok
+        assert all_ok(checks)
 
     def test_p1_range_flagged(self):
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
         table = ValuationTable(2, [TableEntry(half, 1.3)])
-        report = check_gpm(table, [])
-        assert report.violations_of("P1")
-        assert report.violations[0].deviation == pytest.approx(0.3)
+        assert check_gpm(table, []) == [
+            {"name": "p1_range", "ok": False, "out_of_range": ["H"]}]
 
     def test_p2_checked_when_identity_present(self):
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
         eye = Effect(HermitianOperator.identity(2), "I")
         table = ValuationTable(2, [TableEntry(half, 0.45),
                                    TableEntry(eye, 0.9)])
-        report = check_gpm(table, [])
-        assert report.violations_of("P2")
+        assert violations(check_gpm(table, [])) == [
+            ("p2_identity", {"relation": "P2: v(I) = 1", "lhs": 0.9,
+                             "rhs": 1.0, "deviation": pytest.approx(0.1)})]
 
     def test_relation_whose_identity_fails_raises(self):
         # I + I = 2I, not I: the relation asserts nothing about the values.
@@ -145,25 +157,34 @@ class TestCheckGpm:
     def test_p2_checked_on_every_identity_label_only(self):
         eye = HermitianOperator.identity(3)
         corner = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
-        with pytest.warns(DuplicateOperatorWarning):
-            table = ValuationTable(3, [
-                TableEntry(Effect(eye, "I1"), 1.0),
-                TableEntry(Effect(0.5 * eye, "H"), 0.2),
-                TableEntry(Effect(eye + 1e-11 * corner, "I2"), 0.9),
-                TableEntry(Effect(eye - 1e-9 * corner, "near"), 0.3)])
-        report = check_gpm(table, [])
-        assert report.identity_labels == ("I1", "I2")
-        assert [(v.axiom, v.relation, v.lhs) for v in report.violations] == [
-            ("P2", "P2: v(I2) = 1", 0.9)]
+
+        def failures(i1_value):
+            with pytest.warns(DuplicateOperatorWarning):
+                table = ValuationTable(3, [
+                    TableEntry(Effect(eye, "I1"), i1_value),
+                    TableEntry(Effect(0.5 * eye, "H"), 0.2),
+                    TableEntry(Effect(eye + 1e-11 * corner, "I2"), 0.9),
+                    TableEntry(Effect(eye - 1e-9 * corner, "near"), 0.3)])
+            return [(name, v["relation"], v["lhs"])
+                    for name, v in violations(check_gpm(table, []))]
+
+        # I1 and I2 are I within TOL.same_operator, near is not: I1 at 0.95
+        # adds its violation, and near at 0.3 never has one.
+        assert failures(1.0) == [("p2_identity", "P2: v(I2) = 1", 0.9)]
+        assert failures(0.95) == [("p2_identity", "P2: v(I1) = 1", 0.95),
+                                  ("p2_identity", "P2: v(I2) = 1", 0.9)]
 
     def test_target_identity_has_value_one(self):
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
         eye = Effect(HermitianOperator.identity(2), "I")
         table = ValuationTable(2, [TableEntry(half, 0.45),
                                    TableEntry(eye, 0.9)])
-        report = check_gpm(table, [AdditivityRelation(("H", "H"), "I")])
-        assert [(v.axiom, v.lhs, v.rhs) for v in report.violations] == [
-            ("P2", 0.9, 1.0), ("P3", 0.9, 1.0)]
+        checks = check_gpm(table, [AdditivityRelation(("H", "H"), "I")])
+        assert [(name, v["lhs"], v["rhs"])
+                for name, v in violations(checks)] == [
+            ("p2_identity", 0.9, 1.0), ("p3_additivity", 0.9, 1.0)]
+        assert checks[0] == {"name": "p1_range", "ok": True,
+                             "out_of_range": []}
 
     def test_unknown_label_raises(self):
         with pytest.raises(UnknownLabel):
@@ -189,8 +210,8 @@ class TestCheckGpm:
                 entries.append(TableEntry(g, born(rho, g)))
                 relations.append(AdditivityRelation(pair, f"g{i}"))
             table = ValuationTable(d, entries)
-            report = check_gpm(table, relations)
-            assert report.ok, report.violations
+            checks = check_gpm(table, relations)
+            assert all_ok(checks), violations(checks)
 
 
 class TestCheckEffectValuation:
@@ -206,17 +227,17 @@ class TestCheckEffectValuation:
         rho = random_density(2, rng)
         povm = random_povm(2, 3, rng)
         table = ValuationTable.from_born(rho, povm.effects)
-        assert self.check(table, povm).ok
+        assert all_ok(self.check(table, povm))
 
     def test_double_one_assignment_fails(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
         povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.0), TableEntry(f, 1.0)])
-        report = self.check(table, povm)
-        assert report.violations_of("P3")
-        assert report.violations[0].lhs == pytest.approx(2.0)
-        assert report.violations[0].relation == "E + F = I"
+        [(name, violation)] = violations(self.check(table, povm))
+        assert name == "p3_additivity"
+        assert violation["lhs"] == pytest.approx(2.0)
+        assert violation["relation"] == "E + F = I"
 
     def test_eigenstate_on_z_povm(self):
         rho = state(1.0, 0.0)
@@ -226,15 +247,15 @@ class TestCheckEffectValuation:
         # explicit traces: tr[diag(1,0)(I+sz)/2] = 1, tr[diag(1,0)(I-sz)/2] = 0
         assert table.value("up") == pytest.approx(1.0, abs=1e-15)
         assert table.value("down") == pytest.approx(0.0, abs=1e-15)
-        assert self.check(table, povm).ok
+        assert all_ok(self.check(table, povm))
 
     def test_negative_value_flagged(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
         povm = Povm((e, f), 2)
         table = ValuationTable(2, [TableEntry(e, 1.2), TableEntry(f, -0.2)])
-        report = self.check(table, povm)
-        assert report.violations_of("P1")
+        assert self.check(table, povm)[0] == {
+            "name": "p1_range", "ok": False, "out_of_range": ["E", "F"]}
 
     def test_povm_relation_needs_the_tables_operators(self):
         a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
