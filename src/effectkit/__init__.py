@@ -69,7 +69,6 @@ from .valuation import (  # noqa: F401
     state_checks,
 )
 from .nogo import (  # noqa: F401
-    ConstraintDesc,
     ContextSet,
     SearchResult,
     Witness2D,

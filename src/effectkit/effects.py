@@ -124,7 +124,8 @@ def sum_equals(addends, target=None):
 class Povm:
     """Finite list of effects on a d-dimensional space whose sum is I by
     :func:`sum_equals`, the test of every sum identity (contexts and
-    relations too); an effect of another dimension raises DimMismatch."""
+    relations too); an effect of another dimension raises DimMismatch,
+    before anything of size d is built."""
 
     effects: tuple[Effect, ...]
     dim: int
@@ -133,8 +134,10 @@ class Povm:
         object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise SumNotIdentity("a POVM needs at least one effect")
-        holds, residual, _ = sum_equals([e.op.array for e in self.effects],
-                                        np.eye(self.dim))
+        if self.dim != self.effects[0].dim:
+            raise DimMismatch(
+                f"dimension mismatch: {self.effects[0].dim} vs {self.dim}")
+        holds, residual, _ = sum_equals([e.op.array for e in self.effects])
         if not holds:
             raise SumNotIdentity(
                 f"effects sum to I only within {residual:.6e} (Frobenius)",

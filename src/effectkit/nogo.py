@@ -19,12 +19,13 @@ valuations cannot cover all effects:
 
 Certificates from the search are re-checked by :func:`verify_certificate`
 in pure integer arithmetic. The search and the re-check share one thing:
-what a constraint means as an integer equation, :meth:`ConstraintDesc.row`.
-The re-check has its own tree walk and its own bound arithmetic, so no
-solver code vouches for the solver. An UNSAT core is checked by walking its
-refutation tree: every internal node branches on one core label, every leaf
-names a core constraint whose integer bounds exclude its right-hand side on
-its path, in time linear in the tree, not 2^labels.
+what a context or a relation, each an ``AdditivityRelation``, means as an
+integer equation, its ``row()``. The re-check has its own tree walk and its
+own bound arithmetic, so no solver code vouches for the solver. An UNSAT
+core is checked by walking its refutation tree: every internal node
+branches on one core label, every leaf names a core constraint whose
+integer bounds exclude its right-hand side on its path, in time linear in
+the tree, not 2^labels.
 """
 
 from __future__ import annotations
@@ -61,11 +62,7 @@ from .errors import (
     shown,
 )
 from .operators import TOL, eigenvalues_of
-from .valuation import (
-    AdditivityRelation,
-    _check_relation_identity,
-    relations_from_json,
-)
+from .valuation import AdditivityRelation, relations_from_json
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -161,65 +158,23 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
                      P=p, Q=q, violated_relation=relation)
 
 
-@dataclass(frozen=True)
-class ConstraintDesc:
-    """One search constraint: a context normalization or a sum relation."""
-
-    kind: str                      # "context" | "relation"
-    labels: tuple[str, ...]        # context members or relation addends
-    target: str | None = None      # relation target (label or "I")
-
-    def row(self) -> tuple[dict[str, int], int]:
-        """The constraint as the integer equation sum(c_l * v(l)) = rhs:
-        each label's coefficient, netted over its occurrences, in order of
-        first occurrence (addends, then target), and rhs. A context or a
-        relation to I has rhs 1; a label target counts -1 and gives rhs 0. A
-        label whose coefficient nets to 0 (``A + Z = A``) is kept."""
-        coeffs: dict[str, int] = {}
-        for lb in self.labels:
-            coeffs[lb] = coeffs.get(lb, 0) + 1
-        if self.kind == "relation" and self.target != "I":
-            coeffs[self.target] = coeffs.get(self.target, 0) - 1
-            return coeffs, 0
-        return coeffs, 1
-
-    def describe(self) -> str:
-        """The constraint as one short line: labels through ``shown``, and
-        a long list cut by ``listed``."""
-        lhs = listed([f"v({shown(lb, quote=False)})" for lb in self.labels],
-                     " + ")
-        if self.kind == "context":
-            return f"context: {lhs} = 1"
-        tgt = ("1" if self.target == "I"
-               else f"v({shown(self.target, quote=False)})")
-        return f"relation: {lhs} = {tgt}"
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "context":
-            return {"kind": "context", "labels": list(self.labels)}
-        return {"kind": "relation", "addends": list(self.labels),
-                "target": self.target}
-
-
 @dataclass(frozen=True, eq=False)
 class ContextSet:
     """Validated collection of effects, measurement contexts, and relations.
 
     Every context is a POVM over the shared effect pool (labels may repeat
-    within a context), and every sum relation's operator identity holds by
-    the same test at the same bound, ``effects.sum_equals``: within
-    d * ``TOL.sum_per_dim`` in Frobenius norm.
+    within a context), kept as its labels' relation to I of kind
+    ``"context"``; every context and sum relation passes one test at one
+    bound, ``effects.sum_equals`` at d * ``TOL.sum_per_dim``.
     """
 
     effects: dict[str, Effect]
-    contexts: tuple[tuple[str, ...], ...]
+    contexts: tuple[AdditivityRelation, ...]
     sum_relations: tuple[AdditivityRelation, ...]
 
-    def constraints(self) -> list[ConstraintDesc]:
-        out = [ConstraintDesc("context", ctx) for ctx in self.contexts]
-        out.extend(ConstraintDesc("relation", rel.addends, rel.target)
-                   for rel in self.sum_relations)
-        return out
+    def constraints(self) -> list[AdditivityRelation]:
+        """The contexts, then the sum relations, each in its stored order."""
+        return [*self.contexts, *self.sum_relations]
 
 
 def build_context_set(effects: Iterable[Effect],
@@ -230,7 +185,7 @@ def build_context_set(effects: Iterable[Effect],
 
     Raises BadContext when a declared context is not a POVM and BadRelation
     when a claimed operator identity fails (the test ``check_gpm`` runs too,
-    ``valuation._check_relation_identity``). Both are the one sum-identity
+    ``AdditivityRelation.check_identity``). Both are the one sum-identity
     test, ``effects.sum_equals``, at d * ``TOL.sum_per_dim``; a relation
     over effects of different dimension raises DimMismatch. With
     ``discover``, :func:`discover_sum_relations` adds every pair and triple
@@ -255,16 +210,16 @@ def build_context_set(effects: Iterable[Effect],
         except (SumNotIdentity, DimMismatch) as exc:
             names = listed([shown(lb) for lb in members], ", ")
             raise BadContext(f"context #{i} [{names}]: {exc}") from exc
-        checked_contexts.append(members)
+        checked_contexts.append(AdditivityRelation(members, "I", "context"))
 
     checked_relations = list(relations)
     for rel in checked_relations:
-        _check_relation_identity(rel, resolve)
+        rel.check_identity(resolve)
 
     if discover:
-        known = {(tuple(sorted(r.addends)), r.target) for r in checked_relations}
+        known = {(tuple(sorted(r.labels)), r.target) for r in checked_relations}
         for rel in discover_sum_relations(pool):
-            key = (tuple(sorted(rel.addends)), rel.target)
+            key = (tuple(sorted(rel.labels)), rel.target)
             if key not in known:
                 known.add(key)
                 checked_relations.append(rel)
@@ -309,12 +264,12 @@ class Branch:
 
     ``zero`` and ``one`` refute the constraints under ``label`` = 0 and
     ``label`` = 1. Each child is another Branch or a leaf, which is the
-    ConstraintDesc violated on every assignment reaching it.
+    constraint violated on every assignment reaching it.
     """
 
     label: str
-    zero: Branch | ConstraintDesc
-    one: Branch | ConstraintDesc
+    zero: Branch | AdditivityRelation
+    one: Branch | AdditivityRelation
 
 
 @dataclass
@@ -338,9 +293,10 @@ class SearchResult:
     status: str
     assignments: list[dict[str, int]]
     total_solutions: int | None
-    unsat_core: list[ConstraintDesc]
+    unsat_core: list[AdditivityRelation]
     nodes_explored: int
-    refutation: Branch | ConstraintDesc | None = field(default=None, repr=False)
+    refutation: Branch | AdditivityRelation | None = field(default=None,
+                                                           repr=False)
     core_minimal: bool = True
 
     def to_json_dict(self, toolkit_version: str) -> dict:
@@ -361,11 +317,11 @@ class _Budget(Exception):
     pass
 
 
-def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
+def _solve(constraints: Sequence[AdditivityRelation], node_budget: int,
            max_store: int = 0, stop_at_first: bool = False,
            record: bool = False
            ) -> tuple[str, list[dict[str, int]], int | None, int,
-                      Branch | ConstraintDesc | None]:
+                      Branch | AdditivityRelation | None]:
     """Exhaustive DFS with incremental bound propagation over {0,1} variables.
 
     Every constraint sum(c_i * x_i) = rhs keeps integer bounds lo <= sum <= hi
@@ -383,7 +339,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     Bound propagation is monotone: its fixpoint, and whether it reaches a
     conflict, do not depend on the order in which constraints are visited.
     The search branches on the first unassigned variable, in the order of
-    first occurrence in ``ConstraintDesc.row()`` over the constraints, 0
+    first occurrence in ``AdditivityRelation.row()`` over the constraints, 0
     before 1, so the search tree, ``nodes``, the model count and the stored
     assignments and their order are fixed by the constraints alone; only the
     order of forced variables in a refutation tree depends on the queue.
@@ -500,8 +456,8 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
         if len(solutions) < max_store:
             solutions.append({variables[i]: assign[i] for i in range(nv)})
 
-    def refute(log: list, ok: bool, below: Branch | ConstraintDesc | None
-               ) -> Branch | ConstraintDesc | None:
+    def refute(log: list, ok: bool, below: Branch | AdditivityRelation | None
+               ) -> Branch | AdditivityRelation | None:
         # The refutation of one propagate call followed by ``below`` (the
         # subtree of the search under it): each forced x := v becomes a
         # branch on x whose 1-v side is the forcing constraint. Called
@@ -515,7 +471,7 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
                     else Branch(variables[vi], con, node))
         return node
 
-    def dfs(start: int) -> Branch | ConstraintDesc | None:
+    def dfs(start: int) -> Branch | AdditivityRelation | None:
         # Every variable before ``start`` is assigned: it is the parent's
         # branch variable plus one.
         vi = start
@@ -583,8 +539,8 @@ def _solve(constraints: Sequence[ConstraintDesc], node_budget: int,
     return UNKNOWN, [], None, state["nodes"], None
 
 
-def _minimize_core(constraints: list[ConstraintDesc], node_budget: int
-                   ) -> tuple[list[ConstraintDesc], int, bool]:
+def _minimize_core(constraints: list[AdditivityRelation], node_budget: int
+                   ) -> tuple[list[AdditivityRelation], int, bool]:
     """Deletion-based shrinking in deterministic input order.
 
     Each constraint in turn is dropped for good when the rest is still
@@ -661,16 +617,16 @@ class Verification:
 def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     """Independently re-check a search result in pure integer arithmetic.
 
-    Each constraint is read as its integer equation, ``ConstraintDesc.row()``,
-    the one piece shared with the search. The rest is the re-check's own.
-    SAT: every returned assignment must give every label of every constraint
-    of the context set a value in {0,1} and satisfy the equation. UNSAT:
-    the reported core must be made of the set's constraints, and its
-    refutation tree must refute it; the tree is walked once with bounds
-    arithmetic of its own (no solver code involved), in time linear in its
-    size. UNKNOWN asserts nothing and verifies vacuously. A malformed or
-    wrong certificate gives a false Verification whose reason names the
-    failed check.
+    Each constraint is read as its integer equation, its ``row()``, the one
+    piece shared with the search. The rest is the re-check's own. SAT:
+    every returned assignment must give every label of every constraint of
+    the context set a value in {0,1} and satisfy the equation. UNSAT: the
+    reported core must be made of the set's constraints, and its refutation
+    tree must refute it; the tree is walked once with bounds arithmetic of
+    its own (no solver code involved), in time linear in its size. UNKNOWN
+    asserts nothing and verifies vacuously. A malformed or wrong
+    certificate gives a false Verification whose reason names the failed
+    check.
     """
     constraints = cs.constraints()
     if result.status == SAT:
@@ -696,9 +652,9 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     if result.status == UNSAT:
         available = set(constraints)
         for k, desc in enumerate(result.unsat_core):
-            if not isinstance(desc, ConstraintDesc) or desc not in available:
-                entry = (desc.describe() if isinstance(desc, ConstraintDesc)
-                         else reprlib.repr(desc))
+            typed = isinstance(desc, AdditivityRelation)
+            if not typed or desc not in available:
+                entry = desc.describe() if typed else reprlib.repr(desc)
                 return Verification(
                     f"core entry #{k} ({entry}) is not a constraint of the "
                     "context set")
@@ -711,10 +667,11 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     return Verification(f"unknown status {result.status!r}")
 
 
-def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
+def _refutation_problem(tree, core: Sequence[AdditivityRelation]
+                        ) -> str | None:
     """Why ``tree`` does not refute ``core``, or None when it does.
 
-    Each core constraint is read as its equation ``ConstraintDesc.row()``,
+    Each core constraint is read as its equation ``row()``,
     sum(c_l * v(l)) = rhs with coefficients netted per label, so a repeated
     label counts twice and a label that is both addend and target counts
     zero. The walk keeps the assignment of the current path; a leaf holds
@@ -744,7 +701,7 @@ def _refutation_problem(tree, core: Sequence[ConstraintDesc]) -> str | None:
                         "already assigned on its path")
             stack.append((node.one, depth, node.label, 1))
             stack.append((node.zero, depth, node.label, 0))
-        elif isinstance(node, ConstraintDesc):
+        elif isinstance(node, AdditivityRelation):
             row = rows.get(node)
             if row is None:
                 return (f"leaf at depth {depth} names {node.describe()}, which "

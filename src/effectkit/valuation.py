@@ -108,6 +108,7 @@ class ValuationTable:
 
     def __init__(self, dim: int, entries: Iterable[TableEntry]):
         self.dim = int(dim)
+        check_dim(self.dim)
         self._entries: dict[str, TableEntry] = {}
         for entry in entries:
             if entry.effect.dim != self.dim:
@@ -211,39 +212,66 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
 
 @dataclass(frozen=True)
 class AdditivityRelation:
-    """Claim that v(target) = sum of v over the addend labels.
+    """Axiom (P3) for one sum: v(target) = the sum of v over ``labels``,
+    counted with multiplicity; ``target`` is an effect label or ``"I"``
+    (value 1). ``kind`` is ``"context"`` for a measurement context and
+    ``"relation"`` otherwise, read by :meth:`describe` and
+    :meth:`to_json_dict` alone. An empty label list raises ValueError."""
 
-    ``target`` may be an effect label or the symbol ``"I"`` for the
-    identity. Repeated addends are allowed and count with multiplicity;
-    an empty addend list raises ValueError.
-    """
-
-    addends: tuple[str, ...]
+    labels: tuple[str, ...]
     target: str
+    kind: str = "relation"
 
     def __post_init__(self):
-        if not self.addends:
+        if not self.labels:
             raise ValueError("an additivity relation needs at least one addend")
 
+    def row(self) -> tuple[dict[str, int], int]:
+        """The statement as the integer equation sum(c_l * v(l)) = rhs:
+        each label's coefficient, netted over its occurrences, in order of
+        first occurrence (labels, then target), and rhs. A target I gives
+        rhs 1; a label target counts -1 and gives rhs 0. A label whose
+        coefficient nets to 0 (``A + Z = A``) is kept."""
+        coeffs: dict[str, int] = {}
+        for lb in self.labels:
+            coeffs[lb] = coeffs.get(lb, 0) + 1
+        if self.target == "I":
+            return coeffs, 1
+        coeffs[self.target] = coeffs.get(self.target, 0) - 1
+        return coeffs, 0
+
     def describe(self) -> str:
-        return " + ".join(self.addends) + " = " + self.target
+        """The statement as one short line: labels through ``shown``, and
+        a long list cut by ``listed``."""
+        lhs = listed([f"v({shown(lb, quote=False)})" for lb in self.labels],
+                     " + ")
+        if self.kind == "context":
+            return f"context: {lhs} = 1"
+        tgt = ("1" if self.target == "I"
+               else f"v({shown(self.target, quote=False)})")
+        return f"relation: {lhs} = {tgt}"
 
+    def to_json_dict(self) -> dict:
+        if self.kind == "context":
+            return {"kind": "context", "labels": list(self.labels)}
+        return {"kind": "relation", "addends": list(self.labels),
+                "target": self.target}
 
-def _check_relation_identity(rel: AdditivityRelation,
-                             resolve: Callable[[str], Effect]) -> None:
-    """The test of a relation's operator identity: raise BadRelation
-    unless the addends' operators sum to the target's (I for ``"I"``) by
-    :func:`effects.sum_equals`, the test a POVM's sum passes, within
-    d * ``TOL.sum_per_dim`` in Frobenius norm. Operators of different
-    dimension raise DimMismatch."""
-    addends = [resolve(lb).op.array for lb in rel.addends]
-    target = None if rel.target == "I" else resolve(rel.target).op.array
-    holds, dev, bound = sum_equals(addends, target)
-    if not holds:
-        text = listed([shown(lb, quote=False) for lb in rel.addends], " + ")
-        raise BadRelation(
-            f"claimed identity {text} = {shown(rel.target, quote=False)} "
-            f"fails: Frobenius deviation {dev:.3e} > {bound:g}")
+    def check_identity(self, resolve: Callable[[str], Effect]) -> None:
+        """The test of the statement's operator identity: raise BadRelation
+        unless the labels' operators sum to the target's (I for ``"I"``) by
+        :func:`effects.sum_equals`, the test a POVM's sum passes, within
+        d * ``TOL.sum_per_dim`` in Frobenius norm. Operators of different
+        dimension raise DimMismatch."""
+        addends = [resolve(lb).op.array for lb in self.labels]
+        target = None if self.target == "I" else resolve(self.target).op.array
+        holds, dev, bound = sum_equals(addends, target)
+        if not holds:
+            text = listed([shown(lb, quote=False) for lb in self.labels],
+                          " + ")
+            raise BadRelation(
+                f"claimed identity {text} = {shown(self.target, quote=False)} "
+                f"fails: Frobenius deviation {dev:.3e} > {bound:g}")
 
 
 @dataclass(frozen=True)
@@ -334,14 +362,14 @@ def check_gpm(v: ValuationTable,
       ``{"relation": "P2: v(<label>) = 1", "lhs", "rhs", "deviation"}``;
     - one ``p3_additivity`` row per relation, in the order given (a
       relation given twice is checked twice): its ``violations`` hold the
-      relation, named by :meth:`AdditivityRelation.describe`, when the
-      addend values do not sum to the target's value (1 for ``"I"``)
-      within ``TOL.check``.
+      relation, as ``"<label> + ... = <target>"``, when the label values
+      do not sum to the target's value (1 for ``"I"``) within ``TOL.check``.
 
     Each relation's operator identity is first tested by
-    :func:`_check_relation_identity`, at the per-dimension bound of every
-    sum identity, a POVM's included: a failed one raises BadRelation, as in
-    ``build_context_set``; an unknown label raises UnknownLabel.
+    :meth:`AdditivityRelation.check_identity`, at the per-dimension bound
+    of every sum identity, a POVM's included: a failed one raises
+    BadRelation, as in ``build_context_set``; an unknown label raises
+    UnknownLabel.
     """
     checks = [p1_range((label, entry.value) for label, entry in v.items())]
 
@@ -358,10 +386,11 @@ def check_gpm(v: ValuationTable,
         checks.append({"name": "p2_identity", "ok": not p2, "violations": p2})
 
     for rel in relations:
-        _check_relation_identity(rel, v.effect)
-        lhs = float(sum(v.value(label) for label in rel.addends))
+        rel.check_identity(v.effect)
+        lhs = float(sum(v.value(label) for label in rel.labels))
         rhs = 1.0 if rel.target == "I" else v.value(rel.target)
-        p3 = _violations(rel.describe(), lhs, rhs)
+        text = " + ".join(rel.labels) + " = " + rel.target
+        p3 = _violations(text, lhs, rhs)
         checks.append({"name": "p3_additivity", "ok": not p3,
                        "violations": p3})
     return checks

@@ -11,7 +11,6 @@ import numpy as np
 from effectkit import (
     TOL,
     AdditivityRelation,
-    ConstraintDesc,
     ContextSet,
     Effect,
     HermitianOperator,
@@ -259,43 +258,36 @@ def haar_bases_context_set(rng, bases, dim=4):
 
 
 def brute_force_solutions(cs):
-    """All satisfying {0,1} assignments, enumerated directly."""
+    """All satisfying {0,1} assignments, enumerated directly: the labels of
+    every context and relation sum to its target's value (1 for I)."""
+    constraints = cs.constraints()
     variables: dict[str, None] = {}
-    for ctx in cs.contexts:
-        for lb in ctx:
+    for con in constraints:
+        for lb in con.labels:
             variables.setdefault(lb)
-    for rel in cs.sum_relations:
-        for lb in rel.addends:
-            variables.setdefault(lb)
-        if rel.target != "I":
-            variables.setdefault(rel.target)
+        if con.target != "I":
+            variables.setdefault(con.target)
     names = list(variables)
     solutions = []
     for bits in itertools.product((0, 1), repeat=len(names)):
         values = dict(zip(names, bits))
-        ok = all(sum(values[lb] for lb in ctx) == 1 for ctx in cs.contexts)
-        for rel in cs.sum_relations:
-            if not ok:
-                break
-            lhs = sum(values[lb] for lb in rel.addends)
-            rhs = 1 if rel.target == "I" else values[rel.target]
-            ok = lhs == rhs
-        if ok:
+        if all(sum(values[lb] for lb in con.labels)
+               == (1 if con.target == "I" else values[con.target])
+               for con in constraints):
             solutions.append(values)
     return solutions
 
 
-def constraint_subset_as_context_set(cs, descs):
+def constraint_subset_as_context_set(cs, constraints):
     """Rebuild a context set exposing only the given constraints."""
-    contexts = [d.labels for d in descs if d.kind == "context"]
-    relations = [AdditivityRelation(d.labels, d.target)
-                 for d in descs if d.kind == "relation"]
+    contexts = [c.labels for c in constraints if c.kind == "context"]
+    relations = [c for c in constraints if c.kind == "relation"]
     return build_context_set(cs.effects.values(), contexts, relations)
 
 
 def variables_of(constraints) -> list[str]:
     """The search's variables in its branching order: each label at its
-    first occurrence in ``ConstraintDesc.row()`` over the constraints."""
+    first occurrence in ``AdditivityRelation.row()`` over the constraints."""
     return list(dict.fromkeys(lb for desc in constraints
                               for lb in desc.row()[0]))
 
@@ -391,8 +383,8 @@ def solve_by_walking(constraints, node_budget: int, max_store: int,
         if len(solutions) < max_store:
             solutions.append({variables[i]: assign[i] for i in range(nv)})
 
-    def refute(log: list, ok: bool, below: Branch | ConstraintDesc | None
-               ) -> Branch | ConstraintDesc | None:
+    def refute(log: list, ok: bool, below: Branch | AdditivityRelation | None
+               ) -> Branch | AdditivityRelation | None:
         # The refutation of one propagate call followed by ``below`` (the
         # subtree of the search under it): each forced x := v becomes a
         # branch on x whose 1-v side is the forcing constraint. Called
@@ -406,7 +398,7 @@ def solve_by_walking(constraints, node_budget: int, max_store: int,
                     else Branch(variables[vi], con, node))
         return node
 
-    def dfs(start: int) -> Branch | ConstraintDesc | None:
+    def dfs(start: int) -> Branch | AdditivityRelation | None:
         # Every variable before ``start`` is assigned: it is the parent's
         # branch variable plus one.
         state["nodes"] += 1

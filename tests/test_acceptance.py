@@ -176,10 +176,10 @@ def test_criterion_6_search_matches_brute_force():
         # oracle: direct enumeration of all 2^k assignments
         variables: dict[str, None] = {}
         for ctx in cs.contexts:
-            for lb in ctx:
+            for lb in ctx.labels:
                 variables.setdefault(lb)
         for rel in cs.sum_relations:
-            for lb in rel.addends:
+            for lb in rel.labels:
                 variables.setdefault(lb)
             if rel.target != "I":
                 variables.setdefault(rel.target)
@@ -187,11 +187,12 @@ def test_criterion_6_search_matches_brute_force():
         expected = []
         for bits in itertools.product((0, 1), repeat=len(names)):
             values = dict(zip(names, bits))
-            ok = all(sum(values[lb] for lb in ctx) == 1 for ctx in cs.contexts)
+            ok = all(sum(values[lb] for lb in ctx.labels) == 1
+                     for ctx in cs.contexts)
             for rel in cs.sum_relations:
                 if not ok:
                     break
-                lhs = sum(values[lb] for lb in rel.addends)
+                lhs = sum(values[lb] for lb in rel.labels)
                 rhs = 1 if rel.target == "I" else values[rel.target]
                 ok = lhs == rhs
             if ok:

@@ -87,6 +87,19 @@ class TestValidatePovm:
             Povm((diag_effect(0.5, 0.5),
                   Effect(0.5 * HermitianOperator.identity(3), "f")), 2)
 
+    @pytest.mark.parametrize("dim", [3, 0, -3, 10**9])
+    def test_declared_dim_is_checked_before_any_allocation(self, monkeypatch,
+                                                           dim):
+        effects = (diag_effect(1.0, 0.0, label="up"),
+                   diag_effect(0.0, 1.0, label="down"))
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called on an unchecked dim")
+        monkeypatch.setattr(np, "eye", no_eye)
+        with pytest.raises(DimMismatch,
+                           match=f"^dimension mismatch: 2 vs {dim}$"):
+            Povm(effects, dim)
+
 
 class TestIsProjection:
     def test_diagonal_projection(self):

@@ -10,7 +10,6 @@ from effectkit import (
     BadContext,
     BadRelation,
     BlochVector,
-    ConstraintDesc,
     DegenerateLambda,
     DimMismatch,
     Effect,
@@ -31,7 +30,7 @@ from effectkit import (
     verify_certificate,
     witness_2d,
 )
-from effectkit.valuation import _check_relation_identity
+from effectkit.nogo import context_set_from_json
 
 from conftest import (
     brute_force_solutions,
@@ -190,7 +189,7 @@ def planted_identity_pool(rng, dim, factor):
 
 def accepts(rel, resolve) -> bool:
     try:
-        _check_relation_identity(rel, resolve)
+        rel.check_identity(resolve)
     except BadRelation:
         return False
     return True
@@ -202,7 +201,8 @@ class TestBuildContextSet:
         eye = Effect(HermitianOperator.identity(2), "I")
         cs = build_context_set([eye, half], [["H", "H"]],
                                [AdditivityRelation(("H", "H"), "I")])
-        assert cs.contexts == (("H", "H"),)
+        assert cs.contexts == (
+            AdditivityRelation(("H", "H"), "I", "context"),)
         assert len(cs.sum_relations) == 1
 
     def test_projective_contexts(self):
@@ -248,7 +248,8 @@ class TestBuildContextSet:
         w = witness_2d(zhat(), xhat(), 0.5)
         effects = [w.P, w.Q, w.E, w.R, w.Rprime, complement(w.E, "Ec")]
         cs = build_context_set(effects, [["E", "Ec"]])
-        assert cs.contexts == (("E", "Ec"),)
+        assert cs.contexts == (
+            AdditivityRelation(("E", "Ec"), "I", "context"),)
         with pytest.raises(BadRelation):
             build_context_set(effects, [["E", "Ec"]],
                               [AdditivityRelation(("P", "Q"), "E")])
@@ -259,7 +260,7 @@ class TestBuildContextSet:
         third = Effect(HermitianOperator.identity(2) * (1 / 3), "t")
         pool = {"P": p, "Pp": pp, "t": third}
         found = discover_sum_relations(pool)
-        keys = {(tuple(sorted(r.addends)), r.target) for r in found}
+        keys = {(tuple(sorted(r.labels)), r.target) for r in found}
         assert (("P", "Pp"), "I") in keys
         assert (("t", "t", "t"), "I") in keys
 
@@ -268,7 +269,7 @@ class TestBuildContextSet:
         b = Effect(0.2 * pauli_op(0.4, 0, 0), "b")
         c = Effect(a.op + b.op, "c")
         found = discover_sum_relations({"a": a, "b": b, "c": c})
-        keys = {(tuple(sorted(r.addends)), r.target) for r in found}
+        keys = {(tuple(sorted(r.labels)), r.target) for r in found}
         assert (("a", "b"), "c") in keys
 
     def test_relation_over_two_dimensions_is_a_dim_mismatch(self):
@@ -444,7 +445,7 @@ class TestSearch:
             labels = list(cs.effects)
             extra_label = labels[int(rng.integers(len(labels)))]
             harder = build_context_set(
-                cs.effects.values(), cs.contexts,
+                cs.effects.values(), [ctx.labels for ctx in cs.contexts],
                 list(cs.sum_relations)
                 + [AdditivityRelation((extra_label,), extra_label)])
             result = search_dispersion_free(harder, max_solutions=4096)
@@ -460,10 +461,10 @@ class TestSearch:
             rho = random_density(dim, rng)
             v = born_functional(rho)
             for ctx in cs.contexts:
-                total = sum(v(cs.effects[lb].op) for lb in ctx)
+                total = sum(v(cs.effects[lb].op) for lb in ctx.labels)
                 assert abs(total - 1.0) <= 1e-8
             for rel in cs.sum_relations:
-                lhs = sum(v(cs.effects[lb].op) for lb in rel.addends)
+                lhs = sum(v(cs.effects[lb].op) for lb in rel.labels)
                 rhs = 1.0 if rel.target == "I" else v(cs.effects[rel.target].op)
                 assert abs(lhs - rhs) <= 1e-8
 
@@ -483,14 +484,16 @@ class TestVerifyCertificate:
         cs = half_identity_context_set()
         result = search_dispersion_free(cs)
         bad = SearchResult(status="unsat", assignments=[], total_solutions=0,
-                           unsat_core=[ConstraintDesc("context", ("I",))],
+                           unsat_core=[AdditivityRelation(("I",), "I",
+                                                          "context")],
                            nodes_explored=1)
         assert not verify_certificate(bad, cs)
 
     def test_satisfiable_core_fails(self):
         cs = projective_pair_context_set()
         bad = SearchResult(status="unsat", assignments=[], total_solutions=0,
-                           unsat_core=[ConstraintDesc("context", ("P", "Pp"))],
+                           unsat_core=[AdditivityRelation(("P", "Pp"), "I",
+                                                          "context")],
                            nodes_explored=1)
         assert not verify_certificate(bad, cs)
 
@@ -558,14 +561,16 @@ class TestVerifyCertificate:
     def test_foreign_core_reason_describes_the_entry(self):
         cs = half_identity_context_set()
         bad = SearchResult(status="unsat", assignments=[], total_solutions=0,
-                           unsat_core=[ConstraintDesc("context", ("I",))],
+                           unsat_core=[AdditivityRelation(("I",), "I",
+                                                          "context")],
                            nodes_explored=1)
         assert verify_certificate(bad, cs).reason == (
             "core entry #0 (context: v(I) = 1) is not a constraint of the "
             "context set")
 
     @pytest.mark.parametrize("entry", [
-        ConstraintDesc("context", tuple(f"L{i}" for i in range(5000))),
+        AdditivityRelation(tuple(f"L{i}" for i in range(5000)), "I",
+                           "context"),
         [f"L{i}" for i in range(5000)]], ids=["constraint", "list"])
     def test_foreign_core_reason_is_short(self, entry):
         cs = half_identity_context_set()
@@ -592,18 +597,18 @@ class TestVerifyCertificate:
 
 
 class TestConstraintRow:
-    """``ConstraintDesc.row()`` is what a constraint means as an integer
+    """``AdditivityRelation.row()`` is what a constraint means as an integer
     equation, for the search and the re-check alike; it must agree with
     the constraint's sum evaluated directly."""
 
     CASES = [
-        (ConstraintDesc("context", ("A", "B", "A")), {"A": 2, "B": 1}, 1),
-        (ConstraintDesc("relation", ("A", "B"), "I"), {"A": 1, "B": 1}, 1),
-        (ConstraintDesc("relation", ("A", "B"), "C"),
-         {"A": 1, "B": 1, "C": -1}, 0),
-        (ConstraintDesc("relation", ("A", "Z"), "A"), {"A": 0, "Z": 1}, 0),
-        (ConstraintDesc("relation", ("Z", "A", "Z"), "Z"),
-         {"Z": 1, "A": 1}, 0),
+        (AdditivityRelation(("A", "B", "A"), "I", "context"),
+         {"A": 2, "B": 1}, 1),
+        (AdditivityRelation(("A", "B"), "I"), {"A": 1, "B": 1}, 1),
+        (AdditivityRelation(("A", "B"), "C"), {"A": 1, "B": 1, "C": -1}, 0),
+        (AdditivityRelation(("A", "Z"), "A"), {"A": 0, "Z": 1}, 0),
+        (AdditivityRelation(("Z", "A", "Z"), "Z"), {"Z": 1, "A": 1}, 0),
+        (AdditivityRelation(("A", "B"), "I", "context"), {"A": 1, "B": 1}, 1),
     ]
 
     @staticmethod
@@ -623,21 +628,38 @@ class TestConstraintRow:
     @pytest.mark.parametrize("desc", [case[0] for case in CASES])
     def test_row_agrees_with_the_direct_sum(self, desc):
         coeffs, rhs = desc.row()
-        labels = set(desc.labels) | ({desc.target} - {None, "I"})
+        labels = set(desc.labels) | ({desc.target} - {"I"})
         assert set(coeffs) == labels
         for bits in itertools.product((0, 1), repeat=len(coeffs)):
             values = dict(zip(coeffs, bits))
             assert ((sum(c * values[lb] for lb, c in coeffs.items()) == rhs)
                     == self.direct(desc, values)), values
 
+    def test_a_context_and_its_relation_to_i_share_only_the_row(self):
+        context, relation = self.CASES[5][0], self.CASES[1][0]
+        assert context.row() == relation.row()
+        assert context != relation
+        assert context.describe() == "context: v(A) + v(B) = 1"
+        assert relation.describe() == "relation: v(A) + v(B) = 1"
+        assert context.to_json_dict() == {"kind": "context",
+                                          "labels": ["A", "B"]}
+        assert relation.to_json_dict() == {"kind": "relation",
+                                           "addends": ["A", "B"],
+                                           "target": "I"}
+        p = Effect(pauli_op(0, 0, 1), "A")
+        cs = context_set_from_json(
+            {"contexts": [["A", "B"]],
+             "relations": [{"addends": ["A", "B"], "target": "I"}]},
+            [p, complement(p, "B")])
+        assert cs.constraints() == [context, relation]
+
     def test_a_long_constraint_describes_itself_in_one_short_line(self):
-        assert (ConstraintDesc("context", ("H", "H")).describe()
+        assert (AdditivityRelation(("H", "H"), "I", "context").describe()
                 == "context: v(H) + v(H) = 1")
-        assert (ConstraintDesc("relation", ("A", "B"), "C").describe()
+        assert (AdditivityRelation(("A", "B"), "C").describe()
                 == "relation: v(A) + v(B) = v(C)")
-        context = ConstraintDesc("context", ("H",) * 5000).describe()
-        relation = ConstraintDesc("relation", ("H",) * 5000, "x" * 10_000
-                                  ).describe()
+        context = AdditivityRelation(("H",) * 5000, "I", "context").describe()
+        relation = AdditivityRelation(("H",) * 5000, "x" * 10_000).describe()
         assert context == ("context: " + "v(H) + " * 8 + "... (4992 more) = 1")
         assert relation.startswith("relation: v(H) + ")
         assert len(context) < 200 and len(relation) < 200

@@ -10,7 +10,6 @@ import pytest
 
 from effectkit import (
     AdditivityRelation,
-    ConstraintDesc,
     Effect,
     HermitianOperator,
     build_context_set,
@@ -252,7 +251,7 @@ class TestKnownAnswers:
         # the count of the checked-in search for this construction order
         assert result.nodes_explored == 351
         assert sorted(c.labels for c in result.unsat_core) == sorted(
-            cs.contexts)
+            c.labels for c in cs.contexts)
         assert 5 * min(verify_s) < min(search_s)
         # minimal: every context is needed
         for k in range(len(cs.contexts)):
@@ -345,7 +344,8 @@ class TestTampering:
     def test_leaf_at_non_core_constraint(self, peres):
         cs, result = peres
         outside = next(c for c in cs.constraints() if c not in result.unsat_core)
-        for leaf in (outside, ConstraintDesc("context", ("r00", "r01"))):
+        for leaf in (outside,
+                     AdditivityRelation(("r00", "r01"), "I", "context")):
             tree = replace_leftmost_leaf(result.refutation, leaf)
             verdict = verify_certificate(
                 dataclasses.replace(result, refutation=tree), cs)

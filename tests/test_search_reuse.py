@@ -7,7 +7,7 @@ import threading
 import time
 
 from effectkit import (
-    ConstraintDesc,
+    AdditivityRelation,
     rng_from_seed,
     search_dispersion_free,
     verify_certificate,
@@ -20,22 +20,22 @@ BUDGETS = (1, 3, 7, 20, 100, 10**6)
 STORE_CAPS = (0, 1, 3, 64)
 
 
-def relabelled(desc: ConstraintDesc, suffix: str) -> ConstraintDesc:
-    target = desc.target
-    if target not in (None, "I"):
+def relabelled(con: AdditivityRelation, suffix: str) -> AdditivityRelation:
+    target = con.target
+    if target != "I":
         target += suffix
-    return ConstraintDesc(desc.kind, tuple(lb + suffix for lb in desc.labels),
-                          target)
+    return AdditivityRelation(tuple(lb + suffix for lb in con.labels), target,
+                              con.kind)
 
 
 # Three 4-outcome contexts over six labels in which every label lies in two
 # contexts: the sum of all three counts each 1 twice, so no assignment gives
 # each context a single 1. Refuting it takes three search nodes.
-ODD_COVER = [ConstraintDesc("context", tuple(f"g{i}" for i in ctx))
+ODD_COVER = [AdditivityRelation(tuple(f"g{i}" for i in ctx), "I", "context")
              for ctx in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5))]
 
 
-def random_constraint_list(rng) -> list[ConstraintDesc]:
+def random_constraint_list(rng) -> list[AdditivityRelation]:
     """A block of contexts and relations (to a label or to "I") over a few
     labels, some with repeated labels, then disjoint relabelled copies of
     it. Some lists shuffle the copies' constraints together, some add a
@@ -48,18 +48,18 @@ def random_constraint_list(rng) -> list[ConstraintDesc]:
         return tuple(str(lb) for lb in
                      rng.choice(labels, size, replace=bool(rng.random() < 0.3)))
 
-    block = [ConstraintDesc("context", pick(2, 5))
+    block = [AdditivityRelation(pick(2, 5), "I", "context")
              for _ in range(int(rng.integers(1, 3)))]
     for _ in range(int(rng.integers(0, 3))):
         target = "I" if rng.random() < 0.5 else str(rng.choice(labels))
-        block.append(ConstraintDesc("relation", pick(1, 3), target))
+        block.append(AdditivityRelation(pick(1, 3), target))
     copies = int(rng.integers(2, 4))
     out = [relabelled(d, f"_{c}") for c in range(copies) for d in block]
     if rng.random() < 0.3:
         out = [out[i] for i in rng.permutation(len(out))]
     if rng.random() < 0.3:
         target = "I" if rng.random() < 0.5 else str(rng.choice(labels))
-        out.append(relabelled(ConstraintDesc("relation", pick(1, 3), target),
+        out.append(relabelled(AdditivityRelation(pick(1, 3), target),
                               f"_{copies - 1}"))
     if rng.random() < 0.3:
         out += ODD_COVER
@@ -117,8 +117,9 @@ def test_reuse_matches_the_walking_search():
     assert unsat_trees >= 40
 
 
-def bases(count: int, dim: int = 4) -> list[ConstraintDesc]:
-    return [ConstraintDesc("context", tuple(f"b{b}_{k}" for k in range(dim)))
+def bases(count: int, dim: int = 4) -> list[AdditivityRelation]:
+    return [AdditivityRelation(tuple(f"b{b}_{k}" for k in range(dim)), "I",
+                               "context")
             for b in range(count)]
 
 
@@ -154,9 +155,9 @@ def test_searches_in_two_threads_keep_their_own_tables():
     # calls would hand one search the other's models.
     searches = {
         "b5_0 + b5_1 = 1":
-            bases(6) + [ConstraintDesc("relation", ("b5_0", "b5_1"), "I")],
+            bases(6) + [AdditivityRelation(("b5_0", "b5_1"), "I")],
         "b5_0 + b5_2 = 1":
-            bases(6) + [ConstraintDesc("relation", ("b5_0", "b5_2"), "I")]}
+            bases(6) + [AdditivityRelation(("b5_0", "b5_2"), "I")]}
     expected = {name: _solve(c, 10**6, max_store=64)
                 for name, c in searches.items()}
     assert expected["b5_0 + b5_1 = 1"][1] != expected["b5_0 + b5_2 = 1"][1]

@@ -12,11 +12,13 @@ alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
 operator comparison and axiom rule it reports is the library's. A fifth
 keeps the bound of every sum identity read at one site, so a POVM, a
 context and a relation are accepted by one test. A sixth keeps the integer
-reading of a search constraint in ``ConstraintDesc.row()``, so the search
-and its certificate re-check read one equation per constraint. A seventh
-keeps the ``json`` module inside ``jsonio``, so the package has one emitter
-and one float format. An eighth keeps the axiom report rows built in the
-library: the CLI neither names a relation nor tests a value's range.
+reading of a search constraint in ``AdditivityRelation.row()``, so the
+search and its certificate re-check read one equation per constraint, and
+``nogo`` compares no constraint's ``kind`` or ``target``. A seventh keeps
+the ``json`` module inside ``jsonio``, so the package has one emitter and
+one float format. An eighth keeps the axiom report rows built in the
+library: the CLI neither names a relation nor tests a value's range. A
+ninth keeps every module to the public names of its siblings.
 """
 
 import ast
@@ -174,20 +176,42 @@ def test_the_sum_bound_is_read_at_one_site():
 
 
 def test_constraints_are_read_only_through_their_row():
-    """In ``nogo.py`` no comparison reads a constraint's ``kind`` or
-    ``target`` outside ``ConstraintDesc``: what a constraint means as an
-    integer equation is ``ConstraintDesc.row()``, for the search and the
+    """No comparison anywhere in ``nogo.py`` reads a ``kind`` or a
+    ``target``: what a constraint means as an integer equation is
+    ``AdditivityRelation.row()`` in ``valuation.py``, for the search and the
     certificate re-check alike."""
+    valuation = ast.parse(
+        (PACKAGE / "valuation.py").read_text(encoding="utf-8"))
+    relation = [node for node in ast.walk(valuation)
+                if isinstance(node, ast.ClassDef)
+                and node.name == "AdditivityRelation"]
+    assert len(relation) == 1, "AdditivityRelation is missing"
+    assert "row" in {node.name for node in relation[0].body
+                     if isinstance(node, ast.FunctionDef)}
     tree = ast.parse((PACKAGE / "nogo.py").read_text(encoding="utf-8"))
-    desc = [node for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and node.name == "ConstraintDesc"]
-    assert len(desc) == 1, "ConstraintDesc is missing"
-    inside = {id(node) for node in ast.walk(desc[0])}
     reads = [f"nogo.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Compare) and id(node) not in inside
+             if isinstance(node, ast.Compare)
              and any(isinstance(a, ast.Attribute)
                      and a.attr in ("kind", "target") for a in ast.walk(node))]
     assert not reads, reads
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A name that starts with ``_`` (a dunder such as ``__version__``
+    aside) stays in its module: what one module shares with another is
+    public, so it is also what a library caller gets."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith(
+                      "effectkit"))
+                  for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.endswith("__")]
+    assert not found, found
 
 
 def _sum_cases():

@@ -195,6 +195,18 @@ class TestCheckGpm:
         with pytest.raises(ValueError, match="at least one addend"):
             check_gpm(self._half_table(0.5), [AdditivityRelation((), "I")])
 
+    @pytest.mark.parametrize("dim, message", [
+        (-3, "matrix dimension must be at least 1"),
+        (0, "matrix dimension must be at least 1"),
+        (10**9, "dimension 1000000000 exceeds MAX_DIM=64")])
+    def test_a_bad_table_dim_is_rejected_before_any_allocation(
+            self, monkeypatch, dim, message):
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called on an unchecked dim")
+        monkeypatch.setattr(np, "eye", no_eye)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_gpm(ValuationTable(dim, []), [])
+
     def test_subset_relations_of_random_povms(self):
         rng = rng_from_seed(12)
         for _ in range(20):
