@@ -23,6 +23,7 @@ from .errors import (
     ExceedsIdentity,
     NotDimTwo,
     NotPositive,
+    SchemaError,
     SumNotIdentity,
     TraceNotOne,
     shown,
@@ -33,6 +34,8 @@ from .operators import (
     eig_hermitian,
     eigenvalues_of,
     hermitian_drift,
+    hermitian_stack,
+    matrix_from_json,
 )
 
 # Standard Pauli convention; sigma_y = [[0, -i], [i, 0]].
@@ -95,13 +98,19 @@ def effect_from_json(obj) -> tuple[HermitianOperator, str]:
     label, without the effect checks.
 
     The one reader of the format, shared by :meth:`Effect.from_json_dict`
-    and ``effectkit validate``.
+    and ``effectkit validate``; :func:`effects_from_json_dict` reads each
+    item with its schema half, :func:`_effect_parts`.
     """
+    array, label = _effect_parts(obj)
+    return HermitianOperator(array), label
+
+
+def _effect_parts(obj) -> tuple[np.ndarray, str]:
+    """An effect's matrix, unbuilt, and its label; schema checks only."""
     obj = jsonio.expect_dict(obj, "effect")
     label = jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
                               "effect.label")
-    op = HermitianOperator.from_json_dict(jsonio.expect_key(obj, "op", "effect"))
-    return op, label
+    return matrix_from_json(jsonio.expect_key(obj, "op", "effect")), label
 
 
 def sum_equals(addends, target=None):
@@ -256,13 +265,38 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
 
 
 def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
-    """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files)."""
+    """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files).
+
+    Each item is checked as :meth:`Effect.from_json_dict` checks it, and
+    the first fault in file order is the one raised. When every item has
+    dim d, the operators are built as one stack by
+    :func:`operators.hermitian_stack`, with one eigensolve call for all:
+    the items are read up to the first schema error, the effects before it
+    are built and checked in order, and that error is raised only if they
+    all pass. An effect of another dim raises DimMismatch once every item
+    has passed.
+    """
     obj = jsonio.expect_dict(obj, "effects file")
     dim = jsonio.expect_int(jsonio.expect_key(obj, "dim", "effects file"),
                             "effects.dim")
     items = jsonio.expect_list(jsonio.expect_key(obj, "effects", "effects file"),
                                "effects.effects")
-    effects = [Effect.from_json_dict(item) for item in items]
+    arrays, labels, fault = [], [], None
+    for item in items:
+        try:
+            array, label = _effect_parts(item)
+        except SchemaError as exc:
+            fault = exc
+            break
+        arrays.append(array)
+        labels.append(label)
+    if all(a.shape == (dim, dim) for a in arrays):
+        ops = hermitian_stack(arrays)
+    else:
+        ops = map(HermitianOperator, arrays)
+    effects = [Effect(op, label) for op, label in zip(ops, labels)]
+    if fault is not None:
+        raise fault
     for e in effects:
         if e.dim != dim:
             raise DimMismatch(

@@ -201,16 +201,29 @@ def build_context_set(effects: Iterable[Effect],
                 f"label {shown(label)} not among the loaded effects")
         return pool[label]
 
-    checked_contexts = []
-    for i, ctx in enumerate(contexts):
-        members = tuple(str(lb) for lb in ctx)
+    # Every context up to the first unknown label, whose error is raised
+    # only once the contexts before it pass.
+    members, resolved, unknown = [], [], None
+    for ctx in contexts:
+        labels = tuple(str(lb) for lb in ctx)
         try:
-            Povm(tuple(resolve(lb) for lb in members),
-                 resolve(members[0]).dim if members else 0)
+            resolved.append([resolve(lb) for lb in labels])
+        except UnknownLabel as exc:
+            unknown = exc
+            break
+        members.append(labels)
+    for i, holds in enumerate(_sums_to_identity(resolved)):
+        if holds:
+            continue
+        try:
+            Povm(tuple(resolved[i]), resolved[i][0].dim if resolved[i] else 0)
         except (SumNotIdentity, DimMismatch) as exc:
-            names = listed([shown(lb) for lb in members], ", ")
+            names = listed([shown(lb) for lb in members[i]], ", ")
             raise BadContext(f"context #{i} [{names}]: {exc}") from exc
-        checked_contexts.append(AdditivityRelation(members, "I", "context"))
+    if unknown is not None:
+        raise unknown
+    checked_contexts = [AdditivityRelation(labels, "I", "context")
+                        for labels in members]
 
     checked_relations = list(relations)
     for rel in checked_relations:
@@ -225,6 +238,25 @@ def build_context_set(effects: Iterable[Effect],
                 checked_relations.append(rel)
 
     return ContextSet(pool, tuple(checked_contexts), tuple(checked_relations))
+
+
+def _sums_to_identity(contexts: Sequence[Sequence[Effect]]) -> list[bool]:
+    """Whether each context's effects sum to I by ``effects.sum_equals``,
+    the test ``Povm`` runs, bit for bit: one call per context size and
+    dimension, on the stacked operators of each position. An empty context
+    or one of mixed dimensions reads False, to be checked alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, ctx in enumerate(contexts):
+        shapes = {e.op.array.shape for e in ctx}
+        if len(shapes) == 1:
+            groups.setdefault((len(ctx), *shapes), []).append(i)
+    holds = [False] * len(contexts)
+    for (size, _), members in groups.items():
+        addends = [np.array([contexts[i][j].op.array for i in members])
+                   for j in range(size)]
+        for i, ok in zip(members, sum_equals(addends)[0]):
+            holds[i] = bool(ok)
+    return holds
 
 
 def discover_sum_relations(pool: Mapping[str, Effect]
@@ -620,35 +652,21 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     Each constraint is read as its integer equation, its ``row()``, the one
     piece shared with the search. The rest is the re-check's own. SAT:
     every returned assignment must give every label of every constraint of
-    the context set a value in {0,1} and satisfy the equation. UNSAT: the
-    reported core must be made of the set's constraints, and its refutation
-    tree must refute it; the tree is walked once with bounds arithmetic of
-    its own (no solver code involved), in time linear in its size. UNKNOWN
-    asserts nothing and verifies vacuously. A malformed or wrong
-    certificate gives a false Verification whose reason names the failed
-    check.
+    the context set a value in {0,1} and satisfy the equation. The
+    equations of all the assignments are checked as one integer product,
+    the assignment matrix times the rows' coefficients, and the first
+    failure in assignment order is named. UNSAT: the reported core must be
+    made of the set's constraints, and its refutation tree must refute it;
+    the tree is walked once with bounds arithmetic of its own (no solver
+    code involved), in time linear in its size. UNKNOWN asserts nothing
+    and verifies vacuously. A malformed or wrong certificate gives a false
+    Verification whose reason names the failed check.
     """
     constraints = cs.constraints()
     if result.status == SAT:
         if not result.assignments:
             return Verification("sat result stores no assignment")
-        rows = [(desc, *desc.row()) for desc in constraints]
-        for i, assignment in enumerate(result.assignments):
-            for lb, v in assignment.items():
-                if v not in (0, 1):
-                    return Verification(
-                        f"assignment #{i} gives v({shown(str(lb), quote=False)})"
-                        f" = {reprlib.repr(v)}, not 0 or 1")
-            for desc, coeffs, rhs in rows:
-                missing = [lb for lb in coeffs if lb not in assignment]
-                if missing:
-                    return Verification(
-                        f"assignment #{i} has no value for "
-                        f"{shown(missing[0])}")
-                if sum(c * assignment[lb] for lb, c in coeffs.items()) != rhs:
-                    return Verification(
-                        f"assignment #{i} breaks {desc.describe()}")
-        return Verification()
+        return Verification(_sat_problem(result.assignments, constraints))
     if result.status == UNSAT:
         available = set(constraints)
         for k, desc in enumerate(result.unsat_core):
@@ -665,6 +683,61 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     if result.status == UNKNOWN:
         return Verification()
     return Verification(f"unknown status {result.status!r}")
+
+
+def _sat_problem(assignments: Sequence[Mapping[str, object]],
+                 constraints: Sequence[AdditivityRelation]) -> str | None:
+    """Why an assignment breaks a constraint, or None when none does.
+
+    Assignment by assignment, in order: every value must be 0 or 1, in
+    the assignment's own order; then, constraint by constraint, every
+    label of the ``row()`` must have a value and the equation must hold.
+    The first failure is named. The equations of all assignments are
+    checked at once, as one integer product of the assignment matrix (a
+    row per assignment, a column per constraint label) with the rows'
+    coefficients; a value that equals 0 or 1 counts as that integer.
+    """
+    rows = [desc.row() for desc in constraints]
+    columns = {lb: k for k, lb in enumerate(
+        dict.fromkeys(lb for coeffs, _ in rows for lb in coeffs))}
+    coef = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    member = np.zeros(coef.shape, dtype=bool)
+    for r, (coeffs, _) in enumerate(rows):
+        for lb, c in coeffs.items():
+            coef[r, columns[lb]] = c
+            member[r, columns[lb]] = True
+    rhs = np.array([rhs for _, rhs in rows], dtype=np.int64)
+
+    # The first assignment with a value outside {0, 1} ends the matrix.
+    bad = None
+    for i, assignment in enumerate(assignments):
+        try:
+            zero_one = set(assignment.values()) <= {0, 1}
+        except TypeError:
+            zero_one = False
+        if not zero_one:
+            bad = next(((i, lb, v) for lb, v in assignment.items()
+                        if v not in (0, 1)), None)
+            if bad is not None:
+                break
+    checked = assignments[:bad[0]] if bad is not None else assignments
+    # 2 marks a missing label: every present value equals 0 or 1.
+    values = np.array([[a.get(lb, 2) for lb in columns] for a in checked]
+                      ).reshape(len(checked), len(columns))
+    missing = (values == 2) @ member.T
+    broken = (values == 1) @ coef.T != rhs
+    faults = np.argwhere(missing | broken)
+    if len(faults):
+        i, r = (int(x) for x in faults[0])
+        if missing[i, r]:
+            lb = next(lb for lb in rows[r][0] if lb not in checked[i])
+            return f"assignment #{i} has no value for {shown(lb)}"
+        return f"assignment #{i} breaks {constraints[r].describe()}"
+    if bad is not None:
+        i, lb, v = bad
+        return (f"assignment #{i} gives v({shown(str(lb), quote=False)}) = "
+                f"{reprlib.repr(v)}, not 0 or 1")
+    return None
 
 
 def _refutation_problem(tree, core: Sequence[AdditivityRelation]

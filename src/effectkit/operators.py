@@ -9,11 +9,24 @@ shared freely across threads. Dimensions are capped at :data:`MAX_DIM`
 0.78 GB file) ran in 101 s with a 1.5 GB peak RSS, on one BLAS thread of a
 2-vCPU Xeon guest. :data:`TOL` holds every numerical tolerance of the
 package.
+
+The operators of an effects file are built as one (K, d, d) stack by
+:func:`hermitian_stack`: whole-array calls symmetrize it and measure it,
+and one eigensolver call gives every spectrum. One operator built alone
+runs the same code on a stack of one. Either way each operator keeps its
+ascending spectrum once it is known, read-only, and
+:func:`eigenvalues_of` reads it from there. That cache is the one state
+an operator gains after construction, and it is safe to share: the
+spectrum is a pure function of the read-only array, so two threads that
+fill it at once compute the same values and each stores a complete
+array in one attribute assignment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,32 +82,27 @@ class HermitianOperator:
     the worst entrywise deviation |M[i][j] - conj(M[j][i])| of the input is
     kept in ``herm_deviation`` so float drift in files is visible instead of
     being silently absorbed; construction never rejects for drift, only
-    for a deviation that overflows to infinity (ValueError).
+    for a deviation that overflows to infinity (ValueError). The ascending
+    spectrum is computed once, by :func:`eigenvalues_of` or for a whole
+    stack by :func:`hermitian_stack`, and kept read-only.
     """
 
     array: np.ndarray
     herm_deviation: float = field(init=False, default=0.0)
+    _spectrum: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         check_dim(arr.shape[0])
-        adj = arr.conj().T
-        # The symmetrized matrix is the only copy made; it is non-finite
-        # exactly when the input is, or when the sum overflows. Overflow is
-        # reported by that check, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = (arr + adj) / 2.0
-            if not np.isfinite(sym).all():
-                raise ValueError("matrix entries must be finite")
-            deviation = float(np.max(np.abs(arr - adj)))
-        if not np.isfinite(deviation):
-            raise ValueError("hermiticity deviation |M[i][j] - conj(M[j][i])| "
-                             "is not finite")
+        sym, finite, deviation = _symmetrize(arr[None])
+        fault = _construction_fault(finite[0], deviation[0])
+        if fault is not None:
+            raise fault
         sym.setflags(write=False)
-        object.__setattr__(self, "array", sym)
-        object.__setattr__(self, "herm_deviation", deviation)
+        object.__setattr__(self, "array", sym[0])
+        object.__setattr__(self, "herm_deviation", float(deviation[0]))
 
     @property
     def dim(self) -> int:
@@ -114,22 +122,8 @@ class HermitianOperator:
 
     @classmethod
     def from_json_dict(cls, obj) -> "HermitianOperator":
-        """Read the wire format. Entries that ``jsonio.load`` packed while
-        decoding are taken as their array; any other list (ints, odd
-        entries, a dict built in code) is read by :func:`_entry_array`,
-        whose SchemaError names the entry at fault."""
-        obj = jsonio.expect_dict(obj, "matrix")
-        d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
-        entries = jsonio.expect_key(obj, "entries", "matrix")
-        if not isinstance(entries, jsonio.PackedEntries):
-            entries = jsonio.expect_list(entries, "matrix.entries")
-        if d < 1:
-            raise SchemaError("matrix.dim must be a positive integer")
-        if len(entries) != d * d:
-            raise SchemaError(
-                f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")
-        flat = _entry_array(entries)
-        return cls(flat.reshape(d, d))
+        """Read the wire format: the operator of :func:`matrix_from_json`."""
+        return cls(matrix_from_json(obj))
 
     # Hermitian operators are closed under real-linear combinations; these
     # are the only arithmetic dunders provided on purpose (a product of
@@ -146,6 +140,25 @@ class HermitianOperator:
         return HermitianOperator(self.array * float(scalar))
 
     __rmul__ = __mul__
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """The wire format read into a d x d complex array, checked against
+    the schema alone; the operator's checks are construction's. Entries
+    that ``jsonio.load`` packed while decoding are taken as their array;
+    any other list (ints, odd entries, a dict built in code) is read by
+    :func:`_entry_array`, whose SchemaError names the entry at fault."""
+    obj = jsonio.expect_dict(obj, "matrix")
+    d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
+    entries = jsonio.expect_key(obj, "entries", "matrix")
+    if not isinstance(entries, jsonio.PackedEntries):
+        entries = jsonio.expect_list(entries, "matrix.entries")
+    if d < 1:
+        raise SchemaError("matrix.dim must be a positive integer")
+    if len(entries) != d * d:
+        raise SchemaError(
+            f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")
+    return _entry_array(entries).reshape(d, d)
 
 
 def _entry_array(entries) -> np.ndarray:
@@ -166,6 +179,84 @@ def _entry_array(entries) -> np.ndarray:
         numbers.append(jsonio.expect_number(pair[0], f"matrix.entries[{k}][0]"))
         numbers.append(jsonio.expect_number(pair[1], f"matrix.entries[{k}][1]"))
     return np.array(numbers, dtype=np.float64).view(np.complex128)
+
+
+# Matrices symmetrized at once by hermitian_stack. Blocks keep the
+# temporaries of a large stack small: at d = 64 a block of 32 is 2 MB.
+_STACK_ROWS = 32
+
+
+def _symmetrize(arr: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M + M^dagger)/2 of each matrix M of the (k, d, d) stack ``arr``,
+    and per matrix whether that is finite and the deviation
+    max |M[i][j] - conj(M[j][i])|. The result is the only copy made; it is
+    non-finite exactly when the input is, or when the sum overflows.
+    Overflow is reported by those values, not by numpy warnings."""
+    adj = arr.swapaxes(-1, -2).conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (arr + adj) / 2.0
+        finite = np.isfinite(sym).all(axis=(-2, -1))
+        deviation = np.abs(arr - adj).max(axis=(-2, -1))
+    return sym, finite, deviation
+
+
+def _construction_fault(finite, deviation) -> ValueError | None:
+    """The ValueError that construction raises for one matrix, or None."""
+    if not finite:
+        return ValueError("matrix entries must be finite")
+    if not math.isfinite(deviation):
+        return ValueError("hermiticity deviation |M[i][j] - conj(M[j][i])| "
+                          "is not finite")
+    return None
+
+
+def hermitian_stack(arrays: Sequence[np.ndarray]
+                    ) -> Iterator[HermitianOperator]:
+    """``HermitianOperator(m)`` for each d x d complex array m of
+    ``arrays`` (all of one shape), in order, built as one read-only
+    (K, d, d) stack: each operator's ``array`` is a view of it.
+
+    The symmetrization, the finiteness check and ``herm_deviation`` run
+    as whole-array calls, and one ``np.linalg.eigvalsh`` call fills the
+    spectrum of every operator before the first that fails. Each value is
+    the one that constructing the operator alone gives, bit for bit.
+
+    Operators come one at a time, and in place of the first that would
+    not construct, the error its construction raises is raised. So a
+    caller that checks each operator as it comes sees the faults in input
+    order, as if it had built them one by one. A failed eigensolve leaves
+    the spectra to :func:`eigenvalues_of`, which then raises
+    ConvergenceFailure for the operator at fault.
+    """
+    if not len(arrays):
+        return
+    shape = arrays[0].shape
+    check_dim(shape[0])
+    stack = np.empty((len(arrays), *shape), dtype=np.complex128)
+    finite = np.empty(len(arrays), dtype=bool)
+    deviation = np.empty(len(arrays))
+    for lo in range(0, len(arrays), _STACK_ROWS):
+        rows = slice(lo, lo + _STACK_ROWS)
+        stack[rows], finite[rows], deviation[rows] = _symmetrize(
+            np.array(arrays[rows]))
+    stack.setflags(write=False)
+    good = finite & np.isfinite(deviation)
+    end = len(arrays) if good.all() else int(np.argmin(good))
+    try:
+        spectra = np.linalg.eigvalsh(stack[:end])
+    except np.linalg.LinAlgError:
+        spectra = [None] * end
+    else:
+        spectra.setflags(write=False)
+    for k in range(end):
+        op = object.__new__(HermitianOperator)
+        object.__setattr__(op, "array", stack[k])
+        object.__setattr__(op, "herm_deviation", float(deviation[k]))
+        object.__setattr__(op, "_spectrum", spectra[k])
+        yield op
+    if end < len(arrays):
+        raise _construction_fault(finite[end], deviation[end])
 
 
 def hermitian_drift(h: HermitianOperator) -> dict:
@@ -215,11 +306,18 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues_of(h: HermitianOperator) -> np.ndarray:
-    """Ascending eigenvalues (no eigenvectors computed)."""
-    try:
-        return np.linalg.eigvalsh(h.array)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    """Ascending eigenvalues (no eigenvectors computed), read-only. The
+    first call computes them and keeps them on the operator; later calls,
+    and every operator of a :func:`hermitian_stack`, read that copy."""
+    vals = h._spectrum
+    if vals is None:
+        try:
+            vals = np.linalg.eigvalsh(h.array)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+        vals.setflags(write=False)
+        object.__setattr__(h, "_spectrum", vals)
+    return vals
 
 
 def frobenius_inner(a: HermitianOperator, b: HermitianOperator) -> float:

@@ -613,6 +613,11 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
 # gives the same stream in chunks as in one call, so the counts do not
 # depend on it.
 _SHOT_CHUNK = 1 << 20
+# Most outcomes counted by thresholds. Per chunk of 2**20 draws on one
+# core of a 2-vCPU Xeon guest, thresholds took 0.6, 10 and 80 ms at 2, 16
+# and 128 outcomes, a sorted search 31, 57 and 101 ms; at 256, 163
+# against 111 ms.
+_MAX_THRESHOLDS = 128
 
 
 def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
@@ -642,11 +647,30 @@ def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(len(probs), dtype=np.int64)
     for done in range(0, n, _SHOT_CHUNK):
-        draws = rng.random(min(_SHOT_CHUNK, n - done))
-        idx = np.searchsorted(cum, draws, side="left")
-        idx = np.minimum(idx, len(probs) - 1)
-        counts += np.bincount(idx, minlength=len(probs))
+        counts += _outcome_counts(cum, rng.random(min(_SHOT_CHUNK, n - done)))
     return SampleRecord(povm.labels, tuple(int(c) for c in counts), n, seed)
+
+
+def _outcome_counts(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """How many draws u fall to each outcome j: the first j with
+    u <= cum[j], and the last outcome when there is none. That is
+    ``searchsorted(cum, u, side="left")`` clamped to the last index.
+
+    When cum does not decrease, the draws up to outcome j are the draws
+    u <= cum[j], so each count is a difference of two
+    ``count_nonzero(draws <= cum[j])``, one per threshold, and the last
+    outcome takes the rest; ties and zero-probability outcomes come out
+    as the search gives them. A cum that decreases (a Born probability
+    below 0 within tolerance) is searched, and so is one of more than
+    ``_MAX_THRESHOLDS`` outcomes, where the search is faster.
+    """
+    k = len(cum)
+    if k <= _MAX_THRESHOLDS and np.all(cum[1:] >= cum[:-1]):
+        below = [np.count_nonzero(draws <= c) for c in cum[:-1]]
+        below.append(len(draws))
+        return np.diff(below, prepend=0)
+    idx = np.minimum(np.searchsorted(cum, draws, side="left"), k - 1)
+    return np.bincount(idx, minlength=k)
 
 
 def estimate_valuation(record: SampleRecord, povm: Povm) -> ValuationTable:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -39,7 +38,8 @@ from effectkit import (
 )
 from effectkit.nogo import build_context_set
 
-from conftest import char_poly_eigs_2x2, pauli_op, random_context_set
+from conftest import (brute_force_solutions, char_poly_eigs_2x2, pauli_op,
+                      random_context_set)
 
 
 def ic_frame(dim, rng, extra=3):
@@ -173,31 +173,7 @@ def test_criterion_6_search_matches_brute_force():
     unsat_seen = sat_seen = 0
     for trial in range(50):
         cs = random_context_set(rng, max_effects=12)
-        # oracle: direct enumeration of all 2^k assignments
-        variables: dict[str, None] = {}
-        for ctx in cs.contexts:
-            for lb in ctx.labels:
-                variables.setdefault(lb)
-        for rel in cs.sum_relations:
-            for lb in rel.labels:
-                variables.setdefault(lb)
-            if rel.target != "I":
-                variables.setdefault(rel.target)
-        names = list(variables)
-        expected = []
-        for bits in itertools.product((0, 1), repeat=len(names)):
-            values = dict(zip(names, bits))
-            ok = all(sum(values[lb] for lb in ctx.labels) == 1
-                     for ctx in cs.contexts)
-            for rel in cs.sum_relations:
-                if not ok:
-                    break
-                lhs = sum(values[lb] for lb in rel.labels)
-                rhs = 1 if rel.target == "I" else values[rel.target]
-                ok = lhs == rhs
-            if ok:
-                expected.append(values)
-
+        expected = brute_force_solutions(cs)  # all 2^k assignments
         result = search_dispersion_free(cs, max_solutions=8192)
         if expected:
             sat_seen += 1

@@ -33,7 +33,8 @@ from effectkit import (
     rng_from_seed,
     spectral_split,
 )
-from effectkit.effects import warn_duplicate_operators
+from effectkit import jsonio
+from effectkit.effects import effects_from_json_dict, warn_duplicate_operators
 
 from conftest import char_poly_eigs_2x2, duplicate_messages_by_pairs, pauli_op
 
@@ -99,6 +100,96 @@ class TestValidatePovm:
         with pytest.raises(DimMismatch,
                            match=f"^dimension mismatch: 2 vs {dim}$"):
             Povm(effects, dim)
+
+
+def _op_json(arr) -> dict:
+    arr = np.asarray(arr, dtype=complex)
+    return {"dim": arr.shape[0],
+            "entries": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]}
+
+
+def _effects_file(dim, items) -> dict:
+    """An effects file of (label, array) items, or of ready item dicts."""
+    return {"dim": dim, "effects": [
+        item if isinstance(item, dict) else {"label": item[0],
+                                             "op": _op_json(item[1])}
+        for item in items]}
+
+
+def _drifted_effects(rng, dim, count):
+    """Effects with spectra in [0.05, 0.95], each plus an anti-Hermitian
+    drift of about 1e-13, so their herm_deviation is not 0."""
+    out = []
+    for _ in range(count):
+        u = haar_unitary(dim, rng)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        out.append((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T
+                   + 1e-13 * (g - g.conj().T))
+    return out
+
+
+class TestEffectsFile:
+    """An effects file is read as its items one by one would be: the same
+    operator bits, and the same first fault in file order."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
+    def test_operators_match_one_by_one_construction_bit_for_bit(self, dim):
+        arrays = _drifted_effects(rng_from_seed(90 + dim), dim,
+                                  3 if dim == 64 else 7)
+        payload = jsonio.loads(jsonio.dumps(_effects_file(
+            dim, [(f"E{k}", a) for k, a in enumerate(arrays)])))
+        _, effects = effects_from_json_dict(payload)
+        assert [e.label for e in effects] == [f"E{k}" for k in range(len(arrays))]
+        for e, arr in zip(effects, arrays):
+            alone = HermitianOperator(arr)
+            assert e.op.array.tobytes() == alone.array.tobytes()
+            assert e.op.herm_deviation > 0.0
+            assert e.op.herm_deviation == alone.herm_deviation
+            assert (eigenvalues_of(e.op).tobytes()
+                    == np.linalg.eigvalsh(alone.array).tobytes())
+
+    def test_a_spectral_fault_comes_before_a_later_schema_error(self):
+        half = 0.5 * np.eye(2)
+        payload = _effects_file(2, [
+            ("a", half), ("b", np.diag([-0.1, 0.5])), ("c", half),
+            {"label": "d", "op": {"dim": 2}}])
+        with pytest.raises(NotPositive, match="effect 'b': minimum eigenvalue"):
+            effects_from_json_dict(payload)
+
+    def test_a_non_finite_item_comes_before_a_later_spectral_fault(self):
+        nan = _op_json(0.5 * np.eye(2))
+        nan["entries"][0] = [float("nan"), 0.0]
+        payload = _effects_file(2, [
+            ("a", 0.5 * np.eye(2)), {"label": "b", "op": nan},
+            ("c", np.diag([1.5, 0.5]))])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            effects_from_json_dict(payload)
+
+    def test_a_spectral_fault_comes_before_a_later_non_finite_item(self):
+        inf = _op_json(0.5 * np.eye(2))
+        inf["entries"][1] = [float("inf"), 0.0]
+        payload = _effects_file(2, [
+            ("a", 0.5 * np.eye(2)), ("b", np.diag([1.5, 0.5])),
+            {"label": "c", "op": inf}])
+        with pytest.raises(ExceedsIdentity,
+                           match="effect 'b': maximum eigenvalue"):
+            effects_from_json_dict(payload)
+
+    def test_a_valid_item_of_another_dim_is_a_dim_mismatch(self):
+        payload = _effects_file(2, [
+            ("a", 0.5 * np.eye(2)), ("wide", np.eye(3) / 3),
+            ("c", 0.5 * np.eye(2))])
+        with pytest.raises(DimMismatch) as info:
+            effects_from_json_dict(payload)
+        assert str(info.value) == "effect 'wide' has dim 3, file declares dim 2"
+
+    def test_another_dim_is_reported_after_every_item_is_checked(self):
+        payload = _effects_file(2, [
+            ("wide", np.eye(3) / 3), ("a", 0.5 * np.eye(2)),
+            ("c", np.diag([1.5, 0.5]))])
+        with pytest.raises(ExceedsIdentity,
+                           match="effect 'c': maximum eigenvalue"):
+            effects_from_json_dict(payload)
 
 
 class TestIsProjection:

@@ -235,6 +235,28 @@ class TestBuildContextSet:
         with pytest.raises(UnknownLabel):
             build_context_set([p], [["P", "missing"]])
 
+    def test_contexts_fail_in_order_across_sizes_and_dims(self):
+        # contexts of two sizes and two dimensions are checked in groups;
+        # the first failing context in input order is the one named, and an
+        # unknown label waits for the contexts before it
+        p = Effect(pauli_op(0, 0, 1), "P")
+        q = Effect(pauli_op(1, 0, 0), "Q")
+        third = Effect(HermitianOperator(np.eye(3) / 3), "t")
+        pool = [p, complement(p, "Pp"), q, complement(q, "Qp"), third]
+        ok = [["P", "Pp"], ["t", "t", "t"], ["Q", "Qp"]]
+        with pytest.raises(BadContext, match=r"^context #3 \['P', 'Q'\]: "
+                                             r"effects sum to I only within"):
+            build_context_set(pool, ok + [["P", "Q"], ["t", "t"], ["nope"]])
+        with pytest.raises(BadContext, match=r"^context #3 \['t', 't'\]: "):
+            build_context_set(pool, ok + [["t", "t"], ["P", "Q"]])
+        with pytest.raises(BadContext, match=r"^context #3 \['P', 't'\]: "
+                                             r"dimension mismatch: 2 vs 3$"):
+            build_context_set(pool, ok + [["P", "t"], [], ["P", "Q"]])
+        with pytest.raises(BadContext, match=r"^context #3 \[\]: "):
+            build_context_set(pool, ok + [[], ["nope"]])
+        with pytest.raises(UnknownLabel, match="'nope'"):
+            build_context_set(pool, ok + [["nope"], ["P", "Q"]])
+
     def test_empty_addends_rejected(self):
         p = Effect(pauli_op(0, 0, 1), "P")
         with pytest.raises(ValueError, match="at least one addend"):
@@ -594,6 +616,69 @@ class TestVerifyCertificate:
         bad = SearchResult(status="maybe", assignments=[], total_solutions=None,
                            unsat_core=[], nodes_explored=0)
         assert not verify_certificate(bad, cs)
+
+
+def _break_context(b):
+    """Set a 0 of context b to 1, so its sum is 2."""
+    def change(a):
+        a[next(f"b{b}_{k}" for k in range(4) if a[f"b{b}_{k}"] == 0)] = 1
+    return change
+
+
+def _set(label, value):
+    return lambda a: a.__setitem__(label, value)
+
+
+def _drop(label):
+    return lambda a: a.pop(label)
+
+
+def _both(*changes):
+    return lambda a: [change(a) for change in changes]
+
+
+class TestSatRecheckReasons:
+    """The SAT re-check of a result with 64 stored assignments, of 8
+    Haar-random bases in d = 4, names the first failing assignment and,
+    within it, a value outside {0, 1} before any equation, and the
+    equations in constraint order."""
+
+    @pytest.fixture(scope="class")
+    def sat(self):
+        cs = haar_bases_context_set(rng_from_seed(4242), 8)
+        result = search_dispersion_free(cs)
+        assert result.status == "sat" and len(result.assignments) == 64
+        assert verify_certificate(result, cs)
+        return cs, result
+
+    @pytest.mark.parametrize("changes, reason", [
+        ({31: _set("b5_1", 2)}, "assignment #31 gives v(b5_1) = 2, not 0 or 1"),
+        ({31: _drop("b5_1")}, "assignment #31 has no value for 'b5_1'"),
+        ({31: _break_context(5)},
+         "assignment #31 breaks context: v(b5_0) + v(b5_1) + v(b5_2) + "
+         "v(b5_3) = 1"),
+        ({31: _both(_drop("b2_0"), _set("b6_0", 2))},
+         "assignment #31 gives v(b6_0) = 2, not 0 or 1"),
+        ({31: _both(_drop("b6_0"), _break_context(2))},
+         "assignment #31 breaks context: v(b2_0) + v(b2_1) + v(b2_2) + "
+         "v(b2_3) = 1"),
+        ({31: _break_context(7), 40: _set("b0_0", 2)},
+         "assignment #31 breaks context: v(b7_0) + v(b7_1) + v(b7_2) + "
+         "v(b7_3) = 1"),
+        ({31: _set("b0_0", "1"), 40: _drop("b0_0")},
+         "assignment #31 gives v(b0_0) = '1', not 0 or 1"),
+    ], ids=["value 2", "missing label", "broken context",
+            "value before missing", "constraint order",
+            "assignment order", "string value"])
+    def test_the_first_failure_is_named(self, sat, changes, reason):
+        cs, result = sat
+        assignments = [dict(a) for a in result.assignments]
+        for i, change in changes.items():
+            change(assignments[i])
+        bad = SearchResult(status="sat", assignments=assignments,
+                           total_solutions=result.total_solutions,
+                           unsat_core=[], nodes_explored=result.nodes_explored)
+        assert verify_certificate(bad, cs).reason == reason
 
 
 class TestConstraintRow:

@@ -22,7 +22,7 @@ from effectkit import (
     rng_from_seed,
     sample_outcomes,
 )
-from effectkit.valuation import _SHOT_CHUNK
+from effectkit.valuation import _MAX_THRESHOLDS, _SHOT_CHUNK, _outcome_counts
 
 from conftest import SZ, pauli_op
 
@@ -114,6 +114,62 @@ class TestSampleOutcomes:
             if dev > 4 * sigma:
                 import warnings
                 warnings.warn(f"estimate for {e.label} at {dev / sigma:.2f} sigma")
+
+
+def searched_counts(cum, draws):
+    """The oracle: outcome counts by a sorted search, as sample_outcomes
+    counted before it counted by thresholds."""
+    idx = np.minimum(np.searchsorted(cum, draws, side="left"), len(cum) - 1)
+    return np.bincount(idx, minlength=len(cum))
+
+
+def oracle_record(rho, povm, n, seed):
+    probs = np.array([born(rho, e) for e in povm.effects])
+    cum = np.cumsum(probs / probs.sum())
+    cum[-1] = 1.0
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return tuple(int(c) for c in searched_counts(cum, draws))
+
+
+def _with_ties(cum, rng, n=4000):
+    """Uniform draws plus draws planted at each threshold, one ulp either
+    side of it, and at 0."""
+    planted = [0.0] + [x for c in cum[:-1] for x in
+                       (c, np.nextafter(c, 0.0), np.nextafter(c, 1.0))]
+    return np.concatenate([rng.random(n), np.array(planted * 3)])
+
+
+class TestOutcomeCounts:
+    @pytest.mark.parametrize("cum", [
+        [1.0],
+        [0.5, 1.0],
+        [0.0, 0.25, 0.25, 0.25, 0.7, 1.0],
+        [0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 1.0],
+        list(np.linspace(0.0, 1.0, _MAX_THRESHOLDS + 1)[1:]),
+        list(np.linspace(0.0, 1.0, _MAX_THRESHOLDS + 2)[1:]),
+        [0.3, 0.3 - 1e-9, 1.0],
+        [0.5, 1.0 + 2.0 ** -52, 1.0],
+    ], ids=["k=1", "k=2", "zero probabilities", "k=6", "most thresholds",
+            "above the thresholds", "decreasing", "above 1 before the end"])
+    def test_counts_equal_the_searched_counts(self, cum):
+        cum = np.array(cum)
+        draws = _with_ties(cum, rng_from_seed(len(cum)))
+        got = _outcome_counts(cum, draws)
+        assert got.tolist() == searched_counts(cum, draws).tolist()
+        assert got.sum() == len(draws)
+
+    @pytest.mark.parametrize("n", [_SHOT_CHUNK - 1, _SHOT_CHUNK,
+                                   _SHOT_CHUNK + 1, 3 * _SHOT_CHUNK + 7])
+    def test_zero_probability_outcomes_and_one_outcome_at_chunk_edges(self, n):
+        rng = rng_from_seed(22)
+        rho = random_density(2, rng)
+        zero = Effect(HermitianOperator(np.zeros((2, 2))), "zero")
+        up, down = z_povm().effects
+        povm = Povm((zero, up, zero, down, zero), 2)
+        assert sample_outcomes(rho, povm, n, seed=3).counts == oracle_record(
+            rho, povm, n, 3)
+        one = Povm((Effect(HermitianOperator.identity(2), "all"),), 2)
+        assert sample_outcomes(rho, one, n, seed=3).counts == (n,)
 
 
 class TestEstimateValuation:

@@ -18,7 +18,9 @@ search and its certificate re-check read one equation per constraint, and
 the ``json`` module inside ``jsonio``, so the package has one emitter and
 one float format. An eighth keeps the axiom report rows built in the
 library: the CLI neither names a relation nor tests a value's range. A
-ninth keeps every module to the public names of its siblings.
+ninth keeps every module to the public names of its siblings. A tenth
+keeps the eigenvalue solver in ``operators``, where each spectrum is
+computed once and kept on its operator.
 """
 
 import ast
@@ -212,6 +214,25 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                   if alias.name.startswith("_")
                   and not alias.name.endswith("__")]
     assert not found, found
+
+
+def test_only_operators_calls_the_eigenvalue_solver():
+    """``np.linalg.eigvalsh`` is named in ``operators.py`` alone, so every
+    spectrum is ``eigenvalues_of``'s or a ``hermitian_stack``'s, which keep
+    it on the operator for every later check."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr == "eigvalsh")
+                  or (isinstance(node, ast.Name) and node.id == "eigvalsh")
+                  or (isinstance(node, ast.alias)
+                      and node.name.split(".")[-1] == "eigvalsh")
+                  or (isinstance(node, ast.Constant)
+                      and node.value == "eigvalsh")]
+    assert found, "no eigenvalue solver call found"
+    assert all(site.startswith("operators.py:") for site in found), found
 
 
 def _sum_cases():
