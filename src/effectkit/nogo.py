@@ -35,6 +35,7 @@ import math
 import reprlib
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -349,244 +350,320 @@ class _Budget(Exception):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class _Subset:
+    """Some constraints of a ``_Problem``, by index in input order, with
+    their occurrence lists: ``raise_lo[v][x]`` and ``cut_hi[v][x]`` hold
+    the (constraint, |coefficient|) pairs, in constraint order, whose lo
+    rises or whose hi falls when variable x is set to v."""
+
+    members: list[int]
+    raise_lo: tuple[list[list], list[list]]
+    cut_hi: tuple[list[list], list[list]]
+
+
+class _Problem:
+    """A constraint list compiled once for a search: one ``row()`` read
+    per entry, into its variables (in row order, netted-to-zero ones
+    kept), its nonzero terms, rhs, starting bounds and reach. Variables
+    carry one id each, in order of first occurrence over the whole list.
+    The search, every deletion trial and the refutation re-solve run over
+    a ``_Subset`` of it."""
+
+    def __init__(self, constraints: Sequence[AdditivityRelation]):
+        self.constraints = list(constraints)
+        rows = [desc.row() for desc in self.constraints]
+        self.names = list(dict.fromkeys(
+            lb for coeffs, _ in rows for lb in coeffs))
+        index = {lb: i for i, lb in enumerate(self.names)}
+        self.variables = [tuple(index[lb] for lb in coeffs)
+                          for coeffs, _ in rows]
+        self.terms = [tuple((index[lb], c) for lb, c in coeffs.items() if c)
+                      for coeffs, _ in rows]
+        self.rhs = [r for _, r in rows]
+        self.lo = [sum(c for _, c in t if c < 0) for t in self.terms]
+        self.hi = [sum(c for _, c in t if c > 0) for t in self.terms]
+        # A constraint can force a variable only while rhs is closer than
+        # its largest |c| to one of its bounds.
+        self.reach = [max((abs(c) for _, c in t), default=0)
+                      for t in self.terms]
+
+    def everything(self) -> _Subset:
+        """The whole list. Setting x := v adds |c| to lo when c and v agree
+        in sign (c > 0 and v = 1, or c < 0 and v = 0) and takes |c| from hi
+        otherwise."""
+        nv = len(self.names)
+        raise_lo = ([[] for _ in range(nv)], [[] for _ in range(nv)])
+        cut_hi = ([[] for _ in range(nv)], [[] for _ in range(nv)])
+        for k, t in enumerate(self.terms):
+            for vi, c in t:
+                raise_lo[c > 0][vi].append((k, abs(c)))
+                cut_hi[c < 0][vi].append((k, abs(c)))
+        return _Subset(list(range(len(self.terms))), raise_lo, cut_hi)
+
+    def without(self, subset: _Subset, desc: AdditivityRelation) -> _Subset:
+        """``subset`` less every entry that is ``desc``. Only the
+        occurrence lists of that constraint's variables are rebuilt; the
+        others are shared with ``subset``."""
+        dropped = {k for k in subset.members if self.constraints[k] is desc}
+        tables = [table[:] for table in (*subset.raise_lo, *subset.cut_hi)]
+        for vi in {vi for k in dropped for vi, _ in self.terms[k]}:
+            for table in tables:
+                table[vi] = [e for e in table[vi] if e[0] not in dropped]
+        return _Subset([k for k in subset.members if k not in dropped],
+                       (tables[0], tables[1]), (tables[2], tables[3]))
+
+    def solve(self, subset: _Subset, node_budget: int, max_store: int = 0,
+              stop_at_first: bool = False, record: bool = False
+              ) -> tuple[str, list[dict[str, int]], int | None, int,
+                         Branch | AdditivityRelation | None]:
+        """Exhaustive DFS with incremental bound propagation over {0,1}
+        variables, on the constraints of ``subset`` alone.
+
+        Every constraint sum(c_i * x_i) = rhs keeps integer bounds lo <=
+        sum <= hi over the completions of the current partial assignment.
+        Setting a variable updates the bounds of just the constraints it
+        occurs in, read from the subset's occurrence lists. Propagation
+        works from a queue of the constraints that contain newly assigned
+        variables (the root call queues all of them): a queued constraint
+        whose bounds exclude rhs is a conflict, one with lo == hi has every
+        variable set and is skipped, and an unassigned variable of it that
+        has only one value keeping rhs within the bounds is set to that
+        value, which queues its own constraints in turn. Each branch then
+        puts the bounds back from one copy taken at its node. So a node
+        costs time in the constraints its assignments touch, plus that copy
+        of one pair of integers per constraint of the problem.
+
+        Bound propagation is monotone: its fixpoint, and whether it reaches
+        a conflict, do not depend on the order in which constraints are
+        visited. The search branches on the first unassigned variable, in
+        the order of first occurrence in ``AdditivityRelation.row()`` over
+        the subset's constraints, 0 before 1, so the search tree,
+        ``nodes``, the model count and the stored assignments and their
+        order are fixed by those constraints alone, whatever else the
+        problem holds; only the order of forced variables in a refutation
+        tree depends on the queue.
+
+        A repeated subtree is counted from its first walk, not walked
+        again. At a node whose branch variable is the i-th of that order,
+        every variable before it is set, and a constraint whose variables
+        are all set, and that has not conflicted, has lo == hi == rhs. So
+        the subtree under the node (what propagation forces, which
+        constraints conflict, where the models lie) reads only the
+        assignment of the order's suffix from i and the bounds (those of
+        constraints outside the subset never move), and two nodes at the
+        same i with the same key (bounds, suffix assignment) have identical
+        subtrees. ``memo[i]`` keeps the last subtree of more than one node
+        walked to completion from i: its key, nodes and models, the range
+        of ``solutions`` it stored, and its refutation subtree. (A one-node
+        subtree, where both values conflict at once, costs as much to key
+        as to walk.) A node with an equal key adds the nodes and models,
+        stores assignments made of its own prefix and the kept values from
+        i on (never more than the first walk stored, since the store only
+        fills) and returns the kept subtree. It does so only when the nodes
+        fit in ``node_budget``; otherwise it walks, so an exhausted budget
+        stops at the same node with the same stored assignments. A subtree
+        cut short by the budget or by ``stop_at_first`` is never kept. The
+        table has one entry per position of the order and lives in one
+        solve. An entry reads its suffix through an ``itemgetter`` made
+        when its position first keeps a subtree, and a node reads it only
+        when the kept bounds equal its own.
+
+        Returns (status, stored assignments, total count or None, nodes,
+        refutation); ``nodes`` counts search-tree nodes, reused ones
+        included. ``stop_at_first`` ends the search at its first model,
+        which leaves the total unknown. The refutation tree is built only
+        with ``record`` and only kept for an UNSAT answer; without
+        ``record`` the search allocates nothing for it.
+        """
+        constraints, names, terms = self.constraints, self.names, self.terms
+        rhs, reach = self.rhs, self.reach
+        raise_lo, cut_hi = subset.raise_lo, subset.cut_hi
+        order = list(dict.fromkeys(
+            vi for k in subset.members for vi in self.variables[k]))
+        labels = [names[vi] for vi in order]
+        n = len(order)
+        lo, hi = self.lo[:], self.hi[:]
+        assign = [-1] * len(names)
+        solutions: list[dict[str, int]] = []
+        state = {"nodes": 0, "total": 0}
+        memo: list[tuple | None] = [None] * (n + 1)
+
+        def set_var(vi: int, val: int, queue: deque) -> None:
+            assign[vi] = val
+            for k, a in raise_lo[val][vi]:
+                lo[k] += a
+                queue.append(k)
+            for k, a in cut_hi[val][vi]:
+                hi[k] -= a
+                queue.append(k)
+
+        def propagate(queue: deque, trail: list[int], log: list | None
+                      ) -> bool:
+            # With a log, each forced variable appends (index, constraint)
+            # and a failure appends its conflict last: (None, constraint)
+            # when the constraint's bounds exclude its right-hand side,
+            # (index, constraint) when both values of that variable do.
+            while queue:
+                k = queue.popleft()
+                r, low, high = rhs[k], lo[k], hi[k]
+                if not low <= r <= high:
+                    if log is not None:
+                        log.append((None, constraints[k]))
+                    return False
+                if (low == high or high - r >= reach[k]
+                        and r - low >= reach[k]):
+                    continue
+                for vi, c in terms[k]:
+                    if assign[vi] != -1:
+                        continue
+                    low, high = lo[k], hi[k]
+                    if c > 0:
+                        ok0 = low <= r <= high - c
+                        ok1 = low + c <= r <= high
+                    else:
+                        ok0 = low - c <= r <= high
+                        ok1 = low <= r <= high + c
+                    if not ok0 and not ok1:
+                        if log is not None:
+                            log.append((vi, constraints[k]))
+                        return False
+                    if ok0 != ok1:
+                        set_var(vi, 0 if ok0 else 1, queue)
+                        trail.append(vi)
+                        if log is not None:
+                            log.append((vi, constraints[k]))
+            return True
+
+        def refute(log: list, ok: bool,
+                   below: Branch | AdditivityRelation | None
+                   ) -> Branch | AdditivityRelation | None:
+            # The refutation of one propagate call followed by ``below``
+            # (the subtree of the search under it): each forced x := v
+            # becomes a branch on x whose 1-v side is the forcing
+            # constraint. Called before the trail is undone, so ``assign``
+            # still holds each v.
+            node = below
+            if not ok:
+                vi, con = log.pop()
+                node = con if vi is None else Branch(names[vi], con, con)
+            for vi, con in reversed(log):
+                node = (Branch(names[vi], node, con) if assign[vi] == 0
+                        else Branch(names[vi], con, node))
+            return node
+
+        def dfs(start: int) -> Branch | AdditivityRelation | None:
+            # Every variable before position ``start`` of the order is
+            # assigned: it is the parent's branch position plus one.
+            pos = start
+            while pos < n and assign[order[pos]] != -1:
+                pos += 1
+            kept = memo[pos]
+            # The key is compared in place. The bounds copied for the
+            # branches are stored with the suffix read when the walk
+            # completes, by which time the assignment is back as it is here.
+            if (kept is not None and kept[0] == lo and kept[1] == hi
+                    and kept[3] == kept[2](assign)
+                    and state["nodes"] + kept[4] <= node_budget):
+                *_, nodes, models, first, last, tree = kept
+                state["nodes"] += nodes
+                state["total"] += models
+                reused = solutions[first:last][:max_store - len(solutions)]
+                if reused:
+                    head = [assign[vi] for vi in order[:pos]]
+                    for s in reused:
+                        solutions.append(
+                            dict(zip(labels, head + list(s.values())[pos:])))
+                return tree
+            state["nodes"] += 1
+            if state["nodes"] > node_budget:
+                raise _Budget
+            if pos == n:
+                state["total"] += 1
+                if len(solutions) < max_store:
+                    solutions.append(
+                        dict(zip(labels, [assign[vi] for vi in order])))
+                return None
+            nodes0, models0 = state["nodes"] - 1, state["total"]
+            stored0 = len(solutions)
+            children = [] if record else None
+            vi = order[pos]
+            lo0, hi0 = lo[:], hi[:]
+            for val in (0, 1):
+                queue: deque = deque()
+                set_var(vi, val, queue)
+                trail = [vi]
+                log = [] if record else None
+                ok = propagate(queue, trail, log)
+                below = dfs(pos + 1) if ok else None
+                if record:
+                    children.append(refute(log, ok, below))
+                for t in trail:
+                    assign[t] = -1
+                lo[:], hi[:] = lo0, hi0
+                if stop_at_first and state["total"]:
+                    return None
+            tree = Branch(names[vi], *children) if record else None
+            nodes = state["nodes"] - nodes0
+            if nodes > 1:
+                suffix = (kept[2] if kept is not None
+                          else itemgetter(*order[pos:]))
+                memo[pos] = (lo0, hi0, suffix, suffix(assign), nodes,
+                             state["total"] - models0, stored0,
+                             len(solutions), tree)
+            return tree
+
+        tree = None
+        try:
+            log0 = [] if record else None
+            ok0 = propagate(deque(subset.members), [], log0)
+            below0 = dfs(0) if ok0 else None
+            if record:
+                tree = refute(log0, ok0, below0)
+            complete = True
+        except _Budget:
+            complete = False
+
+        if state["total"] > 0:
+            total = state["total"] if complete and not stop_at_first else None
+            return SAT, solutions, total, state["nodes"], None
+        if complete:
+            return UNSAT, [], 0, state["nodes"], tree
+        return UNKNOWN, [], None, state["nodes"], None
+
+
 def _solve(constraints: Sequence[AdditivityRelation], node_budget: int,
            max_store: int = 0, stop_at_first: bool = False,
            record: bool = False
            ) -> tuple[str, list[dict[str, int]], int | None, int,
                       Branch | AdditivityRelation | None]:
-    """Exhaustive DFS with incremental bound propagation over {0,1} variables.
-
-    Every constraint sum(c_i * x_i) = rhs keeps integer bounds lo <= sum <= hi
-    over the completions of the current partial assignment. Setting or
-    unsetting a variable updates the bounds of just the constraints it occurs
-    in, read from per-variable occurrence lists of (constraint, |coefficient|)
-    pairs, one list per value and bound. Propagation works from a queue of
-    the constraints that contain newly assigned variables (the root call
-    queues all of them): a queued constraint whose bounds exclude rhs is a
-    conflict, and an unassigned variable of it that has only one value
-    keeping rhs within the bounds is set to that value, which queues its own
-    constraints in turn. So a node costs time in the constraints its
-    assignments touch, not in the size of the constraint set.
-
-    Bound propagation is monotone: its fixpoint, and whether it reaches a
-    conflict, do not depend on the order in which constraints are visited.
-    The search branches on the first unassigned variable, in the order of
-    first occurrence in ``AdditivityRelation.row()`` over the constraints, 0
-    before 1, so the search tree, ``nodes``, the model count and the stored
-    assignments and their order are fixed by the constraints alone; only the
-    order of forced variables in a refutation tree depends on the queue.
-
-    A repeated subtree is counted from its first walk, not walked again.
-    At a node whose branch variable is vi, every variable before vi is set,
-    and a constraint whose variables are all set, and that has not
-    conflicted, has lo == hi == rhs. So the subtree under the node (what
-    propagation forces, which constraints conflict, where the models lie)
-    reads only ``assign[vi:]`` and the bounds, and two nodes at the same vi
-    with the same key ``(assign[vi:], lo, hi)`` have identical subtrees.
-    ``memo[vi]`` keeps the last subtree of more than one node walked to
-    completion from vi: its key, nodes and models, the range of
-    ``solutions`` it stored, and its refutation subtree. (A one-node
-    subtree, where both values conflict at once, costs as much to key as
-    to walk.) A node with an equal key adds the nodes and models, stores
-    assignments made of its own prefix and the kept values from vi on
-    (never more than the first walk stored, since the store only fills)
-    and returns the kept subtree. It does so only when the nodes fit in
-    ``node_budget``; otherwise it walks, so an exhausted budget stops at
-    the same node with the same stored assignments. A subtree cut short by
-    the budget or by ``stop_at_first`` is never kept. The table has one
-    entry per variable and lives in one call.
-
-    Returns (status, stored assignments, total count or None, nodes,
-    refutation); ``nodes`` counts search-tree nodes, reused ones included.
-    ``stop_at_first`` ends the search at its first model, which leaves the
-    total unknown. The refutation tree is built only with ``record`` and
-    only kept for an UNSAT answer; without ``record`` the search allocates
-    nothing for it.
-    """
-    rows = [desc.row() for desc in constraints]
-    variables = list(dict.fromkeys(lb for coeffs, _ in rows for lb in coeffs))
-    var_index = {lb: i for i, lb in enumerate(variables)}
-    nv = len(variables)
-    assign = [-1] * nv
-    solutions: list[dict[str, int]] = []
-    state = {"nodes": 0, "total": 0}
-    memo: list[tuple | None] = [None] * nv
-
-    terms = [tuple((var_index[lb], c) for lb, c in coeffs.items() if c)
-             for coeffs, _ in rows]
-    rhs = [r for _, r in rows]
-    lo = [sum(c for _, c in t if c < 0) for t in terms]
-    hi = [sum(c for _, c in t if c > 0) for t in terms]
-    # A constraint can force a variable only while rhs is closer than its
-    # largest |c| to one of its bounds.
-    reach = [max((abs(c) for _, c in t), default=0) for t in terms]
-    # Setting x := v adds |c| to lo when c and v agree in sign (c > 0 and
-    # v = 1, or c < 0 and v = 0) and takes |c| from hi otherwise.
-    raise_lo: tuple[list[list], list[list]] = (
-        [[] for _ in range(nv)], [[] for _ in range(nv)])
-    cut_hi: tuple[list[list], list[list]] = (
-        [[] for _ in range(nv)], [[] for _ in range(nv)])
-    for k, t in enumerate(terms):
-        for vi, c in t:
-            raise_lo[c > 0][vi].append((k, abs(c)))
-            cut_hi[c < 0][vi].append((k, abs(c)))
-
-    def set_var(vi: int, val: int, queue: deque) -> None:
-        assign[vi] = val
-        for k, a in raise_lo[val][vi]:
-            lo[k] += a
-            queue.append(k)
-        for k, a in cut_hi[val][vi]:
-            hi[k] -= a
-            queue.append(k)
-
-    def unset_var(vi: int) -> None:
-        val = assign[vi]
-        assign[vi] = -1
-        for k, a in raise_lo[val][vi]:
-            lo[k] -= a
-        for k, a in cut_hi[val][vi]:
-            hi[k] += a
-
-    def propagate(queue: deque, trail: list[int], log: list | None) -> bool:
-        # With a log, each forced variable appends (index, constraint) and a
-        # failure appends its conflict last: (None, constraint) when the
-        # constraint's bounds exclude its right-hand side, (index, constraint)
-        # when both values of that variable do.
-        while queue:
-            k = queue.popleft()
-            r = rhs[k]
-            if not lo[k] <= r <= hi[k]:
-                if log is not None:
-                    log.append((None, constraints[k]))
-                return False
-            if hi[k] - r >= reach[k] and r - lo[k] >= reach[k]:
-                continue
-            for vi, c in terms[k]:
-                if assign[vi] != -1:
-                    continue
-                low, high = lo[k], hi[k]
-                if c > 0:
-                    ok0 = low <= r <= high - c
-                    ok1 = low + c <= r <= high
-                else:
-                    ok0 = low - c <= r <= high
-                    ok1 = low <= r <= high + c
-                if not ok0 and not ok1:
-                    if log is not None:
-                        log.append((vi, constraints[k]))
-                    return False
-                if ok0 != ok1:
-                    set_var(vi, 0 if ok0 else 1, queue)
-                    trail.append(vi)
-                    if log is not None:
-                        log.append((vi, constraints[k]))
-        return True
-
-    def record_solution() -> None:
-        state["total"] += 1
-        if len(solutions) < max_store:
-            solutions.append({variables[i]: assign[i] for i in range(nv)})
-
-    def refute(log: list, ok: bool, below: Branch | AdditivityRelation | None
-               ) -> Branch | AdditivityRelation | None:
-        # The refutation of one propagate call followed by ``below`` (the
-        # subtree of the search under it): each forced x := v becomes a
-        # branch on x whose 1-v side is the forcing constraint. Called
-        # before the trail is undone, so ``assign`` still holds each v.
-        node = below
-        if not ok:
-            vi, con = log.pop()
-            node = con if vi is None else Branch(variables[vi], con, con)
-        for vi, con in reversed(log):
-            node = (Branch(variables[vi], node, con) if assign[vi] == 0
-                    else Branch(variables[vi], con, node))
-        return node
-
-    def dfs(start: int) -> Branch | AdditivityRelation | None:
-        # Every variable before ``start`` is assigned: it is the parent's
-        # branch variable plus one.
-        vi = start
-        while vi < nv and assign[vi] != -1:
-            vi += 1
-        kept = memo[vi] if vi < nv else None
-        # The key is compared in place and copied when the walk completes,
-        # by which time the bounds and assignment are back as they are here.
-        if (kept is not None and kept[0] == lo and kept[1] == hi
-                and kept[2] == assign[vi:]
-                and state["nodes"] + kept[3] <= node_budget):
-            *_, nodes, models, first, last, tree = kept
-            state["nodes"] += nodes
-            state["total"] += models
-            head = assign[:vi]
-            for s in solutions[first:last][:max_store - len(solutions)]:
-                solutions.append(
-                    dict(zip(variables, head + list(s.values())[vi:])))
-            return tree
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise _Budget
-        if vi == nv:
-            record_solution()
-            return None
-        nodes0, models0 = state["nodes"] - 1, state["total"]
-        stored0 = len(solutions)
-        children = [] if record else None
-        for val in (0, 1):
-            queue: deque = deque()
-            set_var(vi, val, queue)
-            trail = [vi]
-            log = [] if record else None
-            ok = propagate(queue, trail, log)
-            below = dfs(vi + 1) if ok else None
-            if record:
-                children.append(refute(log, ok, below))
-            for t in trail:
-                unset_var(t)
-            if stop_at_first and state["total"]:
-                return None
-        tree = Branch(variables[vi], *children) if record else None
-        nodes = state["nodes"] - nodes0
-        if nodes > 1:
-            memo[vi] = (lo[:], hi[:], assign[vi:], nodes,
-                        state["total"] - models0, stored0, len(solutions), tree)
-        return tree
-
-    tree = None
-    try:
-        log0 = [] if record else None
-        ok0 = propagate(deque(range(len(constraints))), [], log0)
-        below0 = dfs(0) if ok0 else None
-        if record:
-            tree = refute(log0, ok0, below0)
-        complete = True
-    except _Budget:
-        complete = False
-
-    if state["total"] > 0:
-        total = state["total"] if complete and not stop_at_first else None
-        return SAT, solutions, total, state["nodes"], None
-    if complete:
-        return UNSAT, [], 0, state["nodes"], tree
-    return UNKNOWN, [], None, state["nodes"], None
+    """``_Problem.solve`` of the whole of ``constraints``."""
+    problem = _Problem(constraints)
+    return problem.solve(problem.everything(), node_budget, max_store,
+                         stop_at_first, record)
 
 
-def _minimize_core(constraints: list[AdditivityRelation], node_budget: int
-                   ) -> tuple[list[AdditivityRelation], int, bool]:
-    """Deletion-based shrinking in deterministic input order.
+def _minimize_core(problem: _Problem, subset: _Subset, node_budget: int
+                   ) -> tuple[_Subset, int, bool]:
+    """Deletion-based shrinking of ``subset`` in deterministic input order.
 
     Each constraint in turn is dropped for good when the rest is still
-    UNSAT. A trial that exhausts ``node_budget`` ends "unknown" and keeps
-    its constraint, so the core is minimal (no single constraint can be
-    dropped) only when every trial finishes within the budget. Returns the
-    core, the nodes of all trials and whether the core is minimal.
+    UNSAT; a trial is the current core less every entry that is that
+    constraint, solved over the one compiled problem, and an UNSAT trial
+    becomes the core, occurrence lists and all. A constraint listed twice
+    is tried twice. A trial that exhausts ``node_budget`` ends "unknown"
+    and keeps its constraint, so the core is minimal (no single constraint
+    can be dropped) only when every trial finishes within the budget.
+    Returns the core, the nodes of all trials and whether the core is
+    minimal.
     """
-    core = list(constraints)
+    core = subset
     nodes = 0
     minimal = True
-    for desc in list(core):
-        trial = [d for d in core if d is not desc]
-        status, _, _, used, _ = _solve(trial, node_budget, stop_at_first=True)
+    for k in subset.members:
+        trial = problem.without(core, problem.constraints[k])
+        status, _, _, used, _ = problem.solve(trial, node_budget,
+                                              stop_at_first=True)
         nodes += used
         if status == UNSAT:
             core = trial
@@ -604,14 +681,17 @@ def search_dispersion_free(cs: ContextSet,
     The search is an exhaustive backtracking enumeration with bound
     propagation over the labels that occur in at least one constraint;
     effects mentioned in no constraint are unconstrained and excluded from
-    the reported assignments. All arithmetic is exact (integers). On
-    unsatisfiable inputs the result carries a core found by deletion-based
-    shrinking and a refutation tree for that core, taken from one more solve
-    of the core alone (its nodes are not counted in ``nodes_explored``). The
-    core is minimal only when every deletion trial finishes within
-    ``node_budget``: a trial that ends "unknown" keeps its constraint, and
-    the result's ``core_minimal`` is then False. If the node budget is
-    exhausted by the search itself, the status is "unknown".
+    the reported assignments. All arithmetic is exact (integers). The
+    constraints are compiled once, one ``row()`` read each, into a
+    ``_Problem``; the search solves all of it. On unsatisfiable inputs the
+    result carries a core found by deletion-based shrinking, whose trials
+    each solve a subset of that one problem, and a refutation tree for the
+    core, taken from one more solve of the core's subset alone (its nodes
+    are not counted in ``nodes_explored``). The core is minimal only when
+    every deletion trial finishes within ``node_budget``: a trial that ends
+    "unknown" keeps its constraint, and the result's ``core_minimal`` is
+    then False. If the node budget is exhausted by the search itself, the
+    status is "unknown".
     ``nodes_explored`` and ``node_budget`` count search-tree nodes; a
     repeated subtree is counted from its first walk, not walked again, so
     the count is the same as for a search that walks every node.
@@ -621,15 +701,18 @@ def search_dispersion_free(cs: ContextSet,
         raise ValueError("max_solutions must be at least 1")
     if node_budget < 1:
         raise ValueError("node_budget must be at least 1")
-    constraints = cs.constraints()
-    status, solutions, total, nodes, _ = _solve(
-        constraints, node_budget, max_store=max_solutions)
+    problem = _Problem(cs.constraints())
+    everything = problem.everything()
+    status, solutions, total, nodes, _ = problem.solve(
+        everything, node_budget, max_store=max_solutions)
     if status == UNSAT:
-        core, extra, minimal = _minimize_core(constraints, node_budget)
+        core, extra, minimal = _minimize_core(problem, everything, node_budget)
         # The core was proved UNSAT within the budget by a solve of this very
-        # list, and the search is deterministic, so this re-solve completes.
-        tree = _solve(core, node_budget, record=True)[4]
-        return SearchResult(UNSAT, [], 0, core, nodes + extra, tree, minimal)
+        # subset, and the search is deterministic, so this re-solve completes.
+        tree = problem.solve(core, node_budget, record=True)[4]
+        return SearchResult(UNSAT, [], 0,
+                            [problem.constraints[k] for k in core.members],
+                            nodes + extra, tree, minimal)
     return SearchResult(status, solutions, total, [], nodes)
 
 
@@ -744,45 +827,57 @@ def _refutation_problem(tree, core: Sequence[AdditivityRelation]
                         ) -> str | None:
     """Why ``tree`` does not refute ``core``, or None when it does.
 
-    Each core constraint is read as its equation ``row()``,
+    Each core constraint is read once as its equation ``row()``,
     sum(c_l * v(l)) = rhs with coefficients netted per label, so a repeated
     label counts twice and a label that is both addend and target counts
-    zero. The walk keeps the assignment of the current path; a leaf holds
-    when its constraint's integer bounds under that assignment exclude rhs.
+    zero. Its terms are kept as a tuple of (label number, coefficient)
+    pairs, the labels numbered in order of first occurrence over the core.
+    The walk keeps the assignment of the current path, one slot per label;
+    a leaf holds when its constraint's integer bounds under that assignment
+    exclude rhs. A leaf is looked up by identity first, and by equality
+    when it is not one of the core's own objects.
     """
     rows = {desc: desc.row() for desc in core}
-    core_labels = {lb for coeffs, _ in rows.values() for lb in coeffs}
+    names = list(dict.fromkeys(
+        lb for coeffs, _ in rows.values() for lb in coeffs))
+    number = {lb: i for i, lb in enumerate(names)}
+    equations = {
+        desc: (tuple((number[lb], c) for lb, c in coeffs.items()), rhs)
+        for desc, (coeffs, rhs) in rows.items()}
+    by_id = {id(desc): equations[desc] for desc in core}
 
-    values: dict[str, int] = {}
-    path: list[str] = []
-    # (node, depth of its parent, label := value on the edge into it)
-    stack: list[tuple[object, int, str | None, int]] = [(tree, 0, None, 0)]
+    values: list[int | None] = [None] * len(names)
+    path: list[int] = []
+    # (node, depth of its parent, label number := value on the edge into
+    # it, or -1 at the root)
+    stack: list[tuple[object, int, int, int]] = [(tree, 0, -1, 0)]
     while stack:
-        node, depth, label, value = stack.pop()
+        node, depth, i, value = stack.pop()
         while len(path) > depth:
-            del values[path.pop()]
-        if label is not None:
-            values[label] = value
-            path.append(label)
+            values[path.pop()] = None
+        if i >= 0:
+            values[i] = value
+            path.append(i)
             depth += 1
         if isinstance(node, Branch):
-            if node.label not in core_labels:
+            j = number.get(node.label)
+            if j is None:
                 return (f"branch at depth {depth} on {shown(node.label)}, "
                         "a label outside the core")
-            if node.label in values:
+            if values[j] is not None:
                 return (f"branch at depth {depth} on {shown(node.label)}, "
                         "already assigned on its path")
-            stack.append((node.one, depth, node.label, 1))
-            stack.append((node.zero, depth, node.label, 0))
+            stack.append((node.one, depth, j, 1))
+            stack.append((node.zero, depth, j, 0))
         elif isinstance(node, AdditivityRelation):
-            row = rows.get(node)
+            row = by_id.get(id(node)) or equations.get(node)
             if row is None:
                 return (f"leaf at depth {depth} names {node.describe()}, which "
                         "is not in the core")
-            coeffs, rhs = row
+            terms, rhs = row
             lo = hi = 0
-            for lb, c in coeffs.items():
-                x = values.get(lb)
+            for j, c in terms:
+                x = values[j]
                 if x is not None:
                     lo += c * x
                     hi += c * x
@@ -793,10 +888,10 @@ def _refutation_problem(tree, core: Sequence[AdditivityRelation]
             if lo <= rhs <= hi:
                 return (f"leaf at depth {depth}: {node.describe()} has bounds "
                         f"[{lo}, {hi}] on its path, which admit {rhs}")
-        elif label is None:
+        elif i < 0:
             return "the refutation tree is neither a Branch nor a constraint"
         else:
-            return (f"branch at depth {depth - 1} on {shown(label)} has no "
+            return (f"branch at depth {depth - 1} on {shown(names[i])} has no "
                     f"child for value {value}")
     return None
 

@@ -104,6 +104,41 @@ def kernaghan_peres_rays():
     return rays
 
 
+def six_hundred_cell_rays():
+    """The 60 rays of the 600-cell (Aravind & Lee-Elkin, J. Phys. A 31,
+    9829, 1998): its 120 vertices up to sign. The vertices are listed as
+    the 8 points with one entry +-1 and the others 0 (axis by axis, +
+    before -), the 16 points (+-1/2, +-1/2, +-1/2, +-1/2) in
+    ``itertools.product`` order, then the 96 even permutations of
+    (+-phi, +-1, +-1/phi, 0)/2, sign by sign in ``itertools.product``
+    order and, within one sign, permutation by permutation in
+    ``itertools.permutations`` order. Each vertex is scaled to have its
+    first nonzero entry +1, and a ray is kept where it first appears.
+    Returns the vertex count and the rays."""
+    phi = (1 + 5 ** 0.5) / 2
+    vertices = []
+    for axis in range(4):
+        for sign in (1.0, -1.0):
+            vertices.append(tuple(sign if k == axis else 0.0
+                                  for k in range(4)))
+    vertices += list(itertools.product((0.5, -0.5), repeat=4))
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j]
+                   for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    for signs in itertools.product((1, -1), repeat=3):
+        base = (signs[0] * phi, signs[1] * 1.0, signs[2] / phi, 0.0)
+        vertices += [tuple(base[p[k]] / 2 for k in range(4)) for p in even]
+    rays, seen = [], set()
+    for v in vertices:
+        lead = next(x for x in v if abs(x) > 1e-12)
+        ray = tuple(x / lead for x in v)
+        key = tuple(round(x, 9) for x in ray)
+        if key not in seen:
+            seen.add(key)
+            rays.append(ray)
+    return len(vertices), rays
+
+
 def orthogonal_bases(projectors, size):
     """Every set of ``size`` mutually orthogonal projectors, by a clique
     search in lexicographic order."""
@@ -286,6 +321,42 @@ class TestKnownAnswers:
         assert len(core_labels(result)) == 36
         assert 5 * min(verify_s) < min(search_s)
         # minimal: every core context is needed
+        for k in range(len(result.unsat_core)):
+            rest = [d for i, d in enumerate(result.unsat_core) if i != k]
+            assert search_dispersion_free(
+                constraint_subset_as_context_set(cs, rest)).status == "sat"
+
+    def test_600_cell_60_rays(self):
+        n_vertices, rays = six_hundred_cell_rays()
+        projectors = [np.outer(r, r) / np.dot(r, r) for r in rays]
+        tetrads = orthogonal_bases(projectors, 4)
+        # the literature's answer: 120 vertices give 60 rays in 75 tetrads
+        assert (n_vertices, len(rays), len(tetrads)) == (120, 60, 75)
+        labels = [f"r{i:02d}" for i in range(len(rays))]
+        cs = build_context_set(
+            [Effect(HermitianOperator(p), lb)
+             for p, lb in zip(projectors, labels)],
+            [[labels[i] for i in t] for t in tetrads])
+        search_s, verify_s = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = search_dispersion_free(cs)
+            search_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            verdict = verify_certificate(result, cs)
+            verify_s.append(time.perf_counter() - start)
+            assert verdict, verdict.reason
+        assert result.status == "unsat"
+        # the checked-in search for this construction order
+        assert result.nodes_explored == 4376
+        assert [tetrads.index(tuple(labels.index(lb) for lb in c.labels))
+                for c in result.unsat_core] == [
+            33, 34, 41, 42, 45, 46, 47, 48, 49, 50, 52, 54, 56, 63, 65, 67,
+            70, 72, 74]
+        assert len(core_labels(result)) == 37
+        assert result.core_minimal
+        assert 5 * min(verify_s) < min(search_s)
+        # minimal: every core tetrad is needed
         for k in range(len(result.unsat_core)):
             rest = [d for i, d in enumerate(result.unsat_core) if i != k]
             assert search_dispersion_free(

@@ -1,20 +1,31 @@
-"""Reuse of repeated subtrees in the dispersion-free search: the answer,
+"""Reuse in the dispersion-free search. Repeated subtrees: the answer,
 ``nodes`` and the stored assignments equal those of a search that walks
-every node, under every budget, store cap and flag."""
+every node, under every budget, store cap and flag. One compiled problem:
+the search, each deletion trial and the refutation re-solve run over
+subsets of it and give what a fresh solve of each list gives, and each
+constraint is read once per search."""
 
 import sys
 import threading
 import time
+from collections import Counter
 
 from effectkit import (
     AdditivityRelation,
+    ContextSet,
     rng_from_seed,
     search_dispersion_free,
     verify_certificate,
 )
-from effectkit.nogo import _refutation_problem, _solve
+from effectkit.nogo import _Problem, _refutation_problem, _solve
 
-from conftest import haar_bases_context_set, solve_by_walking
+from conftest import (
+    haar_bases_context_set,
+    orthogonal_tetrads,
+    peres_rays,
+    solve_by_walking,
+    variables_of,
+)
 
 BUDGETS = (1, 3, 7, 20, 100, 10**6)
 STORE_CAPS = (0, 1, 3, 64)
@@ -183,3 +194,139 @@ def test_searches_in_two_threads_keep_their_own_tables():
     for name, runs in results.items():
         assert len(runs) == 20
         assert all(r[:4] == expected[name][:4] for r in runs), name
+
+
+def deletion_trials(constraints, node_budget):
+    """The deletion filter as a loop of fresh solves, the oracle for the
+    compiled search: each trial drops every entry that is the tried
+    constraint from the current core and is solved by ``_solve`` on its
+    own. Returns the core and each trial's (tried constraint, list,
+    result)."""
+    core = list(constraints)
+    trials = []
+    for desc in list(core):
+        trial = [d for d in core if d is not desc]
+        got = _solve(trial, node_budget, stop_at_first=True)
+        trials.append((desc, trial, got))
+        if got[0] == "unsat":
+            core = trial
+    return core, trials
+
+
+def same_objects(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def subset_inputs(rng):
+    """``random_constraint_list`` inputs, some with a relation whose
+    target is also an addend (``A + Z = A``, netting A to zero) and some
+    with one constraint object listed twice."""
+    constraints = random_constraint_list(rng)
+    labels = variables_of(constraints)
+    if rng.random() < 0.4:
+        a, z = (str(lb) for lb in rng.choice(labels, 2))
+        constraints.insert(int(rng.integers(0, len(constraints) + 1)),
+                           AdditivityRelation((a, z), a))
+    if rng.random() < 0.4:
+        twice = constraints[int(rng.integers(0, len(constraints)))]
+        constraints.insert(int(rng.integers(0, len(constraints) + 1)), twice)
+    return constraints
+
+
+def test_subsets_of_one_problem_match_fresh_solves():
+    rng = rng_from_seed(2020)
+    seen = Counter()
+    for case in range(60):
+        constraints = subset_inputs(rng)
+        nodes = _solve(constraints, 10**6)[3]
+        for budget in (10**6, max(nodes, 1), nodes + 4):
+            where = f"case {case}, budget {budget}"
+            problem = _Problem(constraints)
+            everything = problem.everything()
+            fresh = _solve(constraints, budget, max_store=64)
+            main = problem.solve(everything, budget, max_store=64)
+            assert main == fresh, where
+            # The search and the certificate re-check read a context set
+            # only through ``constraints()``: these, in this order.
+            cs = ContextSet({}, tuple(constraints), ())
+            result = search_dispersion_free(cs, 64, budget)
+            if fresh[0] != "unsat":
+                assert (result.status, result.assignments,
+                        result.total_solutions, result.nodes_explored) == (
+                    fresh[:4]), where
+                assert ([list(a) for a in result.assignments]
+                        == [list(a) for a in fresh[1]]), where
+                continue
+            want_core, trials = deletion_trials(constraints, budget)
+            core = everything
+            for desc, trial, want in trials:
+                subset = problem.without(core, desc)
+                assert same_objects(
+                    [problem.constraints[k] for k in subset.members],
+                    trial), where
+                # occurrence lists: the whole problem's, kept to the subset
+                members = set(subset.members)
+                for got, full in zip((*subset.raise_lo, *subset.cut_hi),
+                                     (*everything.raise_lo,
+                                      *everything.cut_hi)):
+                    assert got == [[e for e in entries if e[0] in members]
+                                   for entries in full], where
+                got = problem.solve(subset, budget, stop_at_first=True)
+                assert got == want, where
+                order = variables_of(trial)
+                kept = set(order)
+                seen["order moves"] += (
+                    [lb for lb in variables_of([problem.constraints[k]
+                                                for k in core.members])
+                     if lb in kept] != order)
+                seen["unknown"] += got[0] == "unknown"
+                coeffs = desc.row()[0].values()
+                seen["minus one"] += -1 in coeffs
+                seen["zero net"] += 0 in coeffs
+                dropped = len(core.members) - len(subset.members)
+                seen["dropped twice"] += dropped > 1
+                seen["tried again"] += dropped == 0
+                if got[0] == "unsat":
+                    core = subset
+            assert result.status == "unsat", where
+            assert same_objects(result.unsat_core, want_core), where
+            assert result.nodes_explored == fresh[3] + sum(
+                want[3] for *_, want in trials), where
+            assert result.core_minimal == all(
+                want[0] != "unknown" for *_, want in trials), where
+            tree = _solve(want_core, budget, record=True)[4]
+            assert result.refutation == tree, where
+            verdict = verify_certificate(result, cs)
+            assert verdict, (where, verdict.reason)
+            seen["unsat"] += 1
+    assert seen["unsat"] >= 40, seen
+    assert seen["order moves"] >= 20, seen
+    assert seen["unknown"] >= 20, seen
+    assert seen["minus one"] >= 20, seen
+    assert seen["zero net"] >= 10, seen
+    assert seen["dropped twice"] >= 10, seen
+    assert seen["tried again"] >= 5, seen
+
+
+def test_a_search_reads_each_constraint_once(monkeypatch):
+    """Peres's 24 tetrads: the search, its 24 deletion trials and the
+    refutation re-solve share one compiled problem, so each constraint's
+    ``row()`` is read once, not once per solve."""
+    rays = peres_rays()
+    labels = [f"r{i:02d}" for i in range(len(rays))]
+    constraints = [AdditivityRelation(tuple(labels[i] for i in t), "I",
+                                      "context")
+                   for t in orthogonal_tetrads(rays)]
+    reads = Counter()
+    row = AdditivityRelation.row
+
+    def counted(self):
+        reads[id(self)] += 1
+        return row(self)
+
+    monkeypatch.setattr(AdditivityRelation, "row", counted)
+    result = search_dispersion_free(ContextSet({}, tuple(constraints), ()))
+    assert result.status == "unsat"
+    assert len(result.unsat_core) == 11
+    assert set(reads) <= {id(d) for d in constraints}
+    assert max(reads.values()) == 1, sum(reads.values())
