@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "context set")
     p.add_argument("contexts", help="context-set JSON file")
     p.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_SOLUTIONS,
-                   dest="max_solutions")
+                   dest="max_solutions",
+                   help="store at most this many assignments (default "
+                        "%(default)s; below 1 exits 2); total_solutions is "
+                        "exact only when the search completes")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search-tree node budget; a repeated subtree is "
                         "counted from its first walk, not walked again")

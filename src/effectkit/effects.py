@@ -129,6 +129,19 @@ def sum_equals(addends, target=None):
     return residual <= bound, residual, bound
 
 
+def operator_equals(a, b):
+    """The one test of two operators being the same, as (holds, distance,
+    bound): it holds when the Frobenius distance ||A - B||_F is below
+    bound = ``TOL.same_operator``, strictly. A or B may be a stack of
+    arrays, one result each; arrays of different d raise DimMismatch."""
+    da, db = np.shape(a)[-1], np.shape(b)[-1]
+    if da != db:
+        raise DimMismatch(f"dimension mismatch: {da} vs {db}")
+    distance = np.linalg.norm(np.subtract(a, b), axis=(-2, -1))
+    bound = TOL.same_operator
+    return distance < bound, distance, bound
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Finite list of effects on a d-dimensional space whose sum is I by
@@ -353,7 +366,7 @@ def warn_duplicate_operators(effects) -> None:
 
     Effects are compared within each dimension d, in one filtered pass: only
     the pairs that pass a Gram-matrix filter are decided, each by the exact
-    test ||A_i - A_j||_F < TOL.same_operator on the arrays. The real and
+    test :func:`operator_equals` on the arrays. The real and
     imaginary parts of an operator's entries form a vector x_k of n = 2d^2
     reals, and ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared
     distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j from the Gram matrix of the x_k
@@ -380,8 +393,8 @@ def warn_duplicate_operators(effects) -> None:
                                           for k in members])):
             i, j = members[a], members[b]
             if (items[i].label != items[j].label
-                    and np.linalg.norm(items[i].op.array - items[j].op.array)
-                    < TOL.same_operator):
+                    and operator_equals(items[i].op.array,
+                                        items[j].op.array)[0]):
                 flagged.append((i, j))
     handler = _duplicate_handler.get()
     for i, j in sorted(flagged):

@@ -17,8 +17,10 @@ valuations cannot cover all effects:
   from its first walk, not walked again. Real-coefficient mixtures are
   outside this discrete model; they belong to the witness route.
 
-Certificates from the search are re-checked by :func:`verify_certificate`
-in pure integer arithmetic. The search and the re-check share one thing:
+Contexts are checked one at a time, in input order, each as a ``Povm``; the
+first that fails is named. Certificates from the search are re-checked by
+:func:`verify_certificate` in pure integer arithmetic, one assignment and
+one equation at a time. The search and the re-check share one thing:
 what a context or a relation, each an ``AdditivityRelation``, means as an
 integer equation, its ``row()``. The re-check has its own tree walk and its
 own bound arithmetic, so no solver code vouches for the solver. An UNSAT
@@ -165,8 +167,9 @@ class ContextSet:
 
     Every context is a POVM over the shared effect pool (labels may repeat
     within a context), kept as its labels' relation to I of kind
-    ``"context"``; every context and sum relation passes one test at one
-    bound, ``effects.sum_equals`` at d * ``TOL.sum_per_dim``.
+    ``"context"``. Each context, then each sum relation, was checked on its
+    own, in order, by one test at one bound, ``effects.sum_equals`` at d *
+    ``TOL.sum_per_dim``.
     """
 
     effects: dict[str, Effect]
@@ -184,8 +187,12 @@ def build_context_set(effects: Iterable[Effect],
                       discover: bool = False) -> ContextSet:
     """Validate a context set, optionally auto-discovering sum relations.
 
-    Raises BadContext when a declared context is not a POVM and BadRelation
-    when a claimed operator identity fails (the test ``check_gpm`` runs too,
+    Contexts are checked one at a time, in input order: each context's
+    labels are resolved (an unknown one raises UnknownLabel) and its
+    effects built into a ``Povm``, whose failure raises BadContext naming
+    the context. So the first fault in input order is the one raised.
+    Relations are checked next, in order, and a claimed operator identity
+    that fails raises BadRelation (the test ``check_gpm`` runs too,
     ``AdditivityRelation.check_identity``). Both are the one sum-identity
     test, ``effects.sum_equals``, at d * ``TOL.sum_per_dim``; a relation
     over effects of different dimension raises DimMismatch. With
@@ -202,29 +209,16 @@ def build_context_set(effects: Iterable[Effect],
                 f"label {shown(label)} not among the loaded effects")
         return pool[label]
 
-    # Every context up to the first unknown label, whose error is raised
-    # only once the contexts before it pass.
-    members, resolved, unknown = [], [], None
-    for ctx in contexts:
+    checked_contexts = []
+    for i, ctx in enumerate(contexts):
         labels = tuple(str(lb) for lb in ctx)
+        members = tuple(resolve(lb) for lb in labels)
         try:
-            resolved.append([resolve(lb) for lb in labels])
-        except UnknownLabel as exc:
-            unknown = exc
-            break
-        members.append(labels)
-    for i, holds in enumerate(_sums_to_identity(resolved)):
-        if holds:
-            continue
-        try:
-            Povm(tuple(resolved[i]), resolved[i][0].dim if resolved[i] else 0)
+            Povm(members, members[0].dim if members else 0)
         except (SumNotIdentity, DimMismatch) as exc:
-            names = listed([shown(lb) for lb in members[i]], ", ")
+            names = listed([shown(lb) for lb in labels], ", ")
             raise BadContext(f"context #{i} [{names}]: {exc}") from exc
-    if unknown is not None:
-        raise unknown
-    checked_contexts = [AdditivityRelation(labels, "I", "context")
-                        for labels in members]
+        checked_contexts.append(AdditivityRelation(labels, "I", "context"))
 
     checked_relations = list(relations)
     for rel in checked_relations:
@@ -239,25 +233,6 @@ def build_context_set(effects: Iterable[Effect],
                 checked_relations.append(rel)
 
     return ContextSet(pool, tuple(checked_contexts), tuple(checked_relations))
-
-
-def _sums_to_identity(contexts: Sequence[Sequence[Effect]]) -> list[bool]:
-    """Whether each context's effects sum to I by ``effects.sum_equals``,
-    the test ``Povm`` runs, bit for bit: one call per context size and
-    dimension, on the stacked operators of each position. An empty context
-    or one of mixed dimensions reads False, to be checked alone."""
-    groups: dict[tuple, list[int]] = {}
-    for i, ctx in enumerate(contexts):
-        shapes = {e.op.array.shape for e in ctx}
-        if len(shapes) == 1:
-            groups.setdefault((len(ctx), *shapes), []).append(i)
-    holds = [False] * len(contexts)
-    for (size, _), members in groups.items():
-        addends = [np.array([contexts[i][j].op.array for i in members])
-                   for j in range(size)]
-        for i, ok in zip(members, sum_equals(addends)[0]):
-            holds[i] = bool(ok)
-    return holds
 
 
 def discover_sum_relations(pool: Mapping[str, Effect]
@@ -735,15 +710,15 @@ def verify_certificate(result: SearchResult, cs: ContextSet) -> Verification:
     Each constraint is read as its integer equation, its ``row()``, the one
     piece shared with the search. The rest is the re-check's own. SAT:
     every returned assignment must give every label of every constraint of
-    the context set a value in {0,1} and satisfy the equation. The
-    equations of all the assignments are checked as one integer product,
-    the assignment matrix times the rows' coefficients, and the first
-    failure in assignment order is named. UNSAT: the reported core must be
-    made of the set's constraints, and its refutation tree must refute it;
-    the tree is walked once with bounds arithmetic of its own (no solver
-    code involved), in time linear in its size. UNKNOWN asserts nothing
-    and verifies vacuously. A malformed or wrong certificate gives a false
-    Verification whose reason names the failed check.
+    the context set a value in {0,1} and satisfy the equation. Assignments
+    are checked one at a time, in order, each value before any equation
+    and the equations in constraint order, and the first failure is named.
+    UNSAT: the reported core must be made of the set's constraints, and its
+    refutation tree must refute it; the tree is walked once with bounds
+    arithmetic of its own (no solver code involved), in time linear in its
+    size. UNKNOWN asserts nothing and verifies vacuously. A malformed or
+    wrong certificate gives a false Verification whose reason names the
+    failed check.
     """
     constraints = cs.constraints()
     if result.status == SAT:
@@ -774,52 +749,23 @@ def _sat_problem(assignments: Sequence[Mapping[str, object]],
 
     Assignment by assignment, in order: every value must be 0 or 1, in
     the assignment's own order; then, constraint by constraint, every
-    label of the ``row()`` must have a value and the equation must hold.
-    The first failure is named. The equations of all assignments are
-    checked at once, as one integer product of the assignment matrix (a
-    row per assignment, a column per constraint label) with the rows'
-    coefficients; a value that equals 0 or 1 counts as that integer.
+    label of the ``row()`` must have a value and the equation must hold,
+    a value that equals 0 or 1 counting as that integer. The first failure
+    is named.
     """
     rows = [desc.row() for desc in constraints]
-    columns = {lb: k for k, lb in enumerate(
-        dict.fromkeys(lb for coeffs, _ in rows for lb in coeffs))}
-    coef = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    member = np.zeros(coef.shape, dtype=bool)
-    for r, (coeffs, _) in enumerate(rows):
-        for lb, c in coeffs.items():
-            coef[r, columns[lb]] = c
-            member[r, columns[lb]] = True
-    rhs = np.array([rhs for _, rhs in rows], dtype=np.int64)
-
-    # The first assignment with a value outside {0, 1} ends the matrix.
-    bad = None
     for i, assignment in enumerate(assignments):
-        try:
-            zero_one = set(assignment.values()) <= {0, 1}
-        except TypeError:
-            zero_one = False
-        if not zero_one:
-            bad = next(((i, lb, v) for lb, v in assignment.items()
-                        if v not in (0, 1)), None)
-            if bad is not None:
-                break
-    checked = assignments[:bad[0]] if bad is not None else assignments
-    # 2 marks a missing label: every present value equals 0 or 1.
-    values = np.array([[a.get(lb, 2) for lb in columns] for a in checked]
-                      ).reshape(len(checked), len(columns))
-    missing = (values == 2) @ member.T
-    broken = (values == 1) @ coef.T != rhs
-    faults = np.argwhere(missing | broken)
-    if len(faults):
-        i, r = (int(x) for x in faults[0])
-        if missing[i, r]:
-            lb = next(lb for lb in rows[r][0] if lb not in checked[i])
-            return f"assignment #{i} has no value for {shown(lb)}"
-        return f"assignment #{i} breaks {constraints[r].describe()}"
-    if bad is not None:
-        i, lb, v = bad
-        return (f"assignment #{i} gives v({shown(str(lb), quote=False)}) = "
-                f"{reprlib.repr(v)}, not 0 or 1")
+        for lb, v in assignment.items():
+            if v not in (0, 1):
+                return (f"assignment #{i} gives "
+                        f"v({shown(str(lb), quote=False)}) = "
+                        f"{reprlib.repr(v)}, not 0 or 1")
+        for desc, (coeffs, rhs) in zip(constraints, rows):
+            for lb in coeffs:
+                if lb not in assignment:
+                    return f"assignment #{i} has no value for {shown(lb)}"
+            if sum(c for lb, c in coeffs.items() if assignment[lb] == 1) != rhs:
+                return f"assignment #{i} breaks {desc.describe()}"
     return None
 
 

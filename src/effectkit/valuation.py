@@ -24,7 +24,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .effects import Effect, Povm, sum_equals, warn_duplicate_operators
+from .effects import (
+    Effect,
+    Povm,
+    operator_equals,
+    sum_equals,
+    warn_duplicate_operators,
+)
 from .errors import (
     BadRelation,
     DimMismatch,
@@ -322,15 +328,16 @@ def p1_in_range(value: float) -> bool:
 
 def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
     """The relation "the POVM's labels = I" over ``v``, whose effect of
-    each label must be the POVM's within ``TOL.same_operator`` in Frobenius
-    norm (else BadRelation, naming the label and the deviation)."""
+    each label must be the POVM's by :func:`effects.operator_equals` (else
+    BadRelation, naming the label and the deviation)."""
     for e in povm.effects:
-        dev = float(np.linalg.norm((e.op - v.effect(e.label).op).array))
-        if dev > TOL.same_operator:
+        same, dev, bound = operator_equals(e.op.array,
+                                           v.effect(e.label).op.array)
+        if not same:
             raise BadRelation(
                 f"POVM effect {shown(e.label)} is not the valuation's effect "
-                f"{shown(e.label)}: Frobenius deviation {dev:.3e} > "
-                f"{TOL.same_operator:g}")
+                f"{shown(e.label)}: Frobenius deviation {dev:.3e} "
+                f"{'>' if dev > bound else '>='} {bound:g}")
     return AdditivityRelation(povm.labels, "I")
 
 
@@ -357,7 +364,7 @@ def check_gpm(v: ValuationTable,
 
     - ``p1_range``: :func:`p1_range` on every stored value;
     - ``p2_identity``, only when some label's operator is the same as I
-      within ``TOL.same_operator`` in Frobenius norm: its ``violations``
+      by :func:`effects.operator_equals`: its ``violations``
       hold each such label whose value is not 1 within ``TOL.check``, as
       ``{"relation": "P2: v(<label>) = 1", "lhs", "rhs", "deviation"}``;
     - one ``p3_additivity`` row per relation, in the order given (a
@@ -376,9 +383,8 @@ def check_gpm(v: ValuationTable,
     labels = v.labels
     stack = np.array([v.effect(lb).op.array for lb in labels]).reshape(
         len(labels), v.dim, v.dim)
-    off_identity = np.linalg.norm(stack - np.eye(v.dim), axis=(1, 2))
-    identity = [labels[k]
-                for k in np.flatnonzero(off_identity <= TOL.same_operator)]
+    identity = [labels[k] for k in
+                np.flatnonzero(operator_equals(stack, np.eye(v.dim))[0])]
     if identity:
         p2 = []
         for label in identity:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
+import effectkit
 from effectkit import (
     TOL,
     AdditivityRelation,
@@ -27,6 +30,12 @@ from effectkit.nogo import (
     Branch,
     _Budget,
 )
+
+# Children started as ``python -m effectkit`` import the package that the
+# tests import, whether or not PYTHONPATH names its source tree.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(effectkit.__file__).parents[1]),
+     *filter(None, [os.environ.get("PYTHONPATH")])])
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

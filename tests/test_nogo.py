@@ -667,9 +667,14 @@ class TestSatRecheckReasons:
          "v(b7_3) = 1"),
         ({31: _set("b0_0", "1"), 40: _drop("b0_0")},
          "assignment #31 gives v(b0_0) = '1', not 0 or 1"),
+        ({31: _set("b5_1", [1])},
+         "assignment #31 gives v(b5_1) = [1], not 0 or 1"),
+        ({31: _set("b5_1", 0.5)},
+         "assignment #31 gives v(b5_1) = 0.5, not 0 or 1"),
     ], ids=["value 2", "missing label", "broken context",
             "value before missing", "constraint order",
-            "assignment order", "string value"])
+            "assignment order", "string value", "unhashable value",
+            "half value"])
     def test_the_first_failure_is_named(self, sat, changes, reason):
         cs, result = sat
         assignments = [dict(a) for a in result.assignments]
@@ -679,6 +684,20 @@ class TestSatRecheckReasons:
                            total_solutions=result.total_solutions,
                            unsat_core=[], nodes_explored=result.nodes_explored)
         assert verify_certificate(bad, cs).reason == reason
+
+    @pytest.mark.parametrize("value", [True, 1.0, np.int64(1),
+                                       np.bool_(False)],
+                             ids=["True", "1.0", "int64 1", "bool_ False"])
+    def test_a_value_equal_to_0_or_1_counts_as_that_integer(self, sat,
+                                                             value):
+        cs, result = sat
+        assignments = [{lb: value if v == value else v for lb, v in a.items()}
+                       for a in result.assignments]
+        assert sum(v is value for a in assignments for v in a.values())
+        same = SearchResult(status="sat", assignments=assignments,
+                            total_solutions=result.total_solutions,
+                            unsat_core=[], nodes_explored=result.nodes_explored)
+        assert verify_certificate(same, cs)
 
 
 class TestConstraintRow:

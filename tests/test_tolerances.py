@@ -11,7 +11,8 @@ keeps ``effectkit validate`` reading files with the library's readers
 alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
 operator comparison and axiom rule it reports is the library's. A fifth
 keeps the bound of every sum identity read at one site, so a POVM, a
-context and a relation are accepted by one test. A sixth keeps the integer
+context and a relation are accepted by one test, and the same-operator
+bound read in ``effects`` alone. A sixth keeps the integer
 reading of a search constraint in ``AdditivityRelation.row()``, so the
 search and its certificate re-check read one equation per constraint, and
 ``nogo`` compares no constraint's ``kind`` or ``target``. A seventh keeps
@@ -25,22 +26,32 @@ computed once and kept on its operator.
 
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import effectkit
 from effectkit import (
     TOL,
     AdditivityRelation,
+    BadRelation,
     DensityOperator,
+    DuplicateOperatorWarning,
     Effect,
     HermitianOperator,
     Povm,
+    TableEntry,
+    ValuationTable,
     build_context_set,
+    check_gpm,
+    complement,
     jsonio,
 )
 from effectkit.cli import main
+from effectkit.effects import operator_equals
+from effectkit.valuation import povm_relation
 
 PACKAGE = Path(effectkit.__file__).parent
 TABLE_MODULE, TABLE_CLASS = "operators.py", "TOL"
@@ -162,19 +173,29 @@ def test_only_jsonio_imports_json():
     assert found == []
 
 
-def test_the_sum_bound_is_read_at_one_site():
-    """``effects.sum_equals`` alone reads ``TOL.sum_per_dim``, by attribute
-    or by name, so no second sum-identity test can have its own bound."""
+def _table_reads(entry: str) -> list[str]:
+    """The package's reads of ``TOL.<entry>``, by attribute or by name."""
     reads = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if (isinstance(node, ast.Attribute)
-                      and node.attr == "sum_per_dim")
-                  or (isinstance(node, ast.Constant)
-                      and node.value == "sum_per_dim")]
+                  if (isinstance(node, ast.Attribute) and node.attr == entry)
+                  or (isinstance(node, ast.Constant) and node.value == entry)]
+    return reads
+
+
+def test_the_sum_bound_is_read_at_one_site():
+    """``effects.sum_equals`` alone reads ``TOL.sum_per_dim``, by attribute
+    or by name, so no second sum-identity test can have its own bound.
+    ``TOL.same_operator`` is read in ``effects.py`` alone, by
+    ``operator_equals``, the duplicate scan's filter and its message, so
+    every module calls two operators the same by one rule."""
+    reads = _table_reads("sum_per_dim")
     assert len(reads) == 1, reads
     assert reads[0].startswith("effects.py:"), reads
+    reads = _table_reads("same_operator")
+    assert reads, "TOL.same_operator is never read"
+    assert all(site.startswith("effects.py:") for site in reads), reads
 
 
 def test_constraints_are_read_only_through_their_row():
@@ -255,6 +276,30 @@ def test_povm_context_and_relation_agree_at_the_sum_bound():
         assert _accepts(lambda: build_context_set(effects, [labels])) is inside
         assert _accepts(lambda: build_context_set(
             effects, [], [AdditivityRelation(tuple(labels), "I")])) is inside
+
+
+def test_duplicates_povms_and_p2_agree_at_the_same_operator_bound():
+    """Two operators exactly ``TOL.same_operator`` apart are not the same
+    anywhere: the duplicate scan is silent, ``povm_relation`` rejects one
+    as the other, and (P2) does not read the operator as I."""
+    a = Effect(HermitianOperator(np.diag([0.0, 1.0])), "A")
+    shifted = HermitianOperator(np.diag([TOL.same_operator, 1.0]))
+    off = TOL.same_operator / np.sqrt(2)
+    near_i = HermitianOperator(np.array([[1.0, off], [off, 1.0]]))
+    for x, y in ((a.op, shifted), (near_i, HermitianOperator.identity(2))):
+        assert operator_equals(x.array, y.array)[1:] == (
+            TOL.same_operator, TOL.same_operator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DuplicateOperatorWarning)
+        table = ValuationTable(2, [
+            TableEntry(a, 0.0), TableEntry(Effect(shifted, "A2"), 0.0),
+            TableEntry(complement(a, "B"), 1.0),
+            TableEntry(Effect(near_i, "N"), 0.5)])
+    povm = Povm((Effect(shifted, "A"), complement(a, "B")), 2)
+    with pytest.raises(BadRelation, match=r"^POVM effect 'A' .*: Frobenius "
+                                          r"deviation 1\.000e-10 >= 1e-10$"):
+        povm_relation(table, povm)
+    assert [row["name"] for row in check_gpm(table, [])] == ["p1_range"]
 
 
 def test_every_table_entry_is_used():
