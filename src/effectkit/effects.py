@@ -144,26 +144,26 @@ def operator_equals(a, b):
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite list of effects on a d-dimensional space whose sum is I by
+    """Finite, nonempty list of effects whose sum is I by
     :func:`sum_equals`, the test of every sum identity (contexts and
-    relations too); an effect of another dimension raises DimMismatch,
-    before anything of size d is built."""
+    relations too); its dimension is its first effect's, and an effect of
+    another dimension raises DimMismatch."""
 
     effects: tuple[Effect, ...]
-    dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise SumNotIdentity("a POVM needs at least one effect")
-        if self.dim != self.effects[0].dim:
-            raise DimMismatch(
-                f"dimension mismatch: {self.effects[0].dim} vs {self.dim}")
         holds, residual, _ = sum_equals([e.op.array for e in self.effects])
         if not holds:
             raise SumNotIdentity(
                 f"effects sum to I only within {residual:.6e} (Frobenius)",
                 residual=residual)
+
+    @property
+    def dim(self) -> int:
+        return self.effects[0].dim
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -178,8 +178,7 @@ class Povm:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Povm":
-        dim, effects = effects_from_json_dict(obj)
-        return cls(tuple(effects), dim)
+        return cls(tuple(effects_from_json_dict(obj)[1]))
 
 
 @dataclass(frozen=True)

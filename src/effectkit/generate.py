@@ -91,7 +91,7 @@ def random_povm(dim: int, outcomes: int, rng: np.random.Generator,
         e = inv_sqrt @ a @ inv_sqrt
         effects.append(Effect(HermitianOperator(e),
                               f"{label_prefix}{i}"))
-    return Povm(tuple(effects), dim)
+    return Povm(tuple(effects))
 
 
 def random_frame(dim: int, size: int, rng: np.random.Generator,

@@ -32,6 +32,7 @@ the tree, not 2^labels.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import reprlib
@@ -214,7 +215,7 @@ def build_context_set(effects: Iterable[Effect],
         labels = tuple(str(lb) for lb in ctx)
         members = tuple(resolve(lb) for lb in labels)
         try:
-            Povm(members, members[0].dim if members else 0)
+            Povm(members)
         except (SumNotIdentity, DimMismatch) as exc:
             names = listed([shown(lb) for lb in labels], ", ")
             raise BadContext(f"context #{i} [{names}]: {exc}") from exc
@@ -325,25 +326,17 @@ class _Budget(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class _Subset:
-    """Some constraints of a ``_Problem``, by index in input order, with
-    their occurrence lists: ``raise_lo[v][x]`` and ``cut_hi[v][x]`` hold
-    the (constraint, |coefficient|) pairs, in constraint order, whose lo
-    rises or whose hi falls when variable x is set to v."""
-
-    members: list[int]
-    raise_lo: tuple[list[list], list[list]]
-    cut_hi: tuple[list[list], list[list]]
-
-
 class _Problem:
     """A constraint list compiled once for a search: one ``row()`` read
     per entry, into its variables (in row order, netted-to-zero ones
     kept), its nonzero terms, rhs, starting bounds and reach. Variables
     carry one id each, in order of first occurrence over the whole list.
-    The search, every deletion trial and the refutation re-solve run over
-    a ``_Subset`` of it."""
+    ``members`` are the entries it solves, by index in input order, with
+    their occurrence lists: ``raise_lo[v][x]`` and ``cut_hi[v][x]`` hold
+    the (constraint, |coefficient|) pairs, in constraint order, whose lo
+    rises or whose hi falls when variable x is set to v. The search solves
+    the whole list; every deletion trial and the refutation re-solve solve
+    the problem less some members."""
 
     def __init__(self, constraints: Sequence[AdditivityRelation]):
         self.constraints = list(constraints)
@@ -362,43 +355,43 @@ class _Problem:
         # its largest |c| to one of its bounds.
         self.reach = [max((abs(c) for _, c in t), default=0)
                       for t in self.terms]
-
-    def everything(self) -> _Subset:
-        """The whole list. Setting x := v adds |c| to lo when c and v agree
-        in sign (c > 0 and v = 1, or c < 0 and v = 0) and takes |c| from hi
-        otherwise."""
+        # Setting x := v adds |c| to lo when c and v agree in sign (c > 0
+        # and v = 1, or c < 0 and v = 0) and takes |c| from hi otherwise.
         nv = len(self.names)
-        raise_lo = ([[] for _ in range(nv)], [[] for _ in range(nv)])
-        cut_hi = ([[] for _ in range(nv)], [[] for _ in range(nv)])
+        self.raise_lo = ([[] for _ in range(nv)], [[] for _ in range(nv)])
+        self.cut_hi = ([[] for _ in range(nv)], [[] for _ in range(nv)])
         for k, t in enumerate(self.terms):
             for vi, c in t:
-                raise_lo[c > 0][vi].append((k, abs(c)))
-                cut_hi[c < 0][vi].append((k, abs(c)))
-        return _Subset(list(range(len(self.terms))), raise_lo, cut_hi)
+                self.raise_lo[c > 0][vi].append((k, abs(c)))
+                self.cut_hi[c < 0][vi].append((k, abs(c)))
+        self.members = list(range(len(self.terms)))
 
-    def without(self, subset: _Subset, desc: AdditivityRelation) -> _Subset:
-        """``subset`` less every entry that is ``desc``. Only the
-        occurrence lists of that constraint's variables are rebuilt; the
-        others are shared with ``subset``."""
-        dropped = {k for k in subset.members if self.constraints[k] is desc}
-        tables = [table[:] for table in (*subset.raise_lo, *subset.cut_hi)]
+    def without(self, desc: AdditivityRelation) -> _Problem:
+        """This problem less every member that is ``desc``: a copy that
+        shares the compiled rows and the occurrence lists of every variable
+        but that constraint's, which are rebuilt."""
+        dropped = {k for k in self.members if self.constraints[k] is desc}
+        tables = [table[:] for table in (*self.raise_lo, *self.cut_hi)]
         for vi in {vi for k in dropped for vi, _ in self.terms[k]}:
             for table in tables:
                 table[vi] = [e for e in table[vi] if e[0] not in dropped]
-        return _Subset([k for k in subset.members if k not in dropped],
-                       (tables[0], tables[1]), (tables[2], tables[3]))
+        trial = copy.copy(self)
+        trial.members = [k for k in self.members if k not in dropped]
+        trial.raise_lo = (tables[0], tables[1])
+        trial.cut_hi = (tables[2], tables[3])
+        return trial
 
-    def solve(self, subset: _Subset, node_budget: int, max_store: int = 0,
+    def solve(self, node_budget: int, max_store: int = 0,
               stop_at_first: bool = False, record: bool = False
               ) -> tuple[str, list[dict[str, int]], int | None, int,
                          Branch | AdditivityRelation | None]:
         """Exhaustive DFS with incremental bound propagation over {0,1}
-        variables, on the constraints of ``subset`` alone.
+        variables, on the members alone.
 
         Every constraint sum(c_i * x_i) = rhs keeps integer bounds lo <=
         sum <= hi over the completions of the current partial assignment.
         Setting a variable updates the bounds of just the constraints it
-        occurs in, read from the subset's occurrence lists. Propagation
+        occurs in, read from the members' occurrence lists. Propagation
         works from a queue of the constraints that contain newly assigned
         variables (the root call queues all of them): a queued constraint
         whose bounds exclude rhs is a conflict, one with lo == hi has every
@@ -413,11 +406,12 @@ class _Problem:
         a conflict, do not depend on the order in which constraints are
         visited. The search branches on the first unassigned variable, in
         the order of first occurrence in ``AdditivityRelation.row()`` over
-        the subset's constraints, 0 before 1, so the search tree,
-        ``nodes``, the model count and the stored assignments and their
-        order are fixed by those constraints alone, whatever else the
-        problem holds; only the order of forced variables in a refutation
-        tree depends on the queue.
+        the members, 0 before 1, so the search tree, ``nodes``, the model
+        count and the stored assignments and their order are fixed by the
+        members alone, whatever else the compiled list holds; only the
+        order of forced variables in a refutation tree depends on the
+        queue. The open nodes of the walk are kept on a list, not on the
+        Python stack, so its depth has no recursion limit.
 
         A repeated subtree is counted from its first walk, not walked
         again. At a node whose branch variable is the i-th of that order,
@@ -426,7 +420,7 @@ class _Problem:
         the subtree under the node (what propagation forces, which
         constraints conflict, where the models lie) reads only the
         assignment of the order's suffix from i and the bounds (those of
-        constraints outside the subset never move), and two nodes at the
+        constraints that are not members never move), and two nodes at the
         same i with the same key (bounds, suffix assignment) have identical
         subtrees. ``memo[i]`` keeps the last subtree of more than one node
         walked to completion from i: its key, nodes and models, the range
@@ -453,9 +447,9 @@ class _Problem:
         """
         constraints, names, terms = self.constraints, self.names, self.terms
         rhs, reach = self.rhs, self.reach
-        raise_lo, cut_hi = subset.raise_lo, subset.cut_hi
+        raise_lo, cut_hi = self.raise_lo, self.cut_hi
         order = list(dict.fromkeys(
-            vi for k in subset.members for vi in self.variables[k]))
+            vi for k in self.members for vi in self.variables[k]))
         labels = [names[vi] for vi in order]
         n = len(order)
         lo, hi = self.lo[:], self.hi[:]
@@ -527,10 +521,11 @@ class _Problem:
                         else Branch(names[vi], con, node))
             return node
 
-        def dfs(start: int) -> Branch | AdditivityRelation | None:
-            # Every variable before position ``start`` of the order is
-            # assigned: it is the parent's branch position plus one.
-            pos = start
+        def dfs(pos: int):
+            # A generator run by ``walk``. Every variable before position
+            # ``pos`` of the order (the parent's branch position plus one)
+            # is set. It yields where each child's search starts, is sent
+            # the child's refutation subtree and returns its own.
             while pos < n and assign[order[pos]] != -1:
                 pos += 1
             kept = memo[pos]
@@ -570,7 +565,7 @@ class _Problem:
                 trail = [vi]
                 log = [] if record else None
                 ok = propagate(queue, trail, log)
-                below = dfs(pos + 1) if ok else None
+                below = (yield pos + 1) if ok else None
                 if record:
                     children.append(refute(log, ok, below))
                 for t in trail:
@@ -588,11 +583,25 @@ class _Problem:
                              len(solutions), tree)
             return tree
 
+        def walk() -> Branch | AdditivityRelation | None:
+            # Runs dfs(0), its open frames on a list.
+            frames, sent = [dfs(0)], None
+            while frames:
+                try:
+                    child = frames[-1].send(sent)
+                except StopIteration as done:
+                    frames.pop()
+                    sent = done.value
+                else:
+                    frames.append(dfs(child))
+                    sent = None
+            return sent
+
         tree = None
         try:
             log0 = [] if record else None
-            ok0 = propagate(deque(subset.members), [], log0)
-            below0 = dfs(0) if ok0 else None
+            ok0 = propagate(deque(self.members), [], log0)
+            below0 = walk() if ok0 else None
             if record:
                 tree = refute(log0, ok0, below0)
             complete = True
@@ -607,38 +616,25 @@ class _Problem:
         return UNKNOWN, [], None, state["nodes"], None
 
 
-def _solve(constraints: Sequence[AdditivityRelation], node_budget: int,
-           max_store: int = 0, stop_at_first: bool = False,
-           record: bool = False
-           ) -> tuple[str, list[dict[str, int]], int | None, int,
-                      Branch | AdditivityRelation | None]:
-    """``_Problem.solve`` of the whole of ``constraints``."""
-    problem = _Problem(constraints)
-    return problem.solve(problem.everything(), node_budget, max_store,
-                         stop_at_first, record)
+def _minimize_core(problem: _Problem, node_budget: int
+                   ) -> tuple[_Problem, int, bool]:
+    """Deletion-based shrinking of ``problem`` in deterministic input order.
 
-
-def _minimize_core(problem: _Problem, subset: _Subset, node_budget: int
-                   ) -> tuple[_Subset, int, bool]:
-    """Deletion-based shrinking of ``subset`` in deterministic input order.
-
-    Each constraint in turn is dropped for good when the rest is still
-    UNSAT; a trial is the current core less every entry that is that
-    constraint, solved over the one compiled problem, and an UNSAT trial
-    becomes the core, occurrence lists and all. A constraint listed twice
-    is tried twice. A trial that exhausts ``node_budget`` ends "unknown"
-    and keeps its constraint, so the core is minimal (no single constraint
-    can be dropped) only when every trial finishes within the budget.
-    Returns the core, the nodes of all trials and whether the core is
-    minimal.
+    Each member in turn is dropped for good when the rest is still UNSAT; a
+    trial is the current core less every member that is that constraint,
+    and an UNSAT trial becomes the core, occurrence lists and all. A
+    constraint listed twice is tried twice. A trial that exhausts
+    ``node_budget`` ends "unknown" and keeps its constraint, so the core is
+    minimal (no single constraint can be dropped) only when every trial
+    finishes within the budget. Returns the core, the nodes of all trials
+    and whether the core is minimal.
     """
-    core = subset
+    core = problem
     nodes = 0
     minimal = True
-    for k in subset.members:
-        trial = problem.without(core, problem.constraints[k])
-        status, _, _, used, _ = problem.solve(trial, node_budget,
-                                              stop_at_first=True)
+    for k in problem.members:
+        trial = core.without(problem.constraints[k])
+        status, _, _, used, _ = trial.solve(node_budget, stop_at_first=True)
         nodes += used
         if status == UNSAT:
             core = trial
@@ -660,8 +656,8 @@ def search_dispersion_free(cs: ContextSet,
     constraints are compiled once, one ``row()`` read each, into a
     ``_Problem``; the search solves all of it. On unsatisfiable inputs the
     result carries a core found by deletion-based shrinking, whose trials
-    each solve a subset of that one problem, and a refutation tree for the
-    core, taken from one more solve of the core's subset alone (its nodes
+    each solve that one problem less some members, and a refutation tree
+    for the core, taken from one more solve of the core alone (its nodes
     are not counted in ``nodes_explored``). The core is minimal only when
     every deletion trial finishes within ``node_budget``: a trial that ends
     "unknown" keeps its constraint, and the result's ``core_minimal`` is
@@ -677,16 +673,16 @@ def search_dispersion_free(cs: ContextSet,
     if node_budget < 1:
         raise ValueError("node_budget must be at least 1")
     problem = _Problem(cs.constraints())
-    everything = problem.everything()
     status, solutions, total, nodes, _ = problem.solve(
-        everything, node_budget, max_store=max_solutions)
+        node_budget, max_store=max_solutions)
     if status == UNSAT:
-        core, extra, minimal = _minimize_core(problem, everything, node_budget)
-        # The core was proved UNSAT within the budget by a solve of this very
-        # subset, and the search is deterministic, so this re-solve completes.
-        tree = problem.solve(core, node_budget, record=True)[4]
+        core, extra, minimal = _minimize_core(problem, node_budget)
+        # The core, the problem less some members, was proved UNSAT within
+        # the budget by a solve of those very members, and the search is
+        # deterministic, so this re-solve completes.
+        tree = core.solve(node_budget, record=True)[4]
         return SearchResult(UNSAT, [], 0,
-                            [problem.constraints[k] for k in core.members],
+                            [core.constraints[k] for k in core.members],
                             nodes + extra, tree, minimal)
     return SearchResult(status, solutions, total, [], nodes)
 

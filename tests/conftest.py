@@ -305,9 +305,9 @@ def solve_by_walking(constraints, node_budget: int, max_store: int,
                      stop_after: int | None = None, record: bool = False):
     """Exhaustive DFS with incremental bound propagation that walks every
     node, written before repeated subtrees were reused. Oracle for
-    ``nogo._solve``: the same constraints, budget and flags must give the
-    same (status, assignments, total, nodes), and an UNSAT tree that refutes
-    the constraints."""
+    ``nogo._Problem.solve``: the same constraints, budget and flags must
+    give the same (status, assignments, total, nodes), and an UNSAT tree
+    that refutes the constraints."""
     rows = [desc.row() for desc in constraints]
     variables = variables_of(constraints)
     var_index = {lb: i for i, lb in enumerate(variables)}

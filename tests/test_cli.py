@@ -35,7 +35,7 @@ def ground_state_payload():
 
 def z_povm_payload():
     povm = Povm((Effect(pauli_op(0, 0, 1), "up"),
-                 Effect(pauli_op(0, 0, -1), "down")), 2)
+                 Effect(pauli_op(0, 0, -1), "down")))
     return povm.to_json_dict()
 
 
@@ -398,6 +398,25 @@ def test_validate_reads_a_valuation_file_as_reconstruct_does(tmp_path, capsys,
         assert (code, capsys.readouterr()) == (expected_code, expected)
 
 
+@pytest.mark.parametrize("table, message", [
+    ('{"dim": 1, "entries": [{"label": "A", "value": 1e400}]}',
+     "invalid input: value for 'A' is not finite"),
+    ('{"dim": 2, "entries": [{"label": "A", "value": 0.5}]}',
+     "DimMismatch: effect 'A' has dim 1, table has dim 2")])
+def test_a_table_that_its_effects_reject_is_an_input_error(tmp_path, capsys,
+                                                           table, message):
+    # 1e400 reads as inf; the second table has another dim than its effect.
+    effects = write(tmp_path / "e.json", {"dim": 1, "effects": [
+        Effect(HermitianOperator.identity(1), "A").to_json_dict()]})
+    values = tmp_path / "v.json"
+    values.write_text(table)
+    for argv in (["validate", str(values), "--kind", "valuation",
+                  "--effects", effects],
+                 ["reconstruct", effects, str(values)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == message + "\n", argv
 # Every file argument of every command that reads files, as an argv that
 # reaches it with the file "deep.json"; the other files are valid.
 DEEP_JSON_ARGVS = {
@@ -625,6 +644,19 @@ class TestNogo2d:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--n", "1,2", "--n expects ax,ay,az"),
+        ("--m", "inf,0,1", "--m: Bloch components must be finite")])
+    def test_an_unreadable_vector_names_its_flag(self, capsys, flag, text,
+                                                 message):
+        vectors = {"--n": "0,0,1", "--m": "1,0,0", flag: text}
+        code = main(["nogo2d", "--n", vectors["--n"], "--m", vectors["--m"],
+                     "--lambda", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
 
 def half_identity_context_files(tmp_path):
     effects = {"dim": 2, "effects": [
@@ -813,6 +845,69 @@ class TestDfsearch:
         assert "leaf at depth 0" in captured.err
         assert "v(H) + v(H) = 1" in captured.err
         assert "[0, 2]" in captured.err
+
+
+def pairs_context_files(tmp_path, n, triangle=None):
+    """d = 1 effects a_i = (i + 1)/(3n) and c_i = 1 - a_i with the contexts
+    [a_i, c_i]: n free branch variables. With ``triangle`` "before" or
+    "after" the pairs, the contexts [x, y], [y, z], [x, z] over x = y = z =
+    I/2 are added there, which no {0,1} assignment satisfies."""
+    def op(value):
+        return {"dim": 1, "entries": [[value, 0.0]]}
+    effects, pairs = [], []
+    for i in range(n):
+        a = (i + 1) / (3 * n)
+        effects += [{"label": f"a{i}", "op": op(a)},
+                    {"label": f"c{i}", "op": op(1 - a)}]
+        pairs.append([f"a{i}", f"c{i}"])
+    odd = [["x", "y"], ["y", "z"], ["x", "z"]] if triangle else []
+    effects += [{"label": lb, "op": op(0.5)} for lb in "xyz" if triangle]
+    write(tmp_path / "effects.json", {"dim": 1, "effects": effects})
+    contexts = odd + pairs if triangle == "before" else pairs + odd
+    return write(tmp_path / "contexts.json",
+                 {"effects_file": "effects.json", "contexts": contexts})
+
+
+class TestDeepSearch:
+    """Searches with thousands of branch variables end with a result, not
+    a RecursionError: the depth of the search and of the deletion trials
+    is not bounded by the Python stack."""
+
+    def run(self, tmp_path, capsys, n, triangle=None):
+        contexts = pairs_context_files(tmp_path, n, triangle)
+        code = main(["dfsearch", contexts, "--max-solutions", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        return json.loads(captured.out)
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_free_pairs_are_sat(self, tmp_path, capsys, n):
+        payload = self.run(tmp_path, capsys, n)
+        assert payload["status"] == "sat"
+        first = {}
+        for i in range(n):
+            first.update({f"a{i}": 0, f"c{i}": 1})
+        assert payload["assignments"] == [first]
+        assert payload["nodes"] == 1_000_001
+        assert payload["total_solutions"] is None
+
+    def test_a_triangle_after_the_pairs_exhausts_the_budget(self, tmp_path,
+                                                            capsys):
+        payload = self.run(tmp_path, capsys, 1000, "after")
+        assert payload["status"] == "unknown"
+        assert payload["nodes"] == 1_000_001
+
+    def test_a_triangle_before_the_pairs_is_the_core(self, tmp_path, capsys):
+        # The search closes at once, but each deletion trial of a triangle
+        # context finds a model 1 000 levels deep.
+        payload = self.run(tmp_path, capsys, 1000, "before")
+        assert payload["status"] == "unsat"
+        assert payload["core"] == [
+            {"kind": "context", "labels": pair}
+            for pair in (["x", "y"], ["y", "z"], ["x", "z"])]
+        assert payload["nodes"] == 4007
+        assert "core_minimal" not in payload
 
 
 def near_z_files(tmp_path, down):

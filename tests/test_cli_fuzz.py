@@ -45,7 +45,7 @@ def _pauli_frame():
 def _valid_files() -> dict:
     frame = _pauli_frame()
     povm = Povm((Effect(pauli_op(0, 0, 1), "up"),
-                 Effect(pauli_op(0, 0, -1), "down")), 2)
+                 Effect(pauli_op(0, 0, -1), "down")))
     contexts_effects = [Effect(pauli_op(*a), lb) for lb, a in
                         (("P", (0, 0, 1)), ("Pp", (0, 0, -1)),
                          ("Q", (1, 0, 0)), ("Qp", (-1, 0, 0)))]

@@ -71,35 +71,30 @@ class TestValidateEffect:
 class TestValidatePovm:
     def test_projective_pair(self):
         p = Povm((diag_effect(1.0, 0.0, label="up"),
-                  diag_effect(0.0, 1.0, label="down")), 2)
+                  diag_effect(0.0, 1.0, label="down")))
         assert p.labels == ("up", "down")
 
     def test_trivial_unsharp(self):
         half = 0.5 * HermitianOperator.identity(2)
-        Povm((Effect(half, "a"), Effect(half, "b")), 2)
+        Povm((Effect(half, "a"), Effect(half, "b")))
 
     def test_single_projection_fails(self):
         with pytest.raises(SumNotIdentity) as info:
-            Povm((Effect(pauli_op(0, 0, 1), "P"),), 2)
+            Povm((Effect(pauli_op(0, 0, 1), "P"),))
         assert info.value.residual > 0.1
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             Povm((diag_effect(0.5, 0.5),
-                  Effect(0.5 * HermitianOperator.identity(3), "f")), 2)
+                  Effect(0.5 * HermitianOperator.identity(3), "f")))
 
-    @pytest.mark.parametrize("dim", [3, 0, -3, 10**9])
-    def test_declared_dim_is_checked_before_any_allocation(self, monkeypatch,
-                                                           dim):
-        effects = (diag_effect(1.0, 0.0, label="up"),
-                   diag_effect(0.0, 1.0, label="down"))
+    def test_dim_is_the_effects_dim(self):
+        assert Povm((Effect(HermitianOperator.identity(3), "all"),)).dim == 3
 
-        def no_eye(*args, **kwargs):
-            raise AssertionError("np.eye called on an unchecked dim")
-        monkeypatch.setattr(np, "eye", no_eye)
-        with pytest.raises(DimMismatch,
-                           match=f"^dimension mismatch: 2 vs {dim}$"):
-            Povm(effects, dim)
+    def test_empty_povm_fails(self):
+        with pytest.raises(SumNotIdentity,
+                           match="^a POVM needs at least one effect$"):
+            Povm(())
 
 
 def _op_json(arr) -> dict:

@@ -35,7 +35,7 @@ def test_random_povms_validate():
     rng = rng_from_seed(2)
     for _ in range(50):
         povm = random_povm(3, 4, rng)
-        Povm(povm.effects, 3)
+        Povm(povm.effects)
 
 
 def test_random_densities_are_states():

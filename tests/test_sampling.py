@@ -29,7 +29,7 @@ from conftest import SZ, pauli_op
 
 def z_povm() -> Povm:
     return Povm((Effect(pauli_op(0, 0, 1), "up"),
-                 Effect(pauli_op(0, 0, -1), "down")), 2)
+                 Effect(pauli_op(0, 0, -1), "down")))
 
 
 def ground_state() -> DensityOperator:
@@ -45,7 +45,7 @@ class TestSampleOutcomes:
     def test_symmetric_coin(self):
         rho = DensityOperator(HermitianOperator.identity(2) * 0.5)
         half = 0.5 * HermitianOperator.identity(2)
-        povm = Povm((Effect(half, "a"), Effect(half, "b")), 2)
+        povm = Povm((Effect(half, "a"), Effect(half, "b")))
         n = 40_000
         record = sample_outcomes(rho, povm, n, seed=7)
         assert abs(record.counts[0] - n / 2) <= 5 * np.sqrt(n / 4)
@@ -94,7 +94,7 @@ class TestSampleOutcomes:
         delta = 1.2e-8
         e0 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "a")
         e1 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "b")
-        povm = Povm((e0, e1), 2)
+        povm = Povm((e0, e1))
         with pytest.raises(ProbabilityDeficit):
             sample_outcomes(ground_state(), povm, 10, seed=0)
 
@@ -165,10 +165,10 @@ class TestOutcomeCounts:
         rho = random_density(2, rng)
         zero = Effect(HermitianOperator(np.zeros((2, 2))), "zero")
         up, down = z_povm().effects
-        povm = Povm((zero, up, zero, down, zero), 2)
+        povm = Povm((zero, up, zero, down, zero))
         assert sample_outcomes(rho, povm, n, seed=3).counts == oracle_record(
             rho, povm, n, 3)
-        one = Povm((Effect(HermitianOperator.identity(2), "all"),), 2)
+        one = Povm((Effect(HermitianOperator.identity(2), "all"),))
         assert sample_outcomes(rho, one, n, seed=3).counts == (n,)
 
 

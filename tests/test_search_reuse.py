@@ -1,9 +1,9 @@
 """Reuse in the dispersion-free search. Repeated subtrees: the answer,
 ``nodes`` and the stored assignments equal those of a search that walks
 every node, under every budget, store cap and flag. One compiled problem:
-the search, each deletion trial and the refutation re-solve run over
-subsets of it and give what a fresh solve of each list gives, and each
-constraint is read once per search."""
+the search, each deletion trial and the refutation re-solve solve it
+less some members and give what a fresh solve of each list gives, and
+each constraint is read once per search."""
 
 import sys
 import threading
@@ -17,7 +17,7 @@ from effectkit import (
     search_dispersion_free,
     verify_certificate,
 )
-from effectkit.nogo import _Problem, _refutation_problem, _solve
+from effectkit.nogo import _Problem, _refutation_problem
 
 from conftest import (
     haar_bases_context_set,
@@ -78,20 +78,22 @@ def random_constraint_list(rng) -> list[AdditivityRelation]:
 
 
 def dfs_calls(constraints, **flags) -> int:
-    """How many times ``_solve`` enters its DFS, counted by a profiler."""
-    calls = 0
+    """How many DFS frames ``_Problem.solve`` opens, counted by a
+    profiler. ``dfs`` is a generator, and the profiler sees a "call" each
+    time one is resumed, so frames are counted once each; they are kept
+    until the count is taken, so no two share an ``id``."""
+    frames = {}
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_name == "dfs":
-            calls += 1
+            frames[id(frame)] = frame
 
     sys.setprofile(profile)
     try:
-        _solve(constraints, **flags)
+        _Problem(constraints).solve(**flags)
     finally:
         sys.setprofile(None)
-    return calls
+    return len(frames)
 
 
 def test_reuse_matches_the_walking_search():
@@ -103,8 +105,9 @@ def test_reuse_matches_the_walking_search():
             for cap in STORE_CAPS:
                 for first in (False, True):
                     for record in (False, True):
-                        got = _solve(constraints, budget, max_store=cap,
-                                     stop_at_first=first, record=record)
+                        got = _Problem(constraints).solve(
+                            budget, max_store=cap, stop_at_first=first,
+                            record=record)
                         want = solve_by_walking(
                             constraints, budget, cap,
                             stop_after=1 if first else None, record=record)
@@ -119,7 +122,7 @@ def test_reuse_matches_the_walking_search():
                                 got[4], constraints) is None, where
                             assert got[4] == want[4], where
                             unsat_trees += 1
-        status, _, _, nodes, _ = _solve(constraints, 10**6)
+        status, _, _, nodes, _ = _Problem(constraints).solve(10**6)
         if dfs_calls(constraints, node_budget=10**6) < nodes:
             reused += 1
             unsat_reused += status == "unsat"
@@ -169,7 +172,7 @@ def test_searches_in_two_threads_keep_their_own_tables():
             bases(6) + [AdditivityRelation(("b5_0", "b5_1"), "I")],
         "b5_0 + b5_2 = 1":
             bases(6) + [AdditivityRelation(("b5_0", "b5_2"), "I")]}
-    expected = {name: _solve(c, 10**6, max_store=64)
+    expected = {name: _Problem(c).solve(10**6, max_store=64)
                 for name, c in searches.items()}
     assert expected["b5_0 + b5_1 = 1"][1] != expected["b5_0 + b5_2 = 1"][1]
     results: dict[str, list] = {name: [] for name in searches}
@@ -178,7 +181,8 @@ def test_searches_in_two_threads_keep_their_own_tables():
     def run(name):
         barrier.wait()
         for _ in range(20):
-            results[name].append(_solve(searches[name], 10**6, max_store=64))
+            results[name].append(
+                _Problem(searches[name]).solve(10**6, max_store=64))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -199,14 +203,14 @@ def test_searches_in_two_threads_keep_their_own_tables():
 def deletion_trials(constraints, node_budget):
     """The deletion filter as a loop of fresh solves, the oracle for the
     compiled search: each trial drops every entry that is the tried
-    constraint from the current core and is solved by ``_solve`` on its
-    own. Returns the core and each trial's (tried constraint, list,
-    result)."""
+    constraint from the current core and is solved as a fresh
+    ``_Problem`` of its own. Returns the core and each trial's (tried
+    constraint, list, result)."""
     core = list(constraints)
     trials = []
     for desc in list(core):
         trial = [d for d in core if d is not desc]
-        got = _solve(trial, node_budget, stop_at_first=True)
+        got = _Problem(trial).solve(node_budget, stop_at_first=True)
         trials.append((desc, trial, got))
         if got[0] == "unsat":
             core = trial
@@ -238,13 +242,12 @@ def test_subsets_of_one_problem_match_fresh_solves():
     seen = Counter()
     for case in range(60):
         constraints = subset_inputs(rng)
-        nodes = _solve(constraints, 10**6)[3]
+        nodes = _Problem(constraints).solve(10**6)[3]
         for budget in (10**6, max(nodes, 1), nodes + 4):
             where = f"case {case}, budget {budget}"
             problem = _Problem(constraints)
-            everything = problem.everything()
-            fresh = _solve(constraints, budget, max_store=64)
-            main = problem.solve(everything, budget, max_store=64)
+            fresh = _Problem(constraints).solve(budget, max_store=64)
+            main = problem.solve(budget, max_store=64)
             assert main == fresh, where
             # The search and the certificate re-check read a context set
             # only through ``constraints()``: these, in this order.
@@ -258,20 +261,19 @@ def test_subsets_of_one_problem_match_fresh_solves():
                         == [list(a) for a in fresh[1]]), where
                 continue
             want_core, trials = deletion_trials(constraints, budget)
-            core = everything
+            core = problem
             for desc, trial, want in trials:
-                subset = problem.without(core, desc)
+                subset = core.without(desc)
                 assert same_objects(
                     [problem.constraints[k] for k in subset.members],
                     trial), where
                 # occurrence lists: the whole problem's, kept to the subset
                 members = set(subset.members)
                 for got, full in zip((*subset.raise_lo, *subset.cut_hi),
-                                     (*everything.raise_lo,
-                                      *everything.cut_hi)):
+                                     (*problem.raise_lo, *problem.cut_hi)):
                     assert got == [[e for e in entries if e[0] in members]
                                    for entries in full], where
-                got = problem.solve(subset, budget, stop_at_first=True)
+                got = subset.solve(budget, stop_at_first=True)
                 assert got == want, where
                 order = variables_of(trial)
                 kept = set(order)
@@ -294,7 +296,7 @@ def test_subsets_of_one_problem_match_fresh_solves():
                 want[3] for *_, want in trials), where
             assert result.core_minimal == all(
                 want[0] != "unknown" for *_, want in trials), where
-            tree = _solve(want_core, budget, record=True)[4]
+            tree = _Problem(want_core).solve(budget, record=True)[4]
             assert result.refutation == tree, where
             verdict = verify_certificate(result, cs)
             assert verdict, (where, verdict.reason)

@@ -244,7 +244,7 @@ class TestCheckEffectValuation:
     def test_double_one_assignment_fails(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
-        povm = Povm((e, f), 2)
+        povm = Povm((e, f))
         table = ValuationTable(2, [TableEntry(e, 1.0), TableEntry(f, 1.0)])
         [(name, violation)] = violations(self.check(table, povm))
         assert name == "p3_additivity"
@@ -254,7 +254,7 @@ class TestCheckEffectValuation:
     def test_eigenstate_on_z_povm(self):
         rho = state(1.0, 0.0)
         up, down = Effect(pauli_op(0, 0, 1), "up"), Effect(pauli_op(0, 0, -1), "down")
-        povm = Povm((up, down), 2)
+        povm = Povm((up, down))
         table = ValuationTable.from_born(rho, povm.effects)
         # explicit traces: tr[diag(1,0)(I+sz)/2] = 1, tr[diag(1,0)(I-sz)/2] = 0
         assert table.value("up") == pytest.approx(1.0, abs=1e-15)
@@ -264,7 +264,7 @@ class TestCheckEffectValuation:
     def test_negative_value_flagged(self):
         e = Effect(pauli_op(0, 0, 1), "E")
         f = complement(e, "F")
-        povm = Povm((e, f), 2)
+        povm = Povm((e, f))
         table = ValuationTable(2, [TableEntry(e, 1.2), TableEntry(f, -0.2)])
         assert self.check(table, povm)[0] == {
             "name": "p1_range", "ok": False, "out_of_range": ["E", "F"]}
@@ -273,19 +273,17 @@ class TestCheckEffectValuation:
         a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
         b = Effect(0.25 * HermitianOperator.identity(2), "B")
         table = ValuationTable(2, [TableEntry(a, 0.5), TableEntry(b, 0.5)])
-        povm = Povm((a, Effect(HermitianOperator(np.diag([0.0, 1.0])), "B")),
-                    2)
+        povm = Povm((a, Effect(HermitianOperator(np.diag([0.0, 1.0])), "B")))
         with pytest.raises(BadRelation, match=r"POVM effect 'B' .* "
                                               r"Frobenius deviation 7\.906e-01"):
             povm_relation(table, povm)
-        matching = Povm((a, complement(a, "B")), 2)
+        matching = Povm((a, complement(a, "B")))
         table = ValuationTable(2, [TableEntry(a, 0.5),
                                    TableEntry(matching.effects[1], 0.5)])
         assert povm_relation(table, matching) == AdditivityRelation(
             ("A", "B"), "I")
         wide = Povm((Effect(HermitianOperator(np.diag([1.0, 0.0, 0.0])), "A"),
-                     Effect(HermitianOperator(np.diag([0.0, 1.0, 1.0])), "B")),
-                    3)
+                     Effect(HermitianOperator(np.diag([0.0, 1.0, 1.0])), "B")))
         with pytest.raises(DimMismatch):
             povm_relation(table, wide)
 
