@@ -116,15 +116,13 @@ def _load_json(path: str):
 
 
 def _emit(payload, args) -> None:
-    text = jsonio.dumps(payload, pretty=args.pretty) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _CliFailure(EXIT_PARSE,
-                              f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(jsonio.dumps(payload, pretty=args.pretty) + "\n")
+        return
+    try:
+        jsonio.dump(payload, args.out, pretty=args.pretty)
+    except OSError as exc:
+        raise _CliFailure(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
 
 
 def _load_state(path: str) -> DensityOperator:

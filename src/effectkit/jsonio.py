@@ -7,23 +7,22 @@ IEEE doubles), keys keep insertion order, and there is exactly one layout per
 Parsing accepts any standard JSON number but rejects the NaN/Infinity
 extensions.
 
-A non-empty container whose exact type is ``dict`` or ``list``, whose keys
-are all of exact type ``str`` and whose items are all of exact type
-``str``, ``int``, ``bool`` or ``NoneType`` is written by json's C encoder,
-with the same separators and ASCII escaping, so its bytes are those of the
-Python path. A list of plain floats is joined through :func:`format_float`
-in one pass. Floats never reach the C encoder, and every other value
-(tuples, subclasses, numpy scalars, mixed containers) takes the Python
-path, one call per value. In pretty mode a plain container is encoded with
-a bare newline between items, which is then indented to its level.
+There is one fast path. In compact mode, a non-empty container whose exact
+type is ``dict`` or ``list``, whose keys are all of exact type ``str`` and
+whose items are all of exact type ``str``, ``int``, ``bool`` or
+``NoneType`` is written by json's C encoder, with the same separators and
+ASCII escaping, so its bytes are those of the Python path. Every other
+value takes the Python path, one call per value: floats and lists of
+floats, tuples, subclasses, numpy scalars, mixed containers, and every
+container in pretty mode.
 
 An ``entries`` array whose items are all ``[re, im]`` pairs of plain floats
 is decoded as it is read into one flat complex array, a
 :class:`PackedEntries`, so a large operator file never holds its entries as
 one Python list per pair. Every reader still sees lists:
 :func:`expect_list` returns the pairs, bit for bit, and the wrapper compares
-equal to them. Only ``HermitianOperator.from_json_dict`` takes the array
-itself.
+equal to them. Only this module packs, and only
+``HermitianOperator.from_json_dict`` takes the array itself.
 """
 
 from __future__ import annotations
@@ -95,33 +94,20 @@ class PackedEntries:
 # format_float.
 _PLAIN = frozenset((str, int, bool, type(None)))
 _STR = frozenset((str,))
-_FLOAT = frozenset((float,))
 
 
-def _c_encoder(item_separator: str):
-    """json's C encoder with this item separator, made once (json builds one
-    per call). An interpreter without it gets json's Python encoder, which
-    writes the same bytes."""
+def _c_encoder():
+    """json's compact C encoder, made once (json builds one per call). An
+    interpreter without it gets json's Python encoder, which writes the
+    same bytes."""
     if c_make_encoder is None:
-        return json.JSONEncoder(separators=(item_separator, ": ")).encode
+        return json.JSONEncoder(separators=(", ", ": ")).encode
     encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
-                            item_separator, False, False, True)
+                            ", ", False, False, True)
     return lambda obj: "".join(encode(obj, 0))
 
 
-_encode = _c_encoder(", ")
-# Ends each item with a bare newline, which _emit indents to the level. A
-# JSON string never holds a raw newline, so no other newline is touched.
-_encode_lines = _c_encoder(",\n")
-
-
-def _frame(indent: int | None, level: int) -> tuple[str, str, str]:
-    """The text after the opening bracket, between two items and before
-    the closing bracket of a non-empty container at ``level``."""
-    if indent is None:
-        return "", ", ", ""
-    pad = "\n" + " " * (indent * (level + 1))
-    return pad, "," + pad, pad[:-indent]
+_encode = _c_encoder()
 
 
 def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
@@ -129,7 +115,7 @@ def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
     if kind is float:
         out.append(format_float(obj))
         return
-    if (kind is dict or kind is list) and obj:
+    if indent is None and (kind is dict or kind is list) and obj:
         # issuperset stops at the first item of another type, so a list of
         # floats pays for one item of the plainness check, not all of them.
         if kind is dict:
@@ -137,19 +123,8 @@ def _emit(obj: Any, out: list[str], indent: int | None, level: int) -> None:
                      and _STR.issuperset(map(type, obj)))
         else:
             plain = _PLAIN.issuperset(map(type, obj))
-            if not plain and _FLOAT.issuperset(map(type, obj)):
-                lead, sep, tail = _frame(indent, level)
-                out.append("[" + lead + sep.join(map(format_float, obj))
-                           + tail + "]")
-                return
         if plain:
-            if indent is None:
-                out.append(_encode(obj))
-            else:
-                pad = "\n" + " " * (indent * (level + 1))
-                text = _encode_lines(obj)
-                out.append(text[0] + pad + text[1:-1].replace("\n", pad)
-                           + pad[:-indent] + text[-1])
+            out.append(_encode(obj))
             return
     if isinstance(obj, PackedEntries):
         obj = obj.tolist()
@@ -176,7 +151,11 @@ def _emit_container(items, open_ch, close_ch, out, indent, level, *, keyed):
     if not items:
         out.append(open_ch + close_ch)
         return
-    lead, sep, tail = _frame(indent, level)
+    if indent is None:
+        lead, sep, tail = "", ", ", ""
+    else:
+        lead = "\n" + " " * (indent * (level + 1))
+        sep, tail = "," + lead, lead[:-indent]
     out.append(open_ch + lead)
     for i, item in enumerate(items):
         if i:
@@ -200,9 +179,11 @@ def dumps(obj: Any, pretty: bool = False) -> str:
 
 
 def dump(obj: Any, path, pretty: bool = False) -> None:
+    """Write ``dumps(obj)`` and a newline to ``path``, opened only once the
+    payload is serialized: a failure leaves an existing file as it was."""
+    text = dumps(obj, pretty=pretty) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, pretty=pretty))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _reject_constant(name: str):

@@ -146,8 +146,8 @@ def matrix_from_json(obj) -> np.ndarray:
     """The wire format read into a d x d complex array, checked against
     the schema alone; the operator's checks are construction's. Entries
     that ``jsonio.load`` packed while decoding are taken as their array;
-    any other list (ints, odd entries, a dict built in code) is read by
-    :func:`_entry_array`, whose SchemaError names the entry at fault."""
+    any other list (ints, odd entries, a dict built in code) is read entry
+    by entry by :func:`_entry_array`, whose SchemaError names the bad one."""
     obj = jsonio.expect_dict(obj, "matrix")
     d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
     entries = jsonio.expect_key(obj, "entries", "matrix")
@@ -162,15 +162,12 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _entry_array(entries) -> np.ndarray:
-    """The [re, im] entries as one flat complex array. Packed entries, or a
-    list of plain-float pairs, are taken as they are; anything else is
-    checked and converted by jsonio, whose SchemaError names the entry at
-    fault. Viewing the floats as complex keeps every bit, signed zeros
-    included."""
-    packed = (entries if isinstance(entries, jsonio.PackedEntries)
-              else jsonio.PackedEntries.pack(entries))
-    if packed is not None:
-        return packed.values
+    """The [re, im] entries as one flat complex array. Packed entries are
+    taken as their array; a list is checked and converted entry by entry
+    by jsonio, whose SchemaError names the entry at fault. Viewing the
+    floats as complex keeps every bit, signed zeros included."""
+    if isinstance(entries, jsonio.PackedEntries):
+        return entries.values
     numbers: list[float] = []
     for k, pair in enumerate(entries):
         pair = jsonio.expect_list(pair, f"matrix.entries[{k}]")

@@ -621,6 +621,16 @@ class TestReconstruct:
         code, _ = run_cli(["reconstruct", frame, values], capsys)
         assert code == 4
 
+    def test_empty_frame_is_an_input_error(self, tmp_path, capsys):
+        frame = write(tmp_path / "f.json", {"dim": 2, "effects": []})
+        values = write(tmp_path / "v.json", {"dim": 2, "entries": []})
+        code = main(["reconstruct", frame, values])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid input: reconstruction needs a nonempty frame\n")
+
 
 class TestNogo2d:
     def test_closed_form_weight(self, capsys):
@@ -643,6 +653,16 @@ class TestNogo2d:
             ["nogo2d", "--n", "0,0,2", "--m", "1,0,0", "--lambda", "0.5"],
             capsys)
         assert code == 2
+
+    def test_a_mixture_too_close_to_pure_is_rejected(self, capsys):
+        code = main(["nogo2d", "--n", "0,0,1", "--m", "1,0,0",
+                     "--lambda", "1e-12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "ParallelVectors: |c| = 0.999999999999 is too close to 1; the "
+            "spectral weights degenerate and no contradiction arises\n")
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--n", "1,2", "--n expects ax,ay,az"),
@@ -1090,6 +1110,16 @@ class TestSampleAndGen:
         assert code == 0
         code, report = run_cli(["validate", out, "--kind", "state"], capsys)
         assert code == 0 and report["valid"]
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_out_holds_the_bytes_of_stdout(self, tmp_path, capsys, pretty):
+        argv = ["gen", "--kind", "povm", "--dim", "3", "--seed", "7", *pretty]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "povm.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
     def test_gen_is_byte_deterministic(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

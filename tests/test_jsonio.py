@@ -203,6 +203,15 @@ def test_file_round_trip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+def test_a_failed_dump_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_text("kept\n", encoding="utf-8")
+    for payload in ({"x": float("nan")}, {"x": object()}):
+        with pytest.raises((ValueError, TypeError)):
+            jsonio.dump(payload, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_a_packed_file_reads_as_its_lists(tmp_path):
     path = tmp_path / "payload.json"
     payload = {"dim": 1, "entries": [[-0.0, 5e-324]],

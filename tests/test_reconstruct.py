@@ -5,6 +5,7 @@ import pytest
 
 from effectkit import (
     DensityOperator,
+    DimMismatch,
     Effect,
     FrameDeficient,
     HermitianOperator,
@@ -20,7 +21,7 @@ from effectkit import (
 )
 from effectkit.valuation import _from_coords
 
-from conftest import hermitian_basis, pauli_op
+from conftest import SX, SY, SZ, hermitian_basis, pauli_op
 
 
 def pauli_frame() -> list[Effect]:
@@ -227,3 +228,139 @@ class TestNearestState:
             ours = np.linalg.norm(state.op.array - h.array)
             clipped = np.linalg.norm(_clip_and_renormalize(h) - h.array)
             assert ours <= clipped + 1e-12
+
+
+class TestMalformedFrames:
+    def test_values_must_match_the_frame_in_length(self):
+        frame = [Effect(HermitianOperator.identity(2), "E")]
+        with pytest.raises(ValueError,
+                           match="^frame and values differ in length$"):
+            reconstruct_density(frame, [0.5, 0.5])
+
+    def test_a_frame_has_one_dimension(self):
+        frame = [Effect(HermitianOperator.identity(2), "E"),
+                 Effect(HermitianOperator.identity(3), "G")]
+        with pytest.raises(DimMismatch,
+                           match="^effect 'G' has dim 3, frame dim 2$"):
+            reconstruct_density(frame, [1.0, 1.0])
+
+
+def weyl_heisenberg(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shift X|m> = |m+1> and the clock Z|m> = w^m |m>, w = e^(2 pi i/d)."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return shift, clock
+
+
+def eigenbasis(*unitaries) -> list[np.ndarray]:
+    """The joint eigenbasis of commuting unitaries: the eigenvectors of
+    c U + conj(c) U^dagger summed over them, with coefficients c = e^(0.3i)
+    and sqrt 2, which give every case below a simple spectrum."""
+    h = sum(c * u + np.conj(c) * u.conj().T
+            for c, u in zip((np.exp(0.3j), np.sqrt(2.0)), unitaries))
+    return list(np.linalg.eigh(h)[1].T)
+
+
+def projector_frame(vectors) -> list[Effect]:
+    return [Effect(HermitianOperator(np.outer(v, v.conj())), f"P{k}")
+            for k, v in enumerate(vectors)]
+
+
+def qubit_sic() -> list[Effect]:
+    """The tetrahedron: Bloch vectors (1, 1, 1)/sqrt 3 and its three images
+    under rotations by pi about the axes."""
+    signs = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    return [Effect(pauli_op(*(np.array(s) / np.sqrt(3.0))), f"P{k}")
+            for k, s in enumerate(signs)]
+
+
+def hesse_sic() -> list[Effect]:
+    """The Weyl-Heisenberg orbit X^j Z^k (0, 1, -1)/sqrt 2 in d = 3 (Renes,
+    Blume-Kohout, Scott & Caves, J. Math. Phys. 45, 2171, 2004)."""
+    shift, clock = weyl_heisenberg(3)
+    fiducial = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+    return projector_frame(
+        np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
+        @ fiducial for j in range(3) for k in range(3))
+
+
+def mub_frame(d: int) -> list[Effect]:
+    """Complete sets of mutually unbiased bases (Wootters & Fields, Ann.
+    Phys. 191, 363, 1989): the Pauli eigenbases in d = 2; the eigenbases of
+    Z, X, XZ and XZ^2 in d = 3; in d = 4 the joint eigenbases of the five
+    Pauli lines (ZI, IZ), (XI, IX), (YI, IY), (XY, YZ), (YX, ZY) (Lawrence,
+    Brukner & Zeilinger, PRA 65, 032320, 2002)."""
+    if d == 2:
+        groups = [(SZ,), (SX,), (SY,)]
+    elif d == 3:
+        x, z = weyl_heisenberg(3)
+        groups = [(z,), (x,), (x @ z,), (x @ z @ z,)]
+    else:
+        pauli = {"I": np.eye(2), "X": SX, "Y": SY, "Z": SZ}
+        groups = [tuple(np.kron(pauli[a], pauli[b]) for a, b in line)
+                  for line in (("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"),
+                               ("XY", "YZ"), ("YX", "ZY"))]
+    return projector_frame(v for g in groups for v in eigenbasis(*g))
+
+
+def inversion(frame: list[Effect], values) -> np.ndarray:
+    """Linear inversion over K rank-one projectors forming a 2-design in
+    dimension d, where sum_k P_k tr[P_k X] = K / (d (d + 1)) (X + tr[X] I):
+    rho = d (d + 1) / K * sum_k p_k P_k - I. That is (d + 1)/d sum p_k P_k
+    - I for a SIC and sum p_k P_k - I for d + 1 MUBs."""
+    d, k = frame[0].dim, len(frame)
+    total = sum(p * e.op.array for p, e in zip(values, frame))
+    return d * (d + 1) / k * total - np.eye(d)
+
+
+KNOWN_FRAMES = {
+    "sic-2": (qubit_sic, 2, 4), "sic-3": (hesse_sic, 3, 9),
+    "mub-2": (lambda: mub_frame(2), 2, 6),
+    "mub-3": (lambda: mub_frame(3), 3, 12),
+    "mub-4": (lambda: mub_frame(4), 4, 20)}
+
+
+class TestKnownAnswers:
+    """SICs and complete sets of MUBs are tight informationally complete
+    frames (Scott, J. Phys. A 39, 13507, 2006): the values of a state on
+    them determine it through a closed-form inversion."""
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_FRAMES))
+    def test_the_frame_is_what_it_claims(self, name):
+        build, d, k = KNOWN_FRAMES[name]
+        frame = build()
+        vectors = [np.linalg.eigh(e.op.array)[1][:, -1] for e in frame]
+        overlaps = np.abs(np.array(vectors).conj() @ np.array(vectors).T) ** 2
+        assert len(frame) == k and all(e.dim == d for e in frame)
+        assert np.allclose(np.diag(overlaps), 1.0, atol=1e-12)
+        if name.startswith("sic"):
+            expected = np.where(np.eye(k, dtype=bool), 1.0, 1.0 / (d + 1))
+        else:
+            basis = np.arange(k) // d
+            expected = np.where(basis[:, None] == basis[None, :],
+                                np.eye(k), 1.0 / d)
+        assert np.max(np.abs(overlaps - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_FRAMES))
+    def test_two_singular_values_in_ratio_sqrt_d_plus_one(self, name):
+        build, d, _ = KNOWN_FRAMES[name]
+        design = hermitian_coords([e.op.array for e in build()])
+        s = np.linalg.svd(design, compute_uv=False)
+        assert len(s) == d * d
+        assert s[0] - s[1] > 0.5
+        assert np.max(s[1:]) - np.min(s[1:]) <= 1e-12
+        assert abs(s[0] / s[1] - np.sqrt(d + 1)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_FRAMES))
+    def test_reconstruction_is_the_linear_inversion(self, name):
+        build, d, _ = KNOWN_FRAMES[name]
+        frame = build()
+        rng = rng_from_seed(2171)
+        for _ in range(5):
+            rho = random_density(d, rng)
+            values = [born(rho, e) for e in frame]
+            state, diag = reconstruct_density(frame, values)
+            assert diag.rank == d * d
+            expected = inversion(frame, values)
+            assert np.max(np.abs(state.op.array - expected)) <= 1e-14
+            assert np.max(np.abs(expected - rho.op.array)) <= 1e-14

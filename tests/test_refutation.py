@@ -10,6 +10,7 @@ import pytest
 
 from effectkit import (
     AdditivityRelation,
+    DuplicateOperatorWarning,
     Effect,
     HermitianOperator,
     build_context_set,
@@ -449,6 +450,20 @@ class TestTampering:
             dataclasses.replace(result, refutation=None), cs)
         assert not verdict
         assert "no refutation tree" in verdict.reason
+
+    def test_tree_of_another_type(self):
+        # The UNSAT triangle: x + y = y + z = x + z = I, each effect I/2.
+        half = HermitianOperator.identity(2) * 0.5
+        with pytest.warns(DuplicateOperatorWarning):
+            cs = build_context_set([Effect(half, lb) for lb in "xyz"],
+                                   [["x", "y"], ["y", "z"], ["x", "z"]])
+        result = search_dispersion_free(cs)
+        assert result.status == "unsat" and verify_certificate(result, cs)
+        verdict = verify_certificate(
+            dataclasses.replace(result, refutation=42), cs)
+        assert not verdict
+        assert verdict.reason == ("the refutation tree is neither a Branch "
+                                  "nor a constraint")
 
     def test_tree_is_not_serialised(self, peres):
         _, result = peres

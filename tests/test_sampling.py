@@ -231,6 +231,15 @@ class TestSampleRecordJson:
         with pytest.raises(ValueError):
             SampleRecord(("a", "b"), (3, 3), 5, seed=0)
 
+    def test_counts_and_labels_match_in_length(self):
+        with pytest.raises(RecordMismatch, match="^counts and POVM label "
+                           "list differ in length$"):
+            SampleRecord(("a", "b"), (1,), 1, seed=0)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            SampleRecord(("a", "b"), (2, -1), 1, seed=0)
+
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shot count must be at least 1"):
             SampleRecord(("a", "b"), (0, 0), 0, seed=0)

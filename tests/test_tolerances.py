@@ -23,7 +23,8 @@ ninth keeps every module to the public names of its siblings. A tenth
 keeps the eigenvalue solver in ``operators``, where each spectrum is
 computed once and kept on its operator. An eleventh keeps every function
 in ``nogo`` from calling itself, so the depth of a search is not bounded
-by the Python stack.
+by the Python stack. A twelfth keeps ``PackedEntries.pack`` in ``jsonio``,
+so the rule for a plain-float [re, im] pair is written once.
 """
 
 import ast
@@ -173,6 +174,22 @@ def test_only_jsonio_imports_json():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "json"]
     assert found == []
+
+
+def test_only_jsonio_packs_entries():
+    """``PackedEntries.pack`` is read in ``jsonio.py`` alone, as a file is
+    decoded, so the rule for a plain-float [re, im] pair is written once:
+    every other module takes packed entries as they come and reads any
+    other list entry by entry."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.name] = [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "pack"
+            and "PackedEntries" in ast.unparse(node.value)]
+    assert found.pop("jsonio.py"), "jsonio never packs entries"
+    assert not sum(found.values(), []), found
 
 
 def _table_reads(entry: str) -> list[str]:

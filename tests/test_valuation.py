@@ -414,6 +414,13 @@ class TestExtendToSelfadjoint:
             assert abs(lhs - rhs) <= 1e-8
 
 
+def test_a_table_label_is_used_once():
+    entries = [TableEntry(Effect(HermitianOperator.identity(2), "A"), 1.0),
+               TableEntry(Effect(pauli_op(0, 0, 1), "A"), 0.5)]
+    with pytest.raises(ValueError, match="^duplicate label 'A'$"):
+        ValuationTable(2, entries)
+
+
 def test_table_json_round_trip():
     rng = rng_from_seed(71)
     rho = random_density(2, rng)
