@@ -97,6 +97,10 @@ EXIT_INVALID = 2
 EXIT_FRAME = 3
 EXIT_INCONSISTENT = 4
 EXIT_VERIFY = 5
+# The library errors with their own exit code, looked up by exact type (none
+# of them has a subclass); every other library error exits 2.
+_EXIT_BY_ERROR = {SchemaError: EXIT_PARSE, FrameDeficient: EXIT_FRAME,
+                  ValuesInconsistent: EXIT_INCONSISTENT}
 
 
 class _CliFailure(Exception):
@@ -161,8 +165,8 @@ def cmd_validate(args) -> int:
         checks.append({"name": name, "ok": bool(ok), **detail})
 
     if args.kind == "effect":
-        op, _ = effect_from_json(payload)
-        checks.extend(effect_checks(op))
+        array, _ = effect_from_json(payload)
+        checks.extend(effect_checks(HermitianOperator(array)))
     elif args.kind == "povm":
         try:
             povm = Povm.from_json_dict(payload)
@@ -328,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "%(default)s; below 1 exits 2); total_solutions is "
                         "exact only when the search completes")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="search-tree node budget; a repeated subtree is "
-                        "counted from its first walk, not walked again")
+                   help="node budget of the search and, separately, of "
+                        "each deletion trial of an UNSAT core; the printed "
+                        "nodes sum them and can exceed it. A repeated "
+                        "subtree counts from its first walk, not walked again")
     p.add_argument("--discover-relations", action="store_true",
                    dest="discover_relations",
                    help="auto-discover pair/triple operator sum identities")
@@ -391,18 +397,9 @@ def main(argv=None) -> int:
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except FrameDeficient as exc:
-        print(f"FrameDeficient: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    except ValuesInconsistent as exc:
-        print(f"ValuesInconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except SchemaError as exc:
-        print(f"SchemaError: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except EffectKitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _EXIT_BY_ERROR.get(type(exc), EXIT_INVALID)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -90,23 +90,15 @@ class Effect:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Effect":
-        return cls(*effect_from_json(obj))
+        array, label = effect_from_json(obj)
+        return cls(HermitianOperator(array), label)
 
 
-def effect_from_json(obj) -> tuple[HermitianOperator, str]:
-    """Read an effect ``{"label": ..., "op": ...}`` into its operator and
-    label, without the effect checks.
-
-    The one reader of the format, shared by :meth:`Effect.from_json_dict`
-    and ``effectkit validate``; :func:`effects_from_json_dict` reads each
-    item with its schema half, :func:`_effect_parts`.
-    """
-    array, label = _effect_parts(obj)
-    return HermitianOperator(array), label
-
-
-def _effect_parts(obj) -> tuple[np.ndarray, str]:
-    """An effect's matrix, unbuilt, and its label; schema checks only."""
+def effect_from_json(obj) -> tuple[np.ndarray, str]:
+    """The one reader of an effect ``{"label": ..., "op": ...}``: its
+    matrix, unbuilt, and its label, with schema checks only. Its callers,
+    :meth:`Effect.from_json_dict`, :func:`effects_from_json_dict` and
+    ``effectkit validate``, each build the ``HermitianOperator``."""
     obj = jsonio.expect_dict(obj, "effect")
     label = jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
                               "effect.label")
@@ -296,7 +288,7 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     arrays, labels, fault = [], [], None
     for item in items:
         try:
-            array, label = _effect_parts(item)
+            array, label = effect_from_json(item)
         except SchemaError as exc:
             fault = exc
             break

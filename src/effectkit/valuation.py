@@ -70,24 +70,21 @@ def state_checks(op: HermitianOperator) -> list[dict]:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Positive, trace-1 operator; pass validate=False only for diagnostics
-    of reconstructions that are allowed to be slightly infeasible. Raises
-    NotPositive or TraceNotOne from the first failed check of
-    :func:`state_checks`, whose ``hermitian_drift`` it does not enforce."""
+    """Positive, trace-1 operator: every instance has passed
+    :func:`state_checks`. Raises NotPositive or TraceNotOne from the first
+    failed check, whose ``hermitian_drift`` it does not enforce."""
 
     op: HermitianOperator
-    validate: bool = True
 
     def __post_init__(self):
-        if self.validate:
-            _, positive, unit_trace = state_checks(self.op)
-            if not positive["ok"]:
-                lo = positive["min_eig"]
-                raise NotPositive(f"state has negative eigenvalue {lo:.6e}",
-                                  min_eig=lo)
-            if not unit_trace["ok"]:
-                raise TraceNotOne(
-                    f"state trace {unit_trace['trace']:.12g} is not 1")
+        _, positive, unit_trace = state_checks(self.op)
+        if not positive["ok"]:
+            lo = positive["min_eig"]
+            raise NotPositive(f"state has negative eigenvalue {lo:.6e}",
+                              min_eig=lo)
+        if not unit_trace["ok"]:
+            raise TraceNotOne(
+                f"state trace {unit_trace['trace']:.12g} is not 1")
 
     @property
     def dim(self) -> int:
@@ -550,7 +547,7 @@ def _health(design: np.ndarray, vals: np.ndarray, op: HermitianOperator
 
 def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
                         min_norm: bool = False, project_psd: bool = False
-                        ) -> tuple[DensityOperator, ReconstructionDiagnostics]:
+                        ) -> tuple[HermitianOperator, ReconstructionDiagnostics]:
     """Solve tr[rho E_k] = v_k for a Hermitian rho.
 
     The system is solved by SVD in the coordinates of
@@ -562,10 +559,11 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     means the values are not the restriction of any linear functional and
     raises ValuesInconsistent.
 
-    With ``project_psd`` the solution is replaced by the nearest density
-    operator in Frobenius norm (:func:`project_to_density`); otherwise the
-    returned state may violate positivity or unit trace by whatever amount
-    the diagnostics report, and is built unvalidated.
+    The result is the Hermitian operator solved for, which may violate
+    positivity or unit trace by whatever amount the diagnostics report;
+    ``DensityOperator(result)`` checks it. With ``project_psd`` it is the
+    operator of the nearest density operator in Frobenius norm
+    (:func:`project_to_density`), so that check passes.
     """
     frame = list(frame)
     if not frame:
@@ -598,14 +596,13 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
             f"values violate linearity: residual {residual:.3e} > "
             f"{TOL.residual:g}", residual=residual)
     if not project_psd:
-        diag = ReconstructionDiagnostics(residual, trace_dev, min_eig,
-                                         projected=False, rank=rank,
-                                         frame_size=len(frame))
-        return DensityOperator(solution, validate=False), diag
+        return solution, ReconstructionDiagnostics(
+            residual, trace_dev, min_eig, projected=False, rank=rank,
+            frame_size=len(frame))
 
-    projected = project_to_density(solution)
+    projected = project_to_density(solution).op
     return projected, ReconstructionDiagnostics(
-        *_health(design, vals, projected.op),
+        *_health(design, vals, projected),
         projected=True,
         rank=rank,
         frame_size=len(frame),

@@ -64,7 +64,7 @@ def test_criterion_1_reconstruction_round_trip():
         frame = ic_frame(dim, rng)
         values = [born(rho, e) for e in frame]
         recovered, _ = reconstruct_density(frame, values)
-        err = np.linalg.norm(recovered.op.array - rho.op.array)
+        err = np.linalg.norm(recovered.array - rho.op.array)
         assert err <= 1e-8, f"trial {trial}: error {err:.3e}"
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
@@ -204,7 +204,7 @@ def test_criterion_7_statistical_tomography():
     values = [table.value(lb) for lb in povm.labels]
     recovered, diag = reconstruct_density(list(povm.effects), values,
                                           project_psd=True)
-    err = np.linalg.norm(recovered.op.array - rho.op.array)
+    err = np.linalg.norm(recovered.array - rho.op.array)
     elapsed = time.perf_counter() - start
     assert err <= 0.01
     assert diag.projected

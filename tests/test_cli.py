@@ -601,8 +601,9 @@ class TestReconstruct:
         values = write(tmp_path / "v.json", {
             "dim": 2, "entries": [{"label": "I", "value": 1.0},
                                   {"label": "Z", "value": 1.0}]})
-        code, _ = run_cli(["reconstruct", frame, values], capsys)
-        assert code == 3
+        assert main(["reconstruct", frame, values]) == 3
+        assert capsys.readouterr().err == (
+            "FrameDeficient: frame spans only 2 of 4 dimensions\n")
         code, payload = run_cli(["reconstruct", frame, values, "--min-norm"],
                                 capsys)
         assert code == 0
@@ -618,8 +619,10 @@ class TestReconstruct:
                 {"label": "I", "value": 1.0}, {"label": "X", "value": 0.5},
                 {"label": "Y", "value": 0.5}, {"label": "Z", "value": 1.0},
                 {"label": "H", "value": 0.6}]})
-        code, _ = run_cli(["reconstruct", frame, values], capsys)
-        assert code == 4
+        assert main(["reconstruct", frame, values]) == 4
+        assert capsys.readouterr().err == (
+            "ValuesInconsistent: values violate linearity: residual "
+            "8.944e-02 > 1e-06\n")
 
     def test_empty_frame_is_an_input_error(self, tmp_path, capsys):
         frame = write(tmp_path / "f.json", {"dim": 2, "effects": []})
@@ -758,6 +761,21 @@ class TestDfsearch:
         assert payload["status"] == "unsat"
         assert payload["core_minimal"] is False
         assert len(payload["core"]) == 15
+
+    # Peres-24: the search takes 15 nodes and its 24 deletion trials up to
+    # 17 each, 280 in all at a budget of 17, so the sum exceeds the budget
+    @pytest.mark.parametrize("budget, nodes, core, minimal", [
+        ("17", 295, 11, None), ("16", 336, 15, False)])
+    def test_the_budget_bounds_each_run_and_nodes_sums_them(
+            self, tmp_path, capsys, budget, nodes, core, minimal):
+        contexts = peres_context_files(tmp_path)
+        code, payload = run_cli(["dfsearch", contexts, "--budget", budget],
+                                capsys)
+        assert code == 0
+        assert payload["status"] == "unsat"
+        assert payload["nodes"] == nodes > int(budget)
+        assert len(payload["core"]) == core
+        assert payload.get("core_minimal") is minimal
 
     def test_half_identity_unsat(self, tmp_path, capsys):
         contexts = half_identity_context_files(tmp_path)

@@ -9,8 +9,10 @@ from effectkit import (
     Effect,
     FrameDeficient,
     HermitianOperator,
+    NotPositive,
     ValuesInconsistent,
     born,
+    frobenius_inner,
     hermitian_coords,
     project_to_density,
     random_density,
@@ -47,7 +49,7 @@ class TestExactInputs:
         # values are the explicit traces of diag(1,0) against the frame
         frame = pauli_frame()
         state, diag = reconstruct_density(frame, [1.0, 0.5, 0.5, 1.0])
-        assert np.allclose(state.op.array, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(state.array, np.diag([1.0, 0.0]), atol=1e-12)
         assert diag.rank == 4
         assert diag.residual <= 1e-12
 
@@ -56,7 +58,7 @@ class TestExactInputs:
         frame = ic_frame(2, rng)
         rho = DensityOperator(HermitianOperator.identity(2) * 0.5)
         state, _ = reconstruct_density(frame, [born(rho, e) for e in frame])
-        assert np.allclose(state.op.array, 0.5 * np.eye(2), atol=1e-10)
+        assert np.allclose(state.array, 0.5 * np.eye(2), atol=1e-10)
 
     def test_round_trip_random_states(self):
         rng = rng_from_seed(6)
@@ -66,7 +68,7 @@ class TestExactInputs:
                 frame = ic_frame(dim, rng)
                 state, diag = reconstruct_density(
                     frame, [born(rho, e) for e in frame])
-                err = np.linalg.norm(state.op.array - rho.op.array)
+                err = np.linalg.norm(state.array - rho.op.array)
                 assert err <= 1e-8
                 assert diag.trace_dev <= 1e-9
 
@@ -87,8 +89,8 @@ class TestDeficientFrames:
         assert diag.rank == 2
         assert diag.frame_size == 2
         # the constraints themselves are met
-        assert born(DensityOperator(state.op, validate=False),
-                    frame[1]) == pytest.approx(1.0, abs=1e-10)
+        assert frobenius_inner(state, frame[1].op) == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_min_norm_on_full_rank_matches_plain(self):
         rng = rng_from_seed(8)
@@ -97,7 +99,7 @@ class TestDeficientFrames:
         values = [born(rho, e) for e in frame]
         plain, _ = reconstruct_density(frame, values)
         minn, _ = reconstruct_density(frame, values, min_norm=True)
-        assert np.allclose(plain.op.array, minn.op.array, atol=1e-12)
+        assert np.allclose(plain.array, minn.array, atol=1e-12)
 
 
 class TestInconsistentValues:
@@ -130,10 +132,25 @@ class TestPsdProjection:
         state, diag = reconstruct_density(frame, noisy, project_psd=True)
         assert diag.projected
         assert diag.min_eig >= -1e-12
-        assert abs(np.trace(state.op.array).real - 1.0) <= 1e-12
+        assert abs(np.trace(state.array).real - 1.0) <= 1e-12
         assert diag.pre_min_eig is not None
         # projection cannot be worse than a few noise widths away
-        assert np.linalg.norm(state.op.array - rho.op.array) <= 0.1
+        assert np.linalg.norm(state.array - rho.op.array) <= 0.1
+
+    def test_only_the_projected_result_is_a_state(self):
+        # v(X) = 0.55 puts the Bloch vector of |0><0| at (0.1, 0, 1), outside
+        # the ball: the solution has trace 1 and eigenvalue (1 - 1.005)/2
+        frame = pauli_frame()
+        noisy = [1.0, 0.55, 0.5, 1.0]
+        solution, diag = reconstruct_density(frame, noisy)
+        assert type(solution) is HermitianOperator
+        assert diag.min_eig < 0
+        with pytest.raises(NotPositive):
+            DensityOperator(solution)
+        projected, diag = reconstruct_density(frame, noisy, project_psd=True)
+        assert type(projected) is HermitianOperator
+        assert DensityOperator(projected).op is projected
+        assert diag.min_eig >= -1e-12
 
     def test_projection_is_idempotent(self):
         rng = rng_from_seed(10)
@@ -149,7 +166,7 @@ class TestPsdProjection:
         frame = ic_frame(3, rng)
         values = [born(rho, e) for e in frame]
         state, diag = reconstruct_density(frame, values, project_psd=True)
-        assert np.linalg.norm(state.op.array - rho.op.array) <= 1e-8
+        assert np.linalg.norm(state.array - rho.op.array) <= 1e-8
         assert diag.pre_residual <= 1e-10
 
 
@@ -362,5 +379,5 @@ class TestKnownAnswers:
             state, diag = reconstruct_density(frame, values)
             assert diag.rank == d * d
             expected = inversion(frame, values)
-            assert np.max(np.abs(state.op.array - expected)) <= 1e-14
+            assert np.max(np.abs(state.array - expected)) <= 1e-14
             assert np.max(np.abs(expected - rho.op.array)) <= 1e-14

@@ -77,21 +77,24 @@ def peres_33_context_set():
                                                                  contexts)
 
 
+PAULIS = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+          "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def pauli(word):
+    """The Pauli product of ``word``, e.g. "XIZ" is X (x) I (x) Z."""
+    out = np.eye(1)
+    for ch in word:
+        out = np.kron(out, PAULIS[ch])
+    return out
+
+
 def kernaghan_peres_rays():
     """Kernaghan & Peres's 40 rays in C^8 (Phys. Lett. A 198, 1, 1995), as
     rank-one projectors: the joint eigenbases of the five lines of Mermin's
     three-qubit star. Each line is given by three commuting Pauli products
     that generate it, and its eight projectors are prod_k (I + s_k G_k)/2
     over the signs s in ``itertools.product((1, -1), repeat=3)`` order."""
-    paulis = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
-              "Y": np.array([[0, -1j], [1j, 0]])}
-
-    def pauli(word):
-        out = np.eye(1)
-        for ch in word:
-            out = np.kron(out, paulis[ch])
-        return out
-
     lines = (("XII", "IXI", "IIX"), ("XII", "IYI", "IIY"),
              ("YII", "IXI", "IIY"), ("YII", "IYI", "IIX"),
              ("XXX", "XYY", "YXY"))
@@ -103,6 +106,31 @@ def kernaghan_peres_rays():
                 proj = proj @ (np.eye(8) + sign * pauli(word)) / 2
             rays.append(proj)
     return rays
+
+
+def two_qubit_pauli_rays():
+    """The 60 rays of the two-qubit Pauli set (Waegell & Aravind, J. Phys. A
+    44, 505303, 2011): the joint eigenprojectors of its maximal commuting
+    triples. The triples are the ``itertools.combinations`` of the 15
+    non-identity words, in "IXYZ" order, that commute pairwise and whose
+    first two multiply to +-the third; each triple (G1, G2, G3) gives the
+    projectors (I + s1 G1)(I + s2 G2)/4 over the signs s in
+    ``itertools.product((1, -1), repeat=2)`` order. Returns the triple count
+    and the rays."""
+    words = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+    triples = []
+    for triple in itertools.combinations(words, 3):
+        g = [pauli(w) for w in triple]
+        product = g[0] @ g[1]
+        if (all(np.allclose(a @ b, b @ a)
+                for a, b in itertools.combinations(g, 2))
+                and (np.allclose(product, g[2])
+                     or np.allclose(product, -g[2]))):
+            triples.append(triple)
+    rays = [(np.eye(4) + s1 * pauli(g1)) @ (np.eye(4) + s2 * pauli(g2)) / 4
+            for g1, g2, _ in triples
+            for s1, s2 in itertools.product((1, -1), repeat=2)]
+    return len(triples), rays
 
 
 def six_hundred_cell_rays():
@@ -358,6 +386,39 @@ class TestKnownAnswers:
         assert result.core_minimal
         assert 5 * min(verify_s) < min(search_s)
         # minimal: every core tetrad is needed
+        for k in range(len(result.unsat_core)):
+            rest = [d for i, d in enumerate(result.unsat_core) if i != k]
+            assert search_dispersion_free(
+                constraint_subset_as_context_set(cs, rest)).status == "sat"
+
+    def test_two_qubit_pauli_60_rays(self):
+        n_triples, rays = two_qubit_pauli_rays()
+        bases = orthogonal_bases(rays, 4)
+        # the literature's answer: 15 triples give 60 rays in 105 bases
+        assert (n_triples, len(rays), len(bases)) == (15, 60, 105)
+        labels = [f"p{i:02d}" for i in range(len(rays))]
+        cs = build_context_set(
+            [Effect(HermitianOperator(r), lb) for r, lb in zip(rays, labels)],
+            [[labels[i] for i in b] for b in bases])
+        search_s, verify_s = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = search_dispersion_free(cs)
+            search_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            verdict = verify_certificate(result, cs)
+            verify_s.append(time.perf_counter() - start)
+            assert verdict, verdict.reason
+        assert result.status == "unsat"
+        # the checked-in search for this construction order
+        assert result.nodes_explored == 2909
+        assert [bases.index(tuple(labels.index(lb) for lb in c.labels))
+                for c in result.unsat_core] == [
+            85, 86, 87, 90, 92, 96, 97, 100, 103]
+        assert len(core_labels(result)) == 18
+        assert result.core_minimal
+        assert 5 * min(verify_s) < min(search_s)
+        # minimal: every core basis is needed
         for k in range(len(result.unsat_core)):
             rest = [d for i, d in enumerate(result.unsat_core) if i != k]
             assert search_dispersion_free(

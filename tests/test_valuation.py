@@ -63,11 +63,6 @@ class TestDensityOperator:
         with pytest.raises(TraceNotOne):
             state(0.6, 0.6)
 
-    def test_unvalidated_escape_hatch(self):
-        op = HermitianOperator(np.diag([1.5, -0.5]).astype(complex))
-        rho = DensityOperator(op, validate=False)
-        assert rho.dim == 2
-
 
 class TestBorn:
     def test_eigenstate(self):
