@@ -41,14 +41,33 @@ The argparse parser is built once per process, on the first call of
 repeatedly, also from several threads at once. Two labels with the same
 operator print one ``DuplicateOperatorWarning: <message>`` line per pair on
 every call, with no file or line number.
+
+A process enters through :func:`run`, the target of ``python -m
+effectkit``, of the ``effectkit`` script and of this module run as a
+script; :func:`main` is the in-process API. ``run`` calls ``main``, calls
+``gc.freeze()`` and exits with ``main``'s code. After the freeze the
+interpreter's exit-time collections skip every object that exists: most of
+them were built by importing numpy, argparse and this package, and the OS
+frees their memory right after, so walking them only delays the exit. The
+interpreter still flushes stdout and stderr and runs ``atexit``. ``main``
+never freezes: a caller that runs it many times in one process would keep
+every later reference cycle alive.
+
+A failed write to stdout prints ``cannot write <stdout>: <error>`` and
+exits 1, as a failed ``--out`` write does. ``run`` then closes stdout,
+because a failed flush keeps its bytes buffered and the interpreter's exit
+flush would fail on them again; ``main`` leaves a caller's stream open.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import sys
 import threading
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__, jsonio
 from .effects import (
@@ -120,13 +139,17 @@ def _load_json(path: str):
 
 
 def _emit(payload, args) -> None:
-    if not args.out:
-        sys.stdout.write(jsonio.dumps(payload, pretty=args.pretty) + "\n")
-        return
     try:
-        jsonio.dump(payload, args.out, pretty=args.pretty)
+        if args.out:
+            jsonio.dump(payload, args.out, pretty=args.pretty)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(jsonio.dumps(payload, pretty=args.pretty) + "\n")
+            sys.stdout.flush()
     except OSError as exc:
-        raise _CliFailure(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
+        target = args.out or "<stdout>"
+        raise _CliFailure(EXIT_PARSE, f"cannot write {target}: {exc}") from exc
 
 
 def _load_state(path: str) -> DensityOperator:
@@ -405,5 +428,36 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def _flush_stdout(code):
+    """Flush stdout before the process exits and return its exit code. A
+    failed flush keeps its bytes buffered, so stdout is then closed: the
+    interpreter's own exit flush would fail on them again and exit 120. The
+    failure turns exit 0 into exit 1 and prints its line; a command that
+    failed has printed its own."""
+    if sys.stdout is None:
+        return code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        if code == EXIT_OK:
+            print(f"cannot write <stdout>: {exc}", file=sys.stderr)
+            code = EXIT_PARSE
+    return code
+
+
+def run() -> NoReturn:
+    """The process entry: run :func:`main` on ``sys.argv``, freeze the
+    garbage collector and exit with main's code (see the module docstring)."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, --version, bad usage
+        code = exc.code
+    finally:
+        gc.freeze()
+    sys.exit(_flush_stdout(code))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, formats, determinism, pipelines."""
 
+import contextlib
+import gc
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -1239,6 +1243,137 @@ class TestArgumentHandling:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
+
+
+NOGO2D = ["nogo2d", "--n", "1,0,0", "--m", "0,1,0", "--lambda", "0.5"]
+FULL_DEVICE = "/dev/full"
+NO_SPACE = "cannot write <stdout>: [Errno 28] No space left on device\n"
+
+# Runs cli.run() on its command-line arguments, then appends the collector's
+# freeze count and the exit code to stderr as one last line.
+RUN_AND_REPORT = """
+import gc, sys
+from effectkit import cli
+try:
+    cli.run()
+except SystemExit as exc:
+    sys.stderr.write(f"frozen={gc.get_freeze_count()} code={exc.code}\\n")
+    raise
+"""
+
+
+def main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process ``main`` call, with
+    argparse's SystemExit read as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def child_env(unbuffered: bool) -> dict:
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, expected", [
+        (["--version"], 0),
+        (NOGO2D, 0),
+        (["nogo2d", "--n", "1,0,0"], 2),
+        (["nogo2d", "--n", "1,0,0", "--m", "1,0,0", "--lambda", "0.5"], 2),
+    ], ids=["version", "command", "usage error", "library error"])
+    def test_run_freezes_and_exits_with_mains_code(self, capsys, argv,
+                                                   expected):
+        code, out, err = main_outcome(argv, capsys)
+        assert code == expected
+        proc = subprocess.run([sys.executable, "-c", RUN_AND_REPORT, *argv],
+                              capture_output=True, text=True)
+        head, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+        frozen, _, exit_code = last.partition(" ")
+        assert int(frozen.removeprefix("frozen=")) > 0
+        assert exit_code == f"code={expected}"
+        assert proc.returncode == expected
+        assert proc.stdout == out
+        assert head + "\n" * bool(head) == err
+
+    def test_main_never_freezes(self, capsys):
+        before = gc.get_freeze_count()
+        for _ in range(3):
+            assert main(NOGO2D) == 0
+        assert gc.get_freeze_count() == before
+
+
+class _FailingStream(io.StringIO):
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+class TestStdoutFailure:
+    """A failed stdout write prints one stderr line and exits 1, as a
+    failed ``--out`` write does."""
+
+    @pytest.mark.skipif(not os.path.exists(FULL_DEVICE),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_a_full_device(self, unbuffered):
+        with open(FULL_DEVICE, "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "effectkit", *NOGO2D],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=child_env(unbuffered))
+        assert proc.returncode == 1
+        assert proc.stderr == NO_SPACE
+
+    @pytest.mark.skipif(not os.path.exists(FULL_DEVICE),
+                        reason="no /dev/full")
+    def test_version_on_a_full_buffered_device(self):
+        # argparse ignores the failed write; the bytes stay buffered until
+        # the flush that run() makes.
+        with open(FULL_DEVICE, "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "effectkit",
+                                   "--version"],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=child_env(False))
+        assert proc.returncode == 1
+        assert proc.stderr == NO_SPACE
+
+    def test_a_closed_stdout(self):
+        proc = subprocess.run([sys.executable, "-m", "effectkit", *NOGO2D],
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr == "cannot write <stdout>: stdout is closed\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_in_process_the_callers_stream_stays_open(self, capsys, failing):
+        stream = _FailingStream(failing)
+        with contextlib.redirect_stdout(stream):
+            code = main(NOGO2D)
+        assert code == 1
+        assert capsys.readouterr().err == NO_SPACE
+        assert not stream.closed
+
+    def test_in_process_without_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(NOGO2D) == 1
+        assert capsys.readouterr().err == (
+            "cannot write <stdout>: stdout is closed\n")
 
 
 class TestPipelines:

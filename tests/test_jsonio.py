@@ -145,6 +145,33 @@ class TestDumpsParity:
         assert str(got.value) == str(expected.value)
 
 
+# Plain nested containers, the values that the fast path hands to json's
+# C encoder.
+_PLAIN_PAYLOADS = [
+    {"a": "\u00e9\u4e2d\U0001f600 \"q\" \\ \n\t\x00", "b": -(10 ** 30),
+     "c": True, "d": None, "e": False, "f": 0},
+    ["x", 7, False, None, [], {}, [[], {"k": []}], {"n": {"m": [1, "\u00e9"]}}],
+    [[[[]]]], {"": {}}, [], {}, "\u2603", -1, True, None,
+]
+
+
+@pytest.mark.parametrize("payload", _PLAIN_PAYLOADS)
+def test_without_the_c_encoder_the_bytes_are_the_same(monkeypatch, payload):
+    """``_c_encoder()`` on an interpreter without json's C encoder."""
+    c_bytes = jsonio._encode(payload)
+    monkeypatch.setattr(jsonio, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert jsonio._c_encoder()(payload) == c_bytes
+
+
+def test_packed_entries_compare_by_their_pairs():
+    pack = jsonio.PackedEntries.pack
+    entries = pack([[1.0, -0.5], [0.0, 2.0]])
+    assert entries == pack([[1.0, -0.5], [0.0, 2.0]])
+    assert entries != pack([[1.0, -0.5], [0.0, 2.5]])
+    assert entries != pack([[1.0, -0.5]])
+
+
 class TestLoads:
     def test_accepts_any_number_form(self):
         assert jsonio.loads('{"a": 1, "b": 1.0, "c": 1e-3}') == \

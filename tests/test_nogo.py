@@ -10,6 +10,7 @@ from effectkit import (
     BadContext,
     BadRelation,
     BlochVector,
+    ConvergenceFailure,
     DegenerateLambda,
     DimMismatch,
     Effect,
@@ -30,6 +31,8 @@ from effectkit import (
     verify_certificate,
     witness_2d,
 )
+from effectkit import nogo, operators
+from effectkit.cli import main
 from effectkit.nogo import context_set_from_json
 
 from conftest import (
@@ -98,6 +101,35 @@ class TestWitness2D:
     def test_non_unit_vectors(self):
         with pytest.raises(NotUnitVectors):
             witness_2d(BlochVector((0.0, 0.0, 2.0)), xhat(), 0.5)
+
+    @staticmethod
+    def _eigensolver_off_by(monkeypatch, shift):
+        """Make the witness's eigensolver read every eigenvalue ``shift``
+        high; return the message that the disagreement raises."""
+        monkeypatch.setattr(
+            nogo, "eigenvalues_of",
+            lambda op: operators.eigenvalues_of(op) + shift)
+        mu = (1.0 + np.sqrt(0.5)) / 2.0
+        top = float(np.linalg.eigvalsh(pauli_op(0.5, 0.5, 0.0).array)[-1])
+        return (f"closed-form weight {mu:.15g} disagrees with eigensolver "
+                f"{top + shift:.15g}")
+
+    def test_closed_form_weight_checked_against_the_eigensolver(
+            self, monkeypatch):
+        message = self._eigensolver_off_by(monkeypatch, 1e-6)
+        with pytest.raises(ConvergenceFailure) as info:
+            witness_2d(xhat(), BlochVector((0.0, 1.0, 0.0)), 0.5)
+        assert str(info.value) == message
+
+    def test_closed_form_weight_failure_exits_2_with_one_line(
+            self, capsys, monkeypatch):
+        message = self._eigensolver_off_by(monkeypatch, 1e-6)
+        code = main(["nogo2d", "--n", "1,0,0", "--m", "0,1,0",
+                     "--lambda", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"ConvergenceFailure: {message}\n"
 
     def test_composition_identity(self):
         rng = rng_from_seed(77)

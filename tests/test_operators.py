@@ -20,6 +20,8 @@ from effectkit import (
     state_checks,
 )
 from effectkit import jsonio, operators
+from effectkit.cli import main
+from effectkit.effects import effects_from_json_dict
 
 from conftest import (SX, SY, SZ, char_poly_eigs_2x2, entries_by_loop,
                       matrix_by_entry_loop, pauli_op)
@@ -189,6 +191,88 @@ class TestEigHermitian:
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(ConvergenceFailure):
             eig_hermitian(herm(np.eye(2)))
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+def _qubit_povm_payload() -> dict:
+    return {"dim": 2, "effects": [Effect(pauli_op(0, 0, 1), "up").to_json_dict(),
+                                  Effect(pauli_op(0, 0, -1), "down").to_json_dict()]}
+
+
+class TestEigensolverFailures:
+    """Each failure of the eigensolver is a ConvergenceFailure that names
+    it; none is a LinAlgError or a wrong spectrum."""
+
+    @staticmethod
+    def _eigh_returning(monkeypatch, vals, vecs):
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda arr: (np.array(vals), np.array(vecs)))
+
+    def test_eig_residual_failure(self, monkeypatch):
+        self._eigh_returning(monkeypatch, [1.0, 1.001], np.eye(2))
+        with pytest.raises(ConvergenceFailure) as info:
+            eig_hermitian(herm(np.eye(2)))
+        assert str(info.value) == (
+            "eigendecomposition residual 1.000e-03 exceeds tolerance")
+
+    def test_eig_orthonormality_failure(self, monkeypatch):
+        # Zero eigenvalues reassemble the zero matrix from any vectors.
+        self._eigh_returning(monkeypatch, [0.0, 0.0], 2.0 * np.eye(2))
+        with pytest.raises(ConvergenceFailure) as info:
+            eig_hermitian(herm(np.zeros((2, 2))))
+        assert str(info.value) == (
+            "eigenvectors not orthonormal (deviation 3.000e+00)")
+
+    def test_eigenvalues_of_wraps_the_solver_failure(self, monkeypatch):
+        op = herm(np.eye(2))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        with pytest.raises(ConvergenceFailure) as info:
+            eigenvalues_of(op)
+        assert str(info.value) == "eigensolver failed: no convergence"
+
+    def test_a_failed_stack_solve_falls_back_to_one_solve_each(
+            self, monkeypatch):
+        rng = np.random.default_rng(5)
+        arrays = [herm(g + g.conj().T).array for g in
+                  rng.standard_normal((4, 3, 3))
+                  + 1j * rng.standard_normal((4, 3, 3))]
+        alone = [eigenvalues_of(HermitianOperator(a)) for a in arrays]
+        solve, single = np.linalg.eigvalsh, []
+
+        def fails_on_stacks(arr):
+            if arr.ndim == 3:
+                raise np.linalg.LinAlgError("no convergence")
+            single.append(arr)
+            return solve(arr)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_stacks)
+        ops = list(operators.hermitian_stack(arrays))
+        assert not single
+        spectra = [eigenvalues_of(op) for op in ops]
+        assert len(single) == len(arrays)
+        for got, want in zip(spectra, alone):
+            assert np.array_equal(got, want)
+
+    def test_a_failed_solve_fails_an_effects_file(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        with pytest.raises(ConvergenceFailure) as info:
+            effects_from_json_dict(_qubit_povm_payload())
+        assert str(info.value) == "eigensolver failed: no convergence"
+
+    def test_a_failed_solve_exits_2_with_one_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        path = tmp_path / "p.json"
+        jsonio.dump(_qubit_povm_payload(), path)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        code = main(["validate", str(path), "--kind", "povm"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "ConvergenceFailure: eigensolver failed: no convergence\n")
 
 
 class TestIsPsd:

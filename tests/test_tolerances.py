@@ -24,7 +24,11 @@ keeps the eigenvalue solver in ``operators``, where each spectrum is
 computed once and kept on its operator. An eleventh keeps every function
 in ``nogo`` from calling itself, so the depth of a search is not bounded
 by the Python stack. A twelfth keeps ``PackedEntries.pack`` in ``jsonio``,
-so the rule for a plain-float [re, im] pair is written once.
+so the rule for a plain-float [re, im] pair is written once. A thirteenth
+keeps ``cli.run`` the one process entry: ``python -m effectkit``, the
+``effectkit`` script and ``cli.py`` run as a script all call it, so every
+process freezes the collector before its exit and handles a failed stdout
+once.
 """
 
 import ast
@@ -289,6 +293,40 @@ def test_no_function_in_nogo_calls_itself():
                  and isinstance(call.func.value, ast.Name)
                  and call.func.value.id in ("self", "cls"))]
     assert not found, found
+
+
+def _called(tree: ast.AST, imported: dict[str, str]) -> list[str]:
+    """The dotted name of every call in ``tree``, its first part read
+    through ``imported``."""
+    names = []
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            head, dot, rest = ast.unparse(call.func).partition(".")
+            names.append(imported.get(head, head) + dot + rest)
+    return names
+
+
+def test_every_process_enters_through_run():
+    """The ``effectkit`` script, ``python -m effectkit`` and ``cli.py`` run
+    as a script each call ``cli.run`` and nothing else."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads(
+        (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"effectkit": "effectkit.cli:run"}
+
+    tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name:
+                ".".join(filter(None, (node.module, alias.name)))
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert _called(tree, imported) == ["cli.run"]
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    script = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(script) == 1
+    assert _called(script[0], {}) == ["run"]
 
 
 def _sum_cases():
