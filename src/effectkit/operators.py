@@ -274,7 +274,8 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     ascending and the eigenvectors orthonormal columns.
 
     Uses a deterministic dense solver; identical input bits give identical
-    output bits within one build of the underlying LAPACK. Within a
+    output bits within one build of the underlying LAPACK run with one BLAS
+    thread count (a threaded BLAS may sum in another order). Within a
     degenerate eigenvalue cluster the eigenvector basis is solver-chosen and
     must not be relied on downstream.
 

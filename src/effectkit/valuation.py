@@ -545,6 +545,16 @@ def _health(design: np.ndarray, vals: np.ndarray, op: HermitianOperator
             float(eigenvalues_of(op)[0]))
 
 
+# Frame effects turned into design rows at once by reconstruct_density.
+# Blocks keep the complex copy of the frame and the temporaries of
+# hermitian_coords small: at K = 259, d = 16 the whole frame took the
+# traced peak to 5.8 times the 0.53 MB design, blocks of 32 to 3.1 times
+# (design, U and Vt alone are 3 times). On one core of a 2-vCPU Xeon guest,
+# medians of 50 calls, blocks of 32 built that design in 0.8-0.9 ms, the
+# whole frame in 0.8-2.0 ms and one row at a time in 8-14 ms.
+_DESIGN_ROWS = 32
+
+
 def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
                         min_norm: bool = False, project_psd: bool = False
                         ) -> tuple[HermitianOperator, ReconstructionDiagnostics]:
@@ -579,7 +589,11 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     if not all(p1_in_range(x) for x in vals):
         raise ValueError("reconstruction values must lie in [0, 1]")
 
-    design = hermitian_coords(np.array([e.op.array for e in frame]))
+    design = np.empty((len(frame), dim * dim))
+    for lo in range(0, len(frame), _DESIGN_ROWS):
+        block = frame[lo:lo + _DESIGN_ROWS]
+        design[lo:lo + len(block)] = hermitian_coords(
+            np.array([e.op.array for e in block]))
     u, sigma, vt = np.linalg.svd(design, full_matrices=False)
     kept = sigma > TOL.sv_cutoff * sigma[0]
     rank = int(np.count_nonzero(kept))

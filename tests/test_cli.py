@@ -1343,8 +1343,8 @@ class TestStdoutFailure:
     @pytest.mark.skipif(not os.path.exists(FULL_DEVICE),
                         reason="no /dev/full")
     def test_version_on_a_full_buffered_device(self):
-        # argparse ignores the failed write; the bytes stay buffered until
-        # the flush that run() makes.
+        # The write fills the buffer; its flush fails, and run()'s flush of
+        # the same bytes prints no second line.
         with open(FULL_DEVICE, "w") as full:
             proc = subprocess.run([sys.executable, "-m", "effectkit",
                                    "--version"],
@@ -1352,6 +1352,45 @@ class TestStdoutFailure:
                                   text=True, env=child_env(False))
         assert proc.returncode == 1
         assert proc.stderr == NO_SPACE
+
+    @pytest.mark.skipif(not os.path.exists(FULL_DEVICE),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                      ["born", "--help"]],
+                             ids=["version", "help", "command help"])
+    def test_argparse_text_on_a_full_unbuffered_device(self, argv):
+        # argparse itself ignores a failed write: with no bytes left
+        # buffered, nothing failed and the process exited 0.
+        with open(FULL_DEVICE, "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "effectkit", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=child_env(True))
+        assert proc.returncode == 1
+        assert proc.stderr == NO_SPACE
+
+    def test_version_on_a_closed_stdout(self):
+        proc = subprocess.run([sys.executable, "-m", "effectkit", "--version"],
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr == "cannot write <stdout>: stdout is closed\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_in_process_help_leaves_the_callers_stream_open(self, capsys,
+                                                            failing):
+        stream = _FailingStream(failing)
+        with contextlib.redirect_stdout(stream):
+            code = main(["born", "--help"])
+        assert code == 1
+        assert capsys.readouterr().err == NO_SPACE
+        assert not stream.closed
+
+    def test_a_usage_error_is_unchanged_on_a_full_stdout(self, capsys):
+        expected = main_outcome(["born"], capsys)
+        with contextlib.redirect_stdout(_FailingStream("write")):
+            assert main_outcome(["born"], capsys) == expected
+        assert expected[0] == 2
+        assert expected[2].startswith("usage: effectkit born")
 
     def test_a_closed_stdout(self):
         proc = subprocess.run([sys.executable, "-m", "effectkit", *NOGO2D],
