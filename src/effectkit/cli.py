@@ -39,11 +39,11 @@ An UNSAT ``dfsearch`` result carries ``"core_minimal": false`` right after
 the printed core may be droppable. The key is absent whenever the core is
 minimal.
 
-The argparse parser is built once per process, on the first call of
-``main``, and reused by every later call, so ``main`` can be called
-repeatedly, also from several threads at once. Two labels with the same
-operator print one ``DuplicateOperatorWarning: <message>`` line per pair on
-every call, with no file or line number.
+The argparse parser is built once, when this module is imported, and
+reused by every call, so ``main`` can be called repeatedly, also from
+several threads at once. Two labels with the same operator print one
+``DuplicateOperatorWarning: <message>`` line per pair on every call, with
+no file or line number.
 
 A process enters through :func:`run`, the target of ``python -m
 effectkit``, of the ``effectkit`` script and of this module run as a
@@ -69,7 +69,6 @@ import argparse
 import contextlib
 import gc
 import sys
-import threading
 from pathlib import Path
 from typing import NoReturn
 
@@ -276,7 +275,7 @@ def cmd_dfsearch(args) -> int:
         print(f"certificate failed independent re-verification: "
               f"{verdict.reason}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(result.to_json_dict(__version__), args)
+    _emit(result.to_json_dict(), args)
     return EXIT_OK
 
 
@@ -361,8 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo2d",
                        help="closed-form qubit witness against dispersion-free "
                             "valuations")
-    p.add_argument("--n", required=True, help="first unit Bloch vector ax,ay,az")
-    p.add_argument("--m", required=True, help="second unit Bloch vector ax,ay,az")
+    p.add_argument("--n", required=True,
+                   help="first unit Bloch vector ax,ay,az; when ax is "
+                        "negative, join it with '=', as in --n=-1,0,0")
+    p.add_argument("--m", required=True,
+                   help="second unit Bloch vector ax,ay,az; when ax is "
+                        "negative, join it with '=', as in --m=-1,0,0")
     p.add_argument("--lambda", required=True, type=float, dest="lam",
                    help="mixing weight in (0,1)")
     common(p)
@@ -411,17 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-_parser_lock = threading.Lock()
-
-
-def _get_parser() -> argparse.ArgumentParser:
-    """The process's parser, built by :func:`build_parser` on first use."""
-    global _parser
-    with _parser_lock:
-        if _parser is None:
-            _parser = build_parser()
-        return _parser
+_PARSER = build_parser()
 
 
 def _print_duplicate(message: str) -> None:
@@ -433,13 +426,13 @@ def main(argv=None) -> int:
     usage and 0 after ``--help`` or ``--version``, unless writing their text
     to stdout fails, which returns 1 as any failed stdout write does.
 
-    The parser is built on the first call and reused, so ``main`` can be
+    Every call reuses the parser built at import, so ``main`` can be
     called repeatedly in one process. The command is the module's
     ``cmd_<subcommand>`` at the time of the call, not at the time of the
     build, so rebinding one takes effect on the next call.
     """
     try:
-        args = _get_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         command = globals()[f"cmd_{args.subcommand}"]
         with report_duplicate_operators(_print_duplicate):
             return command(args)

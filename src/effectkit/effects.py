@@ -71,15 +71,11 @@ class Effect:
     def __post_init__(self):
         _, positive, below = effect_checks(self.op)
         if not positive["ok"]:
-            lo = positive["min_eig"]
-            raise NotPositive(
-                f"effect {shown(self.label)}: minimum eigenvalue {lo:.6e} < 0",
-                min_eig=lo)
+            raise NotPositive(f"effect {shown(self.label)}: minimum "
+                              f"eigenvalue {positive['min_eig']:.6e} < 0")
         if not below["ok"]:
-            hi = below["max_eig"]
-            raise ExceedsIdentity(
-                f"effect {shown(self.label)}: maximum eigenvalue {hi:.6e} > 1",
-                max_eig=hi)
+            raise ExceedsIdentity(f"effect {shown(self.label)}: maximum "
+                                  f"eigenvalue {below['max_eig']:.6e} > 1")
 
     @property
     def dim(self) -> int:
@@ -150,8 +146,7 @@ class Povm:
         holds, residual, _ = sum_equals([e.op.array for e in self.effects])
         if not holds:
             raise SumNotIdentity(
-                f"effects sum to I only within {residual:.6e} (Frobenius)",
-                residual=residual)
+                f"effects sum to I only within {residual:.6e} (Frobenius)")
 
     @property
     def dim(self) -> int:
@@ -272,13 +267,11 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
     """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files).
 
     Each item is checked as :meth:`Effect.from_json_dict` checks it, and
-    the first fault in file order is the one raised. When every item has
-    dim d, the operators are built as one stack by
-    :func:`operators.hermitian_stack`, with one eigensolve call for all:
-    the items are read up to the first schema error, the effects before it
-    are built and checked in order, and that error is raised only if they
-    all pass. An effect of another dim raises DimMismatch once every item
-    has passed.
+    the first fault in file order is the one raised. The items are read up
+    to the first schema error or the first matrix that is not d x d, which
+    is a DimMismatch; the effects before it are built as one stack by
+    :func:`operators.hermitian_stack`, with one eigensolve call for all,
+    and checked in order, and that fault is raised only if they all pass.
     """
     obj = jsonio.expect_dict(obj, "effects file")
     dim = jsonio.expect_int(jsonio.expect_key(obj, "dim", "effects file"),
@@ -292,20 +285,16 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
         except SchemaError as exc:
             fault = exc
             break
+        if array.shape != (dim, dim):
+            fault = DimMismatch(f"effect {shown(label)} has dim {len(array)}, "
+                                f"file declares dim {dim}")
+            break
         arrays.append(array)
         labels.append(label)
-    if all(a.shape == (dim, dim) for a in arrays):
-        ops = hermitian_stack(arrays)
-    else:
-        ops = map(HermitianOperator, arrays)
-    effects = [Effect(op, label) for op, label in zip(ops, labels)]
+    effects = [Effect(op, label)
+               for op, label in zip(hermitian_stack(arrays), labels)]
     if fault is not None:
         raise fault
-    for e in effects:
-        if e.dim != dim:
-            raise DimMismatch(
-                f"effect {shown(e.label)} has dim {e.dim}, file declares "
-                f"dim {dim}")
     return dim, effects
 
 

@@ -2,7 +2,8 @@
 
 Every domain error derives from :class:`EffectKitError` so callers (and the
 CLI exit-code mapping) can distinguish validation failures from genuine bugs.
-Messages echo labels through :func:`shown` and lists of them through
+An error carries its message alone; the exact figures a message quotes are
+in the check rows (``effect_checks``, ``state_checks``). Messages echo labels through :func:`shown` and lists of them through
 :func:`listed`, so a long label or a long list keeps a message one short
 line.
 """
@@ -55,25 +56,13 @@ class ConvergenceFailure(EffectKitError):
 class NotPositive(EffectKitError):
     """An operator expected to be positive semidefinite is not."""
 
-    def __init__(self, message: str, min_eig: float | None = None):
-        super().__init__(message)
-        self.min_eig = min_eig
-
 
 class ExceedsIdentity(EffectKitError):
     """An operator expected to satisfy E <= I has an eigenvalue above 1."""
 
-    def __init__(self, message: str, max_eig: float | None = None):
-        super().__init__(message)
-        self.max_eig = max_eig
-
 
 class SumNotIdentity(EffectKitError):
     """A candidate POVM's effects do not sum to the identity."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class NotDimTwo(EffectKitError):
@@ -91,19 +80,9 @@ class UnknownLabel(EffectKitError):
 class FrameDeficient(EffectKitError):
     """The reconstruction frame does not span the operator space."""
 
-    def __init__(self, message: str, rank: int | None = None,
-                 required: int | None = None):
-        super().__init__(message)
-        self.rank = rank
-        self.required = required
-
 
 class ValuesInconsistent(EffectKitError):
     """Reconstruction values are incompatible with any linear functional."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ProbabilityDeficit(EffectKitError):

@@ -18,7 +18,9 @@ from .valuation import DensityOperator
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """A PCG64 generator; the sole entropy source used by this package."""
+    """A PCG64 generator seeded with the caller's integer. This package
+    draws from no other entropy source: ``valuation.sample_outcomes``
+    seeds its own PCG64 from the caller's integer the same way."""
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import jsonio
+from . import __version__, jsonio
 from .effects import (
     BlochVector,
     Effect,
@@ -308,7 +308,7 @@ class SearchResult:
                                                            repr=False)
     core_minimal: bool = True
 
-    def to_json_dict(self, toolkit_version: str) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "status": self.status,
             "assignments": self.assignments,
@@ -318,7 +318,7 @@ class SearchResult:
             out["core_minimal"] = False
         out.update(nodes=self.nodes_explored,
                    total_solutions=self.total_solutions,
-                   toolkit_version=toolkit_version)
+                   toolkit_version=__version__)
         return out
 
 

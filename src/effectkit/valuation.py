@@ -79,9 +79,8 @@ class DensityOperator:
     def __post_init__(self):
         _, positive, unit_trace = state_checks(self.op)
         if not positive["ok"]:
-            lo = positive["min_eig"]
-            raise NotPositive(f"state has negative eigenvalue {lo:.6e}",
-                              min_eig=lo)
+            raise NotPositive(
+                f"state has negative eigenvalue {positive['min_eig']:.6e}")
         if not unit_trace["ok"]:
             raise TraceNotOne(
                 f"state trace {unit_trace['trace']:.12g} is not 1")
@@ -411,9 +410,7 @@ def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
     """
     vals = eigenvalues_of(a)
     if vals[0] < -TOL.spectrum:
-        raise NotPositive(
-            f"operator has negative eigenvalue {vals[0]:.6e}",
-            min_eig=float(vals[0]))
+        raise NotPositive(f"operator has negative eigenvalue {vals[0]:.6e}")
     alpha = float(max(abs(vals[0]), abs(vals[-1]), 1.0))
     scaled = HermitianOperator(a.array / alpha)
     return alpha * v_effect(scaled)
@@ -599,8 +596,7 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     rank = int(np.count_nonzero(kept))
     if rank < dim * dim and not min_norm:
         raise FrameDeficient(
-            f"frame spans only {rank} of {dim * dim} dimensions",
-            rank=rank, required=dim * dim)
+            f"frame spans only {rank} of {dim * dim} dimensions")
     inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
     solution = HermitianOperator(
         _from_coords(vt.T @ (inv_sigma * (u.T @ vals)), dim))
@@ -608,7 +604,7 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     if residual > TOL.residual:
         raise ValuesInconsistent(
             f"values violate linearity: residual {residual:.3e} > "
-            f"{TOL.residual:g}", residual=residual)
+            f"{TOL.residual:g}")
     if not project_psd:
         return solution, ReconstructionDiagnostics(
             residual, trace_dev, min_eig, projected=False, rank=rank,

@@ -684,6 +684,26 @@ class TestNogo2d:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_a_negative_first_component_needs_the_equals_form(self, capsys,
+                                                              flag):
+        """argparse reads a separate ``-0.6,0.8,0`` as an option, so only
+        ``--n=-0.6,0.8,0`` passes it; the help says so."""
+        vectors = {"--n": "0,0,1", "--m": "1,0,0", flag: "-0.6,0.8,0"}
+        code, out, err = main_outcome(
+            ["nogo2d", "--n", vectors["--n"], "--m", vectors["--m"],
+             "--lambda", "0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: expected one argument\n")
+        code, out, err = main_outcome(
+            ["nogo2d", f"--n={vectors['--n']}", f"--m={vectors['--m']}",
+             "--lambda", "0.5"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)[flag[2:]] == {"a": [-0.6, 0.8, 0.0]}
+        code, out, _ = main_outcome(["nogo2d", "--help"], capsys)
+        assert code == 0
+        assert f"as in {flag}=-1,0,0" in " ".join(out.split())
+
 
 def half_identity_context_files(tmp_path):
     effects = {"dim": 2, "effects": [

@@ -1,8 +1,8 @@
 """``cli.main`` called many times in one process, and from two threads.
 
-The parser is built once per process and reused, so a repeated call must
-give the stdout, stderr and exit code of the first, and duplicate-operator
-lines must print on every call.
+The parser is built once, at import, and reused, so ``main`` builds none,
+a repeated call must give the stdout, stderr and exit code of the first,
+and duplicate-operator lines must print on every call.
 """
 
 import contextlib
@@ -10,7 +10,6 @@ import io
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import pytest
@@ -113,18 +112,14 @@ def reuse_sequence(work):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts parser builds from a process state with no parser yet."""
+    """Counts parser builds during the test."""
     count = []
     build = cli.build_parser
 
     def counting():
         count.append(1)
-        # A slow build widens the window in which a second thread could
-        # start another one.
-        time.sleep(0.005)
         return build()
 
-    monkeypatch.setattr(cli, "_parser", None, raising=False)
     monkeypatch.setattr(cli, "build_parser", counting)
     return count
 
@@ -147,10 +142,10 @@ def test_parser_is_built_once_and_calls_repeat(tmp_path, builds):
     with thread_streams() as streams:
         results = [call(argv, streams) for argv in reuse_sequence(tmp_path)]
     check_reuse_sequence(results)
-    assert len(builds) == 1
+    assert len(builds) == 0
 
 
-def test_two_threads_share_the_parser(tmp_path, builds, monkeypatch):
+def test_two_threads_share_the_parser(tmp_path, builds):
     results: dict[str, list] = {name: [] for name in ("a", "b")}
 
     def run(name):
@@ -164,12 +159,9 @@ def test_two_threads_share_the_parser(tmp_path, builds, monkeypatch):
         (tmp_path / "sequential").mkdir()
         expected = [call(argv, streams)
                     for argv in reuse_sequence(tmp_path / "sequential")]
-        # Both threads make the first call of a process with no parser yet.
-        monkeypatch.setattr(cli, "_parser", None, raising=False)
-        builds.clear()
         in_threads(run, list(results))
     check_reuse_sequence(expected)
-    assert len(builds) == 1
+    assert len(builds) == 0
     for name, runs in results.items():
         assert len(runs) == 3
         assert all(r == expected for r in runs), name

@@ -1,5 +1,6 @@
 """Effect algebra: validation, complements, Bloch maps, spectral splits."""
 
+import re
 import warnings
 
 import numpy as np
@@ -53,13 +54,15 @@ class TestValidateEffect:
         op = HermitianOperator(np.diag([1.2, 0.0]).astype(complex))
         with pytest.raises(ExceedsIdentity) as info:
             Effect(op, "E")
-        assert info.value.max_eig == pytest.approx(1.2, abs=1e-12)
+        assert str(info.value) == "effect 'E': maximum eigenvalue 1.200000e+00 > 1"
+        assert effect_checks(op)[2]["max_eig"] == pytest.approx(1.2, abs=1e-12)
 
     def test_not_positive(self):
         op = HermitianOperator(np.diag([-0.1, 0.5]).astype(complex))
         with pytest.raises(NotPositive) as info:
             Effect(op, "E")
-        assert info.value.min_eig == pytest.approx(-0.1, abs=1e-12)
+        assert str(info.value) == "effect 'E': minimum eigenvalue -1.000000e-01 < 0"
+        assert effect_checks(op)[1]["min_eig"] == pytest.approx(-0.1, abs=1e-12)
 
     def test_tilted_effect(self):
         e = Effect(pauli_op(0.5, 0.0, 0.5), "E")
@@ -81,7 +84,9 @@ class TestValidatePovm:
     def test_single_projection_fails(self):
         with pytest.raises(SumNotIdentity) as info:
             Povm((Effect(pauli_op(0, 0, 1), "P"),))
-        assert info.value.residual > 0.1
+        residual = re.fullmatch(r"effects sum to I only within (\S+) "
+                                r"\(Frobenius\)", str(info.value))[1]
+        assert float(residual) > 0.1
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -178,10 +183,18 @@ class TestEffectsFile:
             effects_from_json_dict(payload)
         assert str(info.value) == "effect 'wide' has dim 3, file declares dim 2"
 
-    def test_another_dim_is_reported_after_every_item_is_checked(self):
+    def test_another_dim_comes_before_a_later_spectral_fault(self):
         payload = _effects_file(2, [
             ("wide", np.eye(3) / 3), ("a", 0.5 * np.eye(2)),
             ("c", np.diag([1.5, 0.5]))])
+        with pytest.raises(DimMismatch) as info:
+            effects_from_json_dict(payload)
+        assert str(info.value) == "effect 'wide' has dim 3, file declares dim 2"
+
+    def test_a_spectral_fault_comes_before_a_later_dim(self):
+        payload = _effects_file(2, [
+            ("a", 0.5 * np.eye(2)), ("c", np.diag([1.5, 0.5])),
+            ("wide", np.eye(3) / 3)])
         with pytest.raises(ExceedsIdentity,
                            match="effect 'c': maximum eigenvalue"):
             effects_from_json_dict(payload)

@@ -1,5 +1,6 @@
 """State reconstruction by linear inversion over effect frames."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,8 +83,7 @@ class TestDeficientFrames:
                  Effect(pauli_op(0, 0, 1), "Z")]
         with pytest.raises(FrameDeficient) as info:
             reconstruct_density(frame, [1.0, 1.0])
-        assert info.value.rank == 2
-        assert info.value.required == 4
+        assert str(info.value) == "frame spans only 2 of 4 dimensions"
 
     def test_min_norm_solves_anyway(self):
         frame = [Effect(HermitianOperator.identity(2), "I"),
@@ -112,7 +112,9 @@ class TestInconsistentValues:
         values = [1.0, 0.5, 0.5, 1.0, 0.6]
         with pytest.raises(ValuesInconsistent) as info:
             reconstruct_density(frame, values)
-        assert info.value.residual > 1e-6
+        residual = re.fullmatch(r"values violate linearity: residual (\S+) "
+                                r"> \S+", str(info.value))[1]
+        assert float(residual) > 1e-6
 
     def test_small_perturbation_passes_threshold(self):
         frame = pauli_frame() + [Effect(HermitianOperator.identity(2) * 0.5, "H")]

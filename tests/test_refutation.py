@@ -528,7 +528,7 @@ class TestTampering:
 
     def test_tree_is_not_serialised(self, peres):
         _, result = peres
-        assert "refutation" not in result.to_json_dict("0")
+        assert "refutation" not in result.to_json_dict()
 
 
 class TestAgainstBruteForce:

@@ -28,7 +28,9 @@ so the rule for a plain-float [re, im] pair is written once. A thirteenth
 keeps ``cli.run`` the one process entry: ``python -m effectkit``, the
 ``effectkit`` script and ``cli.py`` run as a script all call it, so every
 process freezes the collector before its exit and handles a failed stdout
-once.
+once. A fourteenth keeps ``__init__`` out of every class in ``errors``, so
+an error carries its message alone and the exact figures it quotes are
+read from the check rows that ``validate`` prints.
 """
 
 import ast
@@ -292,6 +294,20 @@ def test_no_function_in_nogo_calls_itself():
                  and call.func.attr == fn.name
                  and isinstance(call.func.value, ast.Name)
                  and call.func.value.id in ("self", "cls"))]
+    assert not found, found
+
+
+def test_no_error_class_defines_an_init():
+    """Every class in ``errors.py`` takes ``Exception``'s constructor, so
+    an error has no attribute beside its message: the figure a message
+    states has no second copy on the exception, and its exact value is in
+    the check rows (``effect_checks``, ``state_checks``)."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes, "no class found in errors.py"
+    found = [f"errors.py:{fn.lineno}: {cls.name}.__init__"
+             for cls in classes for fn in ast.walk(cls)
+             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
     assert not found, found
 
 
