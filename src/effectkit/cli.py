@@ -27,8 +27,10 @@ the library makes. For a valuation: (P1) on every value, and with
 file, read as the relation "its labels = I" (exit 2 unless its operators
 are the effects file's). Each ``--povm`` file is its own (P3) row,
 ``effect_valuation:<path>``, in the order given, and holds only that
-file's violation. A valuation whose ``dim`` is not in 1..MAX_DIM exits 2,
-with or without ``--effects``.
+file's violation. With ``--effects`` the effects file is read before the
+valuation's entries, as ``reconstruct`` reads them. A matrix, effects file
+or valuation whose ``dim`` is not in 1..MAX_DIM exits 2 (a matrix ``dim``
+below 1 is a schema fault, exit 1), on one line abridging a huge ``dim``.
 
 An effects file that ``reconstruct``, ``validate --effects`` or a context
 set reads must not repeat a label (exit 2, ``invalid input: duplicate
@@ -169,7 +171,7 @@ def _load_povm(path: str) -> Povm:
     return Povm.from_json_dict(_load_json(path))
 
 
-def _load_effects(path: str) -> tuple[int, list[Effect]]:
+def _load_effects(path: str) -> list[Effect]:
     return effects_from_json_dict(_load_json(path))
 
 
@@ -210,23 +212,19 @@ def cmd_validate(args) -> int:
     elif args.kind == "state":
         op = HermitianOperator.from_json_dict(payload)
         checks.extend(state_checks(op))
-    elif args.kind == "valuation":
-        # Read before the effects file, so the valuation's faults come first.
-        _, values = valuation_from_json(payload)
-        if not args.effects:
-            checks.append(p1_range(values.items()))
-        else:
-            _, effects = _load_effects(args.effects)
-            table = ValuationTable.from_json_dict(payload,
-                                                  effects_by_label(effects))
-            povm_paths = args.povm or []
-            rows = check_gpm(table, [povm_relation(table, _load_povm(path))
-                                     for path in povm_paths])
-            # The last rows are the POVMs' (P3) rows, one per path in order.
-            head = len(rows) - len(povm_paths)
-            checks.extend(rows[:head])
-            checks.extend({**row, "name": f"effect_valuation:{path}"}
-                          for path, row in zip(povm_paths, rows[head:]))
+    elif not args.effects:  # a valuation alone
+        checks.append(p1_range(valuation_from_json(payload)[1].items()))
+    else:
+        table = ValuationTable.from_json_dict(
+            payload, effects_by_label(_load_effects(args.effects)))
+        povm_paths = args.povm or []
+        rows = check_gpm(table, [povm_relation(table, _load_povm(path))
+                                 for path in povm_paths])
+        # The last rows are the POVMs' (P3) rows, one per path in order.
+        head = len(rows) - len(povm_paths)
+        checks.extend(rows[:head])
+        checks.extend({**row, "name": f"effect_valuation:{path}"}
+                      for path, row in zip(povm_paths, rows[head:]))
 
     valid = all(c["ok"] for c in checks)
     _emit({"kind": args.kind, "valid": valid, "checks": checks}, args)
@@ -242,7 +240,7 @@ def cmd_born(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _, frame = _load_effects(args.frame)
+    frame = _load_effects(args.frame)
     table_raw = _load_json(args.values)
     table = ValuationTable.from_json_dict(table_raw, effects_by_label(frame))
     values = [table.value(e.label) for e in frame]
@@ -266,15 +264,14 @@ def cmd_dfsearch(args) -> int:
     effects_file = jsonio.expect_str(
         jsonio.expect_key(obj, "effects_file", "context set"), "effects_file")
     effects_path = Path(args.contexts).parent / effects_file
-    _, effects = _load_effects(str(effects_path))
+    effects = _load_effects(str(effects_path))
     cs = context_set_from_json(payload, effects, args.discover_relations)
     result = search_dispersion_free(cs, max_solutions=args.max_solutions,
                                     node_budget=args.budget)
     verdict = verify_certificate(result, cs)
     if not verdict:
-        print(f"certificate failed independent re-verification: "
-              f"{verdict.reason}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise _CliFailure(EXIT_VERIFY, "certificate failed independent "
+                                       f"re-verification: {verdict.reason}")
     _emit(result.to_json_dict(), args)
     return EXIT_OK
 

@@ -31,6 +31,7 @@ from .errors import (
 from .operators import (
     TOL,
     HermitianOperator,
+    check_dim,
     eig_hermitian,
     eigenvalues_of,
     hermitian_drift,
@@ -165,7 +166,7 @@ class Povm:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Povm":
-        return cls(tuple(effects_from_json_dict(obj)[1]))
+        return cls(tuple(effects_from_json_dict(obj)))
 
 
 @dataclass(frozen=True)
@@ -263,9 +264,10 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
     return out
 
 
-def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
+def effects_from_json_dict(obj) -> list[Effect]:
     """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files).
 
+    A d outside 1..MAX_DIM raises ValueError before any item is read.
     Each item is checked as :meth:`Effect.from_json_dict` checks it, and
     the first fault in file order is the one raised. The items are read up
     to the first schema error or the first matrix that is not d x d, which
@@ -278,6 +280,7 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
                             "effects.dim")
     items = jsonio.expect_list(jsonio.expect_key(obj, "effects", "effects file"),
                                "effects.effects")
+    check_dim(dim)
     arrays, labels, fault = [], [], None
     for item in items:
         try:
@@ -295,7 +298,7 @@ def effects_from_json_dict(obj) -> tuple[int, list[Effect]]:
                for op, label in zip(hermitian_stack(arrays), labels)]
     if fault is not None:
         raise fault
-    return dim, effects
+    return effects
 
 
 def effects_by_label(effects) -> dict[str, Effect]:

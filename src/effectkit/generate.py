@@ -37,10 +37,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, rng: np.random.Generator,
-                     scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     check_dim(dim)
-    g = _ginibre(dim, rng) * scale
+    g = _ginibre(dim, rng)
     return HermitianOperator((g + g.conj().T) / 2.0)
 
 

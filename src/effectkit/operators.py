@@ -25,6 +25,7 @@ array in one attribute assignment.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -66,11 +67,11 @@ class TOL:
 
 def check_dim(d: int) -> None:
     """Raise ValueError unless 1 <= d <= MAX_DIM; cheap, so callers can run
-    it before allocating anything of size d."""
+    it before allocating anything of size d. A huge d is shown abridged."""
     if d < 1:
         raise ValueError("matrix dimension must be at least 1")
     if d > MAX_DIM:
-        raise ValueError(f"dimension {d} exceeds MAX_DIM={MAX_DIM}")
+        raise ValueError(f"dimension {reprlib.repr(d)} exceeds MAX_DIM={MAX_DIM}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +156,7 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = jsonio.expect_list(entries, "matrix.entries")
     if d < 1:
         raise SchemaError("matrix.dim must be a positive integer")
+    check_dim(d)
     if len(entries) != d * d:
         raise SchemaError(
             f"matrix.entries: expected {d * d} [re, im] pairs, got {len(entries)}")

@@ -480,20 +480,21 @@ class ReconstructionDiagnostics:
     """Numerical health of a reconstructed state.
 
     ``residual`` is ||tr[rho E_k] - v_k||_2 for the returned state,
-    ``rank`` the numerical rank of the frame (full rank is dim^2). When
-    ``projected`` is true the figures of the unprojected solution are kept
-    alongside as ``pre_*``.
+    ``rank`` the numerical rank of the frame (full rank is dim^2). ``pre``,
+    set exactly when ``projected``, holds the unprojected solution's
+    ``residual``, ``trace_dev`` and ``min_eig``.
     """
 
     residual: float
     trace_dev: float
     min_eig: float
-    projected: bool
     rank: int
     frame_size: int
-    pre_residual: float | None = None
-    pre_trace_dev: float | None = None
-    pre_min_eig: float | None = None
+    pre: dict[str, float] | None = None
+
+    @property
+    def projected(self) -> bool:
+        return self.pre is not None
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -504,12 +505,8 @@ class ReconstructionDiagnostics:
             "rank": self.rank,
             "frame_size": self.frame_size,
         }
-        if self.projected:
-            out["pre"] = {
-                "residual": self.pre_residual,
-                "trace_dev": self.pre_trace_dev,
-                "min_eig": self.pre_min_eig,
-            }
+        if self.pre is not None:
+            out["pre"] = dict(self.pre)
         return out
 
 
@@ -535,11 +532,12 @@ def project_to_density(h: HermitianOperator) -> DensityOperator:
 
 
 def _health(design: np.ndarray, vals: np.ndarray, op: HermitianOperator
-            ) -> tuple[float, float, float]:
-    """(residual, trace_dev, min_eig) of ``op`` as a solution for ``vals``."""
+            ) -> dict[str, float]:
+    """residual, trace_dev and min_eig of ``op`` as a solution for ``vals``."""
     residual = float(np.linalg.norm(design @ hermitian_coords(op.array) - vals))
-    return (residual, abs(float(np.trace(op.array).real) - 1.0),
-            float(eigenvalues_of(op)[0]))
+    return {"residual": residual,
+            "trace_dev": abs(float(np.trace(op.array).real) - 1.0),
+            "min_eig": float(eigenvalues_of(op)[0])}
 
 
 # Frame effects turned into design rows at once by reconstruct_density.
@@ -600,26 +598,16 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
     solution = HermitianOperator(
         _from_coords(vt.T @ (inv_sigma * (u.T @ vals)), dim))
-    residual, trace_dev, min_eig = _health(design, vals, solution)
-    if residual > TOL.residual:
+    health, pre = _health(design, vals, solution), None
+    if health["residual"] > TOL.residual:
         raise ValuesInconsistent(
-            f"values violate linearity: residual {residual:.3e} > "
+            f"values violate linearity: residual {health['residual']:.3e} > "
             f"{TOL.residual:g}")
-    if not project_psd:
-        return solution, ReconstructionDiagnostics(
-            residual, trace_dev, min_eig, projected=False, rank=rank,
-            frame_size=len(frame))
-
-    projected = project_to_density(solution).op
-    return projected, ReconstructionDiagnostics(
-        *_health(design, vals, projected),
-        projected=True,
-        rank=rank,
-        frame_size=len(frame),
-        pre_residual=residual,
-        pre_trace_dev=trace_dev,
-        pre_min_eig=min_eig,
-    )
+    if project_psd:
+        pre, solution = health, project_to_density(solution).op
+        health = _health(design, vals, solution)
+    return solution, ReconstructionDiagnostics(
+        **health, rank=rank, frame_size=len(frame), pre=pre)
 
 
 # Uniform draws made at once by sample_outcomes: 8 MB of doubles. PCG64

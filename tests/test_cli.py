@@ -267,6 +267,18 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
 
+    def test_an_effects_file_of_dim_0_is_rejected_before_the_table(
+            self, tmp_path, capsys):
+        values = write(tmp_path / "v.json", {"dim": 2, "entries": []})
+        effects = write(tmp_path / "e.json", {"dim": 0, "effects": []})
+        code = main(["validate", values, "--kind", "valuation",
+                     "--effects", effects])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid input: matrix dimension must be at least 1\n")
+
     def test_valuation_p1_violation(self, tmp_path, capsys):
         table = {"dim": 2, "entries": [{"label": "up", "value": 1.4}]}
         path = write(tmp_path / "v.json", table)
@@ -400,6 +412,40 @@ def test_validate_reads_a_valuation_file_as_reconstruct_does(tmp_path, capsys,
     for flags in ([], ["--effects", frame]):
         code = main(["validate", values, "--kind", "valuation", *flags])
         assert (code, capsys.readouterr()) == (expected_code, expected)
+
+
+# A file of each kind with its declared dim replaced, and the argv that
+# reads it; every other part of the file is valid.
+DIM_FILES = {
+    "matrix": (ground_state_payload, "state"),
+    "effects file": (z_povm_payload, "povm"),
+    "valuation": (lambda: {"dim": 2, "entries": [{"label": "up",
+                                                  "value": 0.5}]},
+                  "valuation"),
+}
+ABRIDGED = "100000000000000000...0000000000000000000"
+
+
+@pytest.mark.parametrize("dim, message", [
+    (0, "invalid input: matrix dimension must be at least 1"),
+    (65, "invalid input: dimension 65 exceeds MAX_DIM=64"),
+    (10**400, f"invalid input: dimension {ABRIDGED} exceeds MAX_DIM=64"),
+    (10**3000, f"invalid input: dimension {ABRIDGED} exceeds MAX_DIM=64")],
+    ids=["0", "65", "401 digits", "3001 digits"])
+@pytest.mark.parametrize("kind", list(DIM_FILES))
+def test_every_file_kind_bounds_its_dim_in_one_short_line(
+        tmp_path, capsys, kind, dim, message):
+    build, flag = DIM_FILES[kind]
+    code = 2
+    if kind == "matrix" and dim < 1:
+        # A matrix's dim below 1 stays a schema fault.
+        code, message = 1, "SchemaError: matrix.dim must be a positive integer"
+    path = write(tmp_path / "in.json", {**build(), "dim": dim})
+    assert main(["validate", path, "--kind", flag]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert len(captured.err.encode()) < 120
 
 
 @pytest.mark.parametrize("table, message", [

@@ -7,7 +7,8 @@ types, deleted keys, emptied lists, overflowing numbers written as 1e400
 or as a 401-digit integer, a matrix whose anti-Hermitian part overflows,
 and dimensions that disagree with the data. Every call must return an exit
 code of the documented contract (0-5) and print no traceback; an exception
-escaping ``main`` is what prints one.
+escaping ``main`` is what prints one. Its stderr is at most one line of at
+most ``MAX_ERR_BYTES``: a message abridges the huge numbers it quotes.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from effectkit.cli import main
 
 from conftest import pauli_op
 
+MAX_ERR_BYTES = 200
 # Every one of these replaces a node of a valid file. json writes inf as
 # "Infinity", which is rewritten to the overflowing literal 1e400 below.
 NUMBERS = [0, -1, 3, 65, 2**70, 10**400, 0.5, -0.25, 1e308, float("inf"),
@@ -165,6 +167,10 @@ def _check_kind(kind, data):
             code, err = _run(argv)
             assert 0 <= code <= 5, (argv, code, err)
             assert "Traceback" not in err, (argv, err)
+            lines = err.splitlines()
+            assert len(lines) <= 1, (argv, err)
+            assert all(len(line.encode()) <= MAX_ERR_BYTES for line in lines), (
+                argv, err)
 
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,

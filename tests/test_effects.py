@@ -138,7 +138,7 @@ class TestEffectsFile:
                                   3 if dim == 64 else 7)
         payload = jsonio.loads(jsonio.dumps(_effects_file(
             dim, [(f"E{k}", a) for k, a in enumerate(arrays)])))
-        _, effects = effects_from_json_dict(payload)
+        effects = effects_from_json_dict(payload)
         assert [e.label for e in effects] == [f"E{k}" for k in range(len(arrays))]
         for e, arr in zip(effects, arrays):
             alone = HermitianOperator(arr)

@@ -138,7 +138,7 @@ class TestPsdProjection:
         assert diag.projected
         assert diag.min_eig >= -1e-12
         assert abs(np.trace(state.array).real - 1.0) <= 1e-12
-        assert diag.pre_min_eig is not None
+        assert diag.pre["min_eig"] is not None
         # projection cannot be worse than a few noise widths away
         assert np.linalg.norm(state.array - rho.op.array) <= 0.1
 
@@ -172,7 +172,7 @@ class TestPsdProjection:
         values = [born(rho, e) for e in frame]
         state, diag = reconstruct_density(frame, values, project_psd=True)
         assert np.linalg.norm(state.array - rho.op.array) <= 1e-8
-        assert diag.pre_residual <= 1e-10
+        assert diag.pre["residual"] <= 1e-10
 
 
 def test_diagnostics_json_keys():
@@ -244,7 +244,7 @@ class TestNearestState:
         for _ in range(200):
             dim = int(rng.integers(2, 6))
             # about three in four of these have a negative eigenvalue
-            h = (random_hermitian(dim, rng, scale=0.3)
+            h = (0.3 * random_hermitian(dim, rng)
                  + HermitianOperator.identity(dim) * (1.0 / dim))
             state = project_to_density(h)
             ours = np.linalg.norm(state.op.array - h.array)

@@ -30,7 +30,9 @@ keeps ``cli.run`` the one process entry: ``python -m effectkit``, the
 process freezes the collector before its exit and handles a failed stdout
 once. A fourteenth keeps ``__init__`` out of every class in ``errors``, so
 an error carries its message alone and the exact figures it quotes are
-read from the check rows that ``validate`` prints.
+read from the check rows that ``validate`` prints. A fifteenth keeps
+``print`` out of every ``cmd_*`` function of the CLI, so ``main`` prints
+every command's failure line.
 """
 
 import ast
@@ -308,6 +310,20 @@ def test_no_error_class_defines_an_init():
     found = [f"errors.py:{fn.lineno}: {cls.name}.__init__"
              for cls in classes for fn in ast.walk(cls)
              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+    assert not found, found
+
+
+def test_no_command_prints():
+    """A command reports a failure by raising; ``main`` prints its one
+    stderr line and returns its exit code."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")]
+    assert commands, "no cmd_* function found in cli.py"
+    found = [f"cli.py:{call.lineno}: {fn.name}"
+             for fn in commands for call in ast.walk(fn)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", "") == "print"]
     assert not found, found
 
 
