@@ -19,9 +19,10 @@ may sum in another order, so ``reconstruct`` can print other bytes with
 2 threads than with 1. The benchmark pins 1
 (``OPENBLAS_NUM_THREADS=1``).
 
-``validate`` reads every file with the same library readers as the other
-commands, so a file it cannot read fails with the message and exit code
-that ``born`` or ``reconstruct`` give; its report lists only the checks
+Every command reads its files with the library's readers (``dfsearch``
+its context set with ``nogo.context_set_from_json``), so a file that
+``validate`` cannot read fails with the message and exit code that
+``born`` or ``reconstruct`` give; its report lists only the checks
 the library makes. For a valuation: (P1) on every value, and with
 ``--effects``, (P2) when that file carries I and (P3) for each ``--povm``
 file, read as the relation "its labels = I" (exit 2 unless its operators
@@ -259,13 +260,10 @@ def cmd_nogo2d(args) -> int:
 
 
 def cmd_dfsearch(args) -> int:
-    payload = _load_json(args.contexts)
-    obj = jsonio.expect_dict(payload, "context set")
-    effects_file = jsonio.expect_str(
-        jsonio.expect_key(obj, "effects_file", "context set"), "effects_file")
-    effects_path = Path(args.contexts).parent / effects_file
-    effects = _load_effects(str(effects_path))
-    cs = context_set_from_json(payload, effects, args.discover_relations)
+    base = Path(args.contexts).parent
+    cs = context_set_from_json(_load_json(args.contexts),
+                               lambda name: _load_effects(str(base / name)),
+                               args.discover_relations)
     result = search_dispersion_free(cs, max_solutions=args.max_solutions,
                                     node_budget=args.budget)
     verdict = verify_certificate(result, cs)

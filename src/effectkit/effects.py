@@ -29,6 +29,7 @@ from .errors import (
     shown,
 )
 from .operators import (
+    BLOCK_ROWS,
     TOL,
     HermitianOperator,
     check_dim,
@@ -314,11 +315,6 @@ def effects_by_label(effects) -> dict[str, Effect]:
     return pool
 
 
-# Rows of the Gram matrix formed at once by the filter. Blocks keep its
-# temporaries small: the whole K x K matrix and the arrays derived from it
-# raised peak RSS by 1.1 MB at K = 259, blocks of 32 rows by 0.3 MB.
-_SCAN_ROWS = 32
-
 # The handler set by report_duplicate_operators in the current context, or
 # None for Python warnings.
 _duplicate_handler: ContextVar = ContextVar("duplicate_handler", default=None)
@@ -353,7 +349,7 @@ def warn_duplicate_operators(effects) -> None:
     imaginary parts of an operator's entries form a vector x_k of n = 2d^2
     reals, and ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared
     distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j from the Gram matrix of the x_k
-    (formed ``_SCAN_ROWS`` rows at a time) and passes a pair when its
+    (formed ``BLOCK_ROWS`` rows at a time) and passes a pair when its
     squared distance is at most T^2 + 4(n + 2) eps (T^2 + |x_i|^2 +
     |x_j|^2), with T = ``TOL.same_operator`` and eps =
     ``np.finfo(float).eps``.
@@ -398,8 +394,8 @@ def _near_pairs(arrays: np.ndarray):
     sq = (x * x).sum(axis=1)
     slack = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps
     tol_sq = TOL.same_operator ** 2
-    for lo in range(0, len(x), _SCAN_ROWS):
-        rows = slice(lo, lo + _SCAN_ROWS)
+    for lo in range(0, len(x), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         dist_sq = sq[rows, None] + sq - 2.0 * (x[rows] @ x.T)
         bound = tol_sq + slack * (tol_sq + sq[rows, None] + sq)
         for a, b in zip(*np.nonzero(np.triu(dist_sq <= bound, 1 + lo))):

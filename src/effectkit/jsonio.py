@@ -22,7 +22,8 @@ is decoded as it is read into one flat complex array, a
 one Python list per pair. Every reader still sees lists:
 :func:`expect_list` returns the pairs, bit for bit, and the wrapper compares
 equal to them. Only this module packs, and only
-``HermitianOperator.from_json_dict`` takes the array itself.
+``operators.matrix_from_json``, which reads the operator of a state file
+and of every effect, takes the array itself.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,13 +60,14 @@ from .errors import (
     DimMismatch,
     NotUnitVectors,
     ParallelVectors,
+    SchemaError,
     SumNotIdentity,
     UnknownLabel,
     listed,
     shown,
 )
 from .operators import TOL, eigenvalues_of
-from .valuation import AdditivityRelation, relations_from_json
+from .valuation import AdditivityRelation
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -838,19 +839,35 @@ def _refutation_problem(tree, core: Sequence[AdditivityRelation]
     return None
 
 
-def context_set_from_json(obj, effects: Iterable[Effect],
+def context_set_from_json(obj, load_effects: Callable[[str], Iterable[Effect]],
                           discover: bool = False) -> ContextSet:
-    """Build a ContextSet from the contexts-file JSON payload.
-
-    The ``effects_file`` key is resolved by the caller (the CLI reads it
-    relative to the contexts file); this function takes the loaded effects.
-    """
+    """Build a ContextSet from a context-set file's payload: the one reader
+    of the format. ``effects_file`` is read first and its string passed to
+    ``load_effects``, which returns the effects (the CLI resolves it against
+    the file's folder); then ``contexts``, then the optional ``relations``
+    (``[{"addends": [...], "target": label|"I"}, ...]``), each schema fault
+    a SchemaError."""
     obj = jsonio.expect_dict(obj, "context set")
+    effects = load_effects(jsonio.expect_str(
+        jsonio.expect_key(obj, "effects_file", "context set"), "effects_file"))
     raw_contexts = jsonio.expect_list(
         jsonio.expect_key(obj, "contexts", "context set"), "contexts")
     contexts = []
     for i, ctx in enumerate(raw_contexts):
         ctx = jsonio.expect_list(ctx, f"contexts[{i}]")
         contexts.append([jsonio.expect_str(lb, f"contexts[{i}][j]") for lb in ctx])
-    relations = relations_from_json(obj.get("relations", []))
+    relations = []
+    for k, item in enumerate(jsonio.expect_list(obj.get("relations", []),
+                                                "relations")):
+        where = f"relations[{k}]"
+        item = jsonio.expect_dict(item, where)
+        addends = tuple(
+            jsonio.expect_str(x, f"{where}.addends[i]")
+            for x in jsonio.expect_list(
+                jsonio.expect_key(item, "addends", where), f"{where}.addends"))
+        if not addends:
+            raise SchemaError(f"{where}: addends must be nonempty")
+        target = jsonio.expect_str(jsonio.expect_key(item, "target", where),
+                                   f"{where}.target")
+        relations.append(AdditivityRelation(addends, target))
     return build_context_set(effects, contexts, relations, discover=discover)

@@ -38,7 +38,6 @@ from .errors import (
     NotPositive,
     ProbabilityDeficit,
     RecordMismatch,
-    SchemaError,
     TraceNotOne,
     UnknownLabel,
     ValuesInconsistent,
@@ -46,6 +45,7 @@ from .errors import (
     shown,
 )
 from .operators import (
+    BLOCK_ROWS,
     TOL,
     HermitianOperator,
     check_dim,
@@ -113,10 +113,7 @@ class ValuationTable:
         check_dim(self.dim)
         self._entries: dict[str, TableEntry] = {}
         for entry in entries:
-            if entry.effect.dim != self.dim:
-                raise DimMismatch(
-                    f"effect {shown(entry.effect.label)} has dim "
-                    f"{entry.effect.dim}, table has dim {self.dim}")
+            self._require_dim(entry.effect)
             if entry.effect.label in self._entries:
                 raise ValueError(
                     f"duplicate label {shown(entry.effect.label)}")
@@ -125,6 +122,11 @@ class ValuationTable:
                     f"value for {shown(entry.effect.label)} is not finite")
             self._entries[entry.effect.label] = entry
         warn_duplicate_operators(e.effect for e in self._entries.values())
+
+    def _require_dim(self, effect: Effect) -> None:
+        if effect.dim != self.dim:
+            raise DimMismatch(f"effect {shown(effect.label)} has dim "
+                              f"{effect.dim}, table has dim {self.dim}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -168,6 +170,9 @@ class ValuationTable:
     @classmethod
     def from_json_dict(cls, obj, effects_by_label: Mapping[str, Effect]
                        ) -> "ValuationTable":
+        """The valuation file's table, labels resolved in ``effects_by_label``;
+        then every effect of that pool must have the table's dim
+        (DimMismatch), which an empty table cannot check otherwise."""
         dim, values = valuation_from_json(obj)
         entries = []
         for label, value in values.items():
@@ -175,7 +180,10 @@ class ValuationTable:
                 raise UnknownLabel(
                     f"label {shown(label)} not in the effects file")
             entries.append(TableEntry(effects_by_label[label], value))
-        return cls(dim, entries)
+        table = cls(dim, entries)
+        for e in effects_by_label.values():
+            table._require_dim(e)
+        return table
 
 
 def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
@@ -540,16 +548,6 @@ def _health(design: np.ndarray, vals: np.ndarray, op: HermitianOperator
             "min_eig": float(eigenvalues_of(op)[0])}
 
 
-# Frame effects turned into design rows at once by reconstruct_density.
-# Blocks keep the complex copy of the frame and the temporaries of
-# hermitian_coords small: at K = 259, d = 16 the whole frame took the
-# traced peak to 5.8 times the 0.53 MB design, blocks of 32 to 3.1 times
-# (design, U and Vt alone are 3 times). On one core of a 2-vCPU Xeon guest,
-# medians of 50 calls, blocks of 32 built that design in 0.8-0.9 ms, the
-# whole frame in 0.8-2.0 ms and one row at a time in 8-14 ms.
-_DESIGN_ROWS = 32
-
-
 def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
                         min_norm: bool = False, project_psd: bool = False
                         ) -> tuple[HermitianOperator, ReconstructionDiagnostics]:
@@ -585,8 +583,8 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
         raise ValueError("reconstruction values must lie in [0, 1]")
 
     design = np.empty((len(frame), dim * dim))
-    for lo in range(0, len(frame), _DESIGN_ROWS):
-        block = frame[lo:lo + _DESIGN_ROWS]
+    for lo in range(0, len(frame), BLOCK_ROWS):
+        block = frame[lo:lo + BLOCK_ROWS]
         design[lo:lo + len(block)] = hermitian_coords(
             np.array([e.op.array for e in block]))
     u, sigma, vt = np.linalg.svd(design, full_matrices=False)
@@ -685,33 +683,12 @@ def estimate_valuation(record: SampleRecord, povm: Povm) -> ValuationTable:
         raise RecordMismatch("record labels do not match the POVM")
     n = record.n
     values = [c / n for c in record.counts]
-    if values:
-        head = 0.0
-        for v in values[:-1]:
-            head += v
-        values[-1] = 1.0 - head
+    head = 0.0
+    for v in values[:-1]:
+        head += v
+    values[-1] = 1.0 - head
     entries = []
     for e, v in zip(povm.effects, values):
         stderr = float(np.sqrt(max(v * (1.0 - v), 0.0) / n))
         entries.append(TableEntry(e, v, stderr))
     return ValuationTable(povm.dim, entries)
-
-
-def relations_from_json(obj) -> list[AdditivityRelation]:
-    """Parse ``[{"addends": [...], "target": label|"I"}, ...]``."""
-    items = jsonio.expect_list(obj, "relations")
-    out = []
-    for k, item in enumerate(items):
-        item = jsonio.expect_dict(item, f"relations[{k}]")
-        addends = tuple(
-            jsonio.expect_str(x, f"relations[{k}].addends[i]")
-            for x in jsonio.expect_list(
-                jsonio.expect_key(item, "addends", f"relations[{k}]"),
-                f"relations[{k}].addends"))
-        if not addends:
-            raise SchemaError(f"relations[{k}]: addends must be nonempty")
-        target = jsonio.expect_str(
-            jsonio.expect_key(item, "target", f"relations[{k}]"),
-            f"relations[{k}].target")
-        out.append(AdditivityRelation(addends, target))
-    return out

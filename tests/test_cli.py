@@ -452,10 +452,13 @@ def test_every_file_kind_bounds_its_dim_in_one_short_line(
     ('{"dim": 1, "entries": [{"label": "A", "value": 1e400}]}',
      "invalid input: value for 'A' is not finite"),
     ('{"dim": 2, "entries": [{"label": "A", "value": 0.5}]}',
+     "DimMismatch: effect 'A' has dim 1, table has dim 2"),
+    ('{"dim": 2, "entries": []}',
      "DimMismatch: effect 'A' has dim 1, table has dim 2")])
 def test_a_table_that_its_effects_reject_is_an_input_error(tmp_path, capsys,
                                                            table, message):
-    # 1e400 reads as inf; the second table has another dim than its effect.
+    # 1e400 reads as inf; the other tables have another dim than the
+    # effects file, the last with no entry to name an effect.
     effects = write(tmp_path / "e.json", {"dim": 1, "effects": [
         Effect(HermitianOperator.identity(1), "A").to_json_dict()]})
     values = tmp_path / "v.json"

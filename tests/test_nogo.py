@@ -17,6 +17,7 @@ from effectkit import (
     HermitianOperator,
     NotUnitVectors,
     ParallelVectors,
+    SchemaError,
     SearchResult,
     TOL,
     UnknownLabel,
@@ -362,6 +363,23 @@ class TestBuildContextSet:
                        AdditivityRelation(("b", "c"), "bc"),
                        AdditivityRelation(("e", "f", "g"), "I")}
             assert (planted <= set(accepted)) is (factor < 1), factor
+
+    def test_the_reader_loads_the_effects_before_it_reads_the_contexts(self):
+        asked = []
+
+        def failing_loader(name):
+            asked.append(name)
+            raise UnknownLabel("the loader failed")
+
+        with pytest.raises(UnknownLabel, match="the loader failed"):
+            context_set_from_json({"effects_file": "../sub dir/e.json",
+                                   "contexts": "not a list"}, failing_loader)
+        assert asked == ["../sub dir/e.json"]
+        p = Effect(pauli_op(0, 0, 1), "A")
+        with pytest.raises(SchemaError, match="contexts: expected"):
+            context_set_from_json({"effects_file": "e.json",
+                                   "contexts": "not a list"},
+                                  lambda name: [p, complement(p, "B")])
 
 
 class TestSearch:
@@ -784,9 +802,9 @@ class TestConstraintRow:
                                            "target": "I"}
         p = Effect(pauli_op(0, 0, 1), "A")
         cs = context_set_from_json(
-            {"contexts": [["A", "B"]],
+            {"effects_file": "e.json", "contexts": [["A", "B"]],
              "relations": [{"addends": ["A", "B"], "target": "I"}]},
-            [p, complement(p, "B")])
+            lambda name: [p, complement(p, "B")])
         assert cs.constraints() == [context, relation]
 
     def test_a_long_constraint_describes_itself_in_one_short_line(self):

@@ -7,8 +7,9 @@ the ones ``Effect`` and ``DensityOperator`` raise from, so the library and
 the CLI must agree right at the tolerance boundary. Beside the literal
 guard, a second source guard finds imports that a module never uses, which
 a removed function or tolerance parameter can leave behind, a third
-keeps ``effectkit validate`` reading files with the library's readers
-alone, and a fourth keeps numpy and ``TOL`` out of the CLI, so every
+keeps every CLI command, ``validate`` and ``dfsearch`` among them, reading
+files with the library's readers alone (no ``jsonio.expect_*`` call in
+``cli.py``), and a fourth keeps numpy and ``TOL`` out of the CLI, so every
 operator comparison and axiom rule it reports is the library's. A fifth
 keeps the bound of every sum identity read at one site, so a POVM, a
 context and a relation are accepted by one test, and the same-operator
@@ -116,18 +117,19 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_validate_has_no_parser_of_its_own():
-    """``cmd_validate`` calls no ``jsonio.expect_*`` schema helper, so every
-    file it reads goes through a library reader, and it catches no
+    """Nothing in ``cli.py`` calls a ``jsonio.expect_*`` schema helper, so
+    every file a command reads (``dfsearch``'s context set among them) goes
+    through a library reader, and ``cmd_validate`` catches no
     ``EffectKitError``, so no library error is reported as a failed check
     of another name."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = [node.func.attr if isinstance(node.func, ast.Attribute)
+              else getattr(node.func, "id", "")
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [name for name in called if name.startswith("expect_")]
     validate = next(node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef)
                     and node.name == "cmd_validate")
-    called = [node.func.attr if isinstance(node.func, ast.Attribute)
-              else getattr(node.func, "id", "")
-              for node in ast.walk(validate) if isinstance(node, ast.Call)]
-    assert not [name for name in called if name.startswith("expect_")]
     caught = {name.id for handler in ast.walk(validate)
               if isinstance(handler, ast.ExceptHandler) and handler.type
               for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
