@@ -102,7 +102,7 @@ from .nogo import (
     verify_certificate,
     witness_2d,
 )
-from .operators import HermitianOperator
+from .operators import HermitianOperator, matrix_from_json
 from .valuation import (
     DensityOperator,
     ValuationTable,
@@ -165,11 +165,11 @@ def _emit(payload, args) -> None:
 
 
 def _load_state(path: str) -> DensityOperator:
-    return DensityOperator(HermitianOperator.from_json_dict(_load_json(path)))
+    return DensityOperator(HermitianOperator(matrix_from_json(_load_json(path))))
 
 
 def _load_povm(path: str) -> Povm:
-    return Povm.from_json_dict(_load_json(path))
+    return Povm(_load_effects(path))
 
 
 def _load_effects(path: str) -> list[Effect]:
@@ -204,15 +204,14 @@ def cmd_validate(args) -> int:
         checks.extend(effect_checks(HermitianOperator(array)))
     elif args.kind == "povm":
         try:
-            povm = Povm.from_json_dict(payload)
+            povm = Povm(effects_from_json_dict(payload))
         except SumNotIdentity as exc:
             check("sum_to_identity", False, error=type(exc).__name__,
                   detail=str(exc))
         else:
             check("sum_to_identity", True, dim=povm.dim, outcomes=len(povm))
     elif args.kind == "state":
-        op = HermitianOperator.from_json_dict(payload)
-        checks.extend(state_checks(op))
+        checks.extend(state_checks(HermitianOperator(matrix_from_json(payload))))
     elif not args.effects:  # a valuation alone
         checks.append(p1_range(valuation_from_json(payload)[1].items()))
     else:

@@ -86,17 +86,12 @@ class Effect:
     def to_json_dict(self) -> dict:
         return {"label": self.label, "op": self.op.to_json_dict()}
 
-    @classmethod
-    def from_json_dict(cls, obj) -> "Effect":
-        array, label = effect_from_json(obj)
-        return cls(HermitianOperator(array), label)
-
 
 def effect_from_json(obj) -> tuple[np.ndarray, str]:
     """The one reader of an effect ``{"label": ..., "op": ...}``: its
     matrix, unbuilt, and its label, with schema checks only. Its callers,
-    :meth:`Effect.from_json_dict`, :func:`effects_from_json_dict` and
-    ``effectkit validate``, each build the ``HermitianOperator``."""
+    :func:`effects_from_json_dict` and ``effectkit validate``, each build
+    the ``HermitianOperator``."""
     obj = jsonio.expect_dict(obj, "effect")
     label = jsonio.expect_str(jsonio.expect_key(obj, "label", "effect"),
                               "effect.label")
@@ -164,10 +159,6 @@ class Povm:
     def to_json_dict(self) -> dict:
         return {"dim": self.dim,
                 "effects": [e.to_json_dict() for e in self.effects]}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "Povm":
-        return cls(tuple(effects_from_json_dict(obj)))
 
 
 @dataclass(frozen=True)
@@ -269,10 +260,10 @@ def effects_from_json_dict(obj) -> list[Effect]:
     """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files).
 
     A d outside 1..MAX_DIM raises ValueError before any item is read.
-    Each item is checked as :meth:`Effect.from_json_dict` checks it, and
-    the first fault in file order is the one raised. The items are read up
-    to the first schema error or the first matrix that is not d x d, which
-    is a DimMismatch; the effects before it are built as one stack by
+    Each item is read by :func:`effect_from_json`, and the first fault in
+    file order is the one raised. The items are read up to the first
+    schema error or the first matrix that is not d x d, which is a
+    DimMismatch; the effects before it are built as one stack by
     :func:`operators.hermitian_stack`, with one eigensolve call for all,
     and checked in order, and that fault is raised only if they all pass.
     """

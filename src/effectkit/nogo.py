@@ -850,21 +850,21 @@ def context_set_from_json(obj, load_effects: Callable[[str], Iterable[Effect]],
     obj = jsonio.expect_dict(obj, "context set")
     effects = load_effects(jsonio.expect_str(
         jsonio.expect_key(obj, "effects_file", "context set"), "effects_file"))
-    raw_contexts = jsonio.expect_list(
-        jsonio.expect_key(obj, "contexts", "context set"), "contexts")
-    contexts = []
-    for i, ctx in enumerate(raw_contexts):
-        ctx = jsonio.expect_list(ctx, f"contexts[{i}]")
-        contexts.append([jsonio.expect_str(lb, f"contexts[{i}][j]") for lb in ctx])
+
+    def labels(items, where: str) -> list[str]:
+        return [jsonio.expect_str(lb, f"{where}[{j}]")
+                for j, lb in enumerate(jsonio.expect_list(items, where))]
+
+    contexts = [labels(ctx, f"contexts[{i}]") for i, ctx in enumerate(
+        jsonio.expect_list(jsonio.expect_key(obj, "contexts", "context set"),
+                           "contexts"))]
     relations = []
     for k, item in enumerate(jsonio.expect_list(obj.get("relations", []),
                                                 "relations")):
         where = f"relations[{k}]"
         item = jsonio.expect_dict(item, where)
-        addends = tuple(
-            jsonio.expect_str(x, f"{where}.addends[i]")
-            for x in jsonio.expect_list(
-                jsonio.expect_key(item, "addends", where), f"{where}.addends"))
+        addends = labels(jsonio.expect_key(item, "addends", where),
+                         f"{where}.addends")
         if not addends:
             raise SchemaError(f"{where}: addends must be nonempty")
         target = jsonio.expect_str(jsonio.expect_key(item, "target", where),

@@ -121,11 +121,6 @@ class HermitianOperator:
             "entries": [[float(z.real), float(z.imag)] for z in flat],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj) -> "HermitianOperator":
-        """Read the wire format: the operator of :func:`matrix_from_json`."""
-        return cls(matrix_from_json(obj))
-
     # Hermitian operators are closed under real-linear combinations; these
     # are the only arithmetic dunders provided on purpose (a product of
     # Hermitian operators is generally not Hermitian).

@@ -224,17 +224,25 @@ def valuation_from_json(obj) -> tuple[int, dict[str, float]]:
 class AdditivityRelation:
     """Axiom (P3) for one sum: v(target) = the sum of v over ``labels``,
     counted with multiplicity; ``target`` is an effect label or ``"I"``
-    (value 1). ``kind`` is ``"context"`` for a measurement context and
-    ``"relation"`` otherwise, read by :meth:`describe` and
-    :meth:`to_json_dict` alone. An empty label list raises ValueError."""
+    (value 1). ``kind`` is ``"context"`` for a measurement context, whose
+    target is ``"I"``, and ``"relation"`` otherwise, read by
+    :meth:`describe` and :meth:`to_json_dict` alone. The labels are stored
+    as a tuple. An empty label list, another kind, or a context with
+    another target raises ValueError."""
 
     labels: tuple[str, ...]
     target: str
     kind: str = "relation"
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("an additivity relation needs at least one addend")
+        if self.kind not in ("context", "relation"):
+            raise ValueError(f"kind must be 'context' or 'relation', "
+                             f"got {shown(self.kind)}")
+        if self.kind == "context" and self.target != "I":
+            raise ValueError(f"a context sums to 'I', not {shown(self.target)}")
 
     def row(self) -> tuple[dict[str, int], int]:
         """The statement as the integer equation sum(c_l * v(l)) = rhs:
@@ -255,11 +263,9 @@ class AdditivityRelation:
         a long list cut by ``listed``."""
         lhs = listed([f"v({shown(lb, quote=False)})" for lb in self.labels],
                      " + ")
-        if self.kind == "context":
-            return f"context: {lhs} = 1"
         tgt = ("1" if self.target == "I"
                else f"v({shown(self.target, quote=False)})")
-        return f"relation: {lhs} = {tgt}"
+        return f"{self.kind}: {lhs} = {tgt}"
 
     def to_json_dict(self) -> dict:
         if self.kind == "context":
@@ -286,11 +292,11 @@ class AdditivityRelation:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """Outcome counts of repeated measurements of one POVM."""
+    """Outcome counts of repeated measurements of one POVM; the shot count
+    ``n`` is the sum of the counts."""
 
     povm_labels: tuple[str, ...]
     counts: tuple[int, ...]
-    n: int
     seed: int
 
     def __post_init__(self):
@@ -300,8 +306,10 @@ class SampleRecord:
             raise ValueError("counts must be non-negative")
         if self.n < 1:
             raise ValueError("shot count must be at least 1")
-        if sum(self.counts) != self.n:
-            raise ValueError("counts must sum to the number of shots")
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
 
     def to_json_dict(self) -> dict:
         return {"povm": list(self.povm_labels), "counts": list(self.counts),
@@ -647,7 +655,7 @@ def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
     counts = np.zeros(len(probs), dtype=np.int64)
     for done in range(0, n, _SHOT_CHUNK):
         counts += _outcome_counts(cum, rng.random(min(_SHOT_CHUNK, n - done)))
-    return SampleRecord(povm.labels, tuple(int(c) for c in counts), n, seed)
+    return SampleRecord(povm.labels, tuple(int(c) for c in counts), seed)
 
 
 def _outcome_counts(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -139,7 +139,8 @@ def entries_by_loop(entries) -> np.ndarray:
 
 
 def matrix_by_entry_loop(obj) -> HermitianOperator:
-    """``HermitianOperator.from_json_dict`` with :func:`entries_by_loop`."""
+    """The operator of ``operators.matrix_from_json`` with
+    :func:`entries_by_loop`."""
     obj = jsonio.expect_dict(obj, "matrix")
     d = jsonio.expect_int(jsonio.expect_key(obj, "dim", "matrix"), "matrix.dim")
     entries = jsonio.expect_list(

@@ -23,6 +23,7 @@ from effectkit import (
 )
 from effectkit import __version__, cli, generate, operators
 from effectkit.cli import main
+from effectkit.effects import effects_from_json_dict
 from effectkit.valuation import SampleRecord
 
 from conftest import PERES_CORE, orthogonal_tetrads, pauli_op, peres_rays
@@ -642,7 +643,7 @@ class TestReconstruct:
                 {"label": "Y", "value": 0.5}, {"label": "Z", "value": 1.0}]})
         code, payload = run_cli(["reconstruct", frame, values], capsys)
         assert code == 0
-        state = HermitianOperator.from_json_dict(payload["state"])
+        state = HermitianOperator(operators.matrix_from_json(payload["state"]))
         assert np.allclose(state.array, np.diag([1.0, 0.0]), atol=1e-10)
         assert payload["diagnostics"]["rank"] == 4
 
@@ -894,6 +895,24 @@ class TestDfsearch:
         assert captured.out == ""
         assert captured.err == ("SchemaError: relations[0]: addends must be "
                                 "nonempty\n")
+
+    @pytest.mark.parametrize("fields, line", [
+        ({"contexts": [["A", "B"], ["A", 7]]},
+         "SchemaError: contexts[1][1]: expected a string, got int\n"),
+        ({"contexts": [["H", "H"]],
+          "relations": [{"addends": ["A", 3], "target": "I"}]},
+         "SchemaError: relations[0].addends[1]: expected a string, got int\n"),
+    ], ids=["context", "addend"])
+    def test_a_label_that_is_not_a_string_is_named_by_its_position(
+            self, tmp_path, capsys, fields, line):
+        half_identity_context_files(tmp_path)
+        contexts = write(tmp_path / "contexts.json",
+                         {"effects_file": "effects.json", **fields})
+        code = main(["dfsearch", contexts])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == line
 
     def test_declared_relation_is_the_core(self, tmp_path, capsys):
         contexts = declared_relation_context_files(tmp_path)
@@ -1491,7 +1510,8 @@ class TestPipelines:
         state_path = str(tmp_path / "state.json")
         run_cli(["gen", "--kind", "state", "--dim", "2", "--seed", "11",
                  "--out", state_path], capsys)
-        truth = HermitianOperator.from_json_dict(jsonio.load(state_path))
+        truth = HermitianOperator(
+            operators.matrix_from_json(jsonio.load(state_path)))
 
         frame_effects = []
         values = []
@@ -1500,7 +1520,7 @@ class TestPipelines:
             povm_path = str(tmp_path / f"povm{seed}.json")
             run_cli(["gen", "--kind", "povm", "--dim", "2", "--seed",
                      str(seed), "--outcomes", "2", "--out", povm_path], capsys)
-            povm = Povm.from_json_dict(jsonio.load(povm_path))
+            povm = Povm(effects_from_json_dict(jsonio.load(povm_path)))
             code, born_payload = run_cli(["born", state_path, povm_path], capsys)
             assert code == 0
             for e, p in zip(povm.effects, born_payload["probs"]):
@@ -1522,7 +1542,8 @@ class TestPipelines:
                 for e, v in zip(frame_effects, values)]})
         code, payload = run_cli(["reconstruct", frame_path, values_path], capsys)
         assert code == 0
-        recovered = HermitianOperator.from_json_dict(payload["state"])
+        recovered = HermitianOperator(
+            operators.matrix_from_json(payload["state"]))
         assert np.linalg.norm(recovered.array - truth.array) <= 1e-8
 
     def test_sampled_tomography_pipeline(self, tmp_path, capsys):
@@ -1530,12 +1551,13 @@ class TestPipelines:
         state_path = str(tmp_path / "state.json")
         run_cli(["gen", "--kind", "state", "--dim", "2", "--seed", "5",
                  "--out", state_path], capsys)
-        truth = HermitianOperator.from_json_dict(jsonio.load(state_path))
+        truth = HermitianOperator(
+            operators.matrix_from_json(jsonio.load(state_path)))
 
         povm_path = str(tmp_path / "povm.json")
         run_cli(["gen", "--kind", "povm", "--dim", "2", "--seed", "6",
                  "--outcomes", "4", "--out", povm_path], capsys)
-        povm = Povm.from_json_dict(jsonio.load(povm_path))
+        povm = Povm(effects_from_json_dict(jsonio.load(povm_path)))
         assert np.linalg.matrix_rank(
             hermitian_coords([e.op.array for e in povm.effects]),
             tol=1e-8) == 4
@@ -1547,7 +1569,8 @@ class TestPipelines:
         assert code == 0
         fields = jsonio.load(record_path)
         record = SampleRecord(tuple(fields["povm"]), tuple(fields["counts"]),
-                              fields["n"], fields["seed"])
+                              fields["seed"])
+        assert record.n == fields["n"]
         table = estimate_valuation(record, povm)
         values_path = write(tmp_path / "values.json", table.to_json_dict())
         frame_path = write(tmp_path / "frame.json", povm.to_json_dict())
@@ -1555,6 +1578,7 @@ class TestPipelines:
         code, payload = run_cli(["reconstruct", frame_path, values_path,
                                  "--project-psd"], capsys)
         assert code == 0
-        recovered = HermitianOperator.from_json_dict(payload["state"])
+        recovered = HermitianOperator(
+            operators.matrix_from_json(payload["state"]))
         assert np.linalg.norm(recovered.array - truth.array) <= 0.01
         assert payload["diagnostics"]["projected"] is True

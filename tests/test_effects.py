@@ -35,7 +35,8 @@ from effectkit import (
     spectral_split,
 )
 from effectkit import jsonio
-from effectkit.effects import effects_from_json_dict, warn_duplicate_operators
+from effectkit.effects import (effect_from_json, effects_from_json_dict,
+                               warn_duplicate_operators)
 
 from conftest import char_poly_eigs_2x2, duplicate_messages_by_pairs, pauli_op
 
@@ -441,6 +442,7 @@ def test_duplicate_scan_matches_pairwise_scan(dims, size):
 
 def test_effect_json_round_trip():
     e = Effect(pauli_op(0.5, 0.0, 0.5), "tilt")
-    again = Effect.from_json_dict(e.to_json_dict())
+    array, label = effect_from_json(e.to_json_dict())
+    again = Effect(HermitianOperator(array), label)
     assert again.label == "tilt"
     assert np.array_equal(again.op.array, e.op.array)

@@ -238,6 +238,17 @@ class TestBuildContextSet:
             AdditivityRelation(("H", "H"), "I", "context"),)
         assert len(cs.sum_relations) == 1
 
+    def test_a_relation_given_a_list_of_labels_is_recheckable(self):
+        half = Effect(0.5 * HermitianOperator.identity(2), "H")
+        eye = Effect(HermitianOperator.identity(2), "I")
+        relation = AdditivityRelation(["H", "H"], "I")
+        assert relation.labels == ("H", "H")
+        cs = build_context_set([eye, half], [], [relation])
+        result = search_dispersion_free(cs)
+        assert result.status == "unsat"
+        assert result.unsat_core == [AdditivityRelation(("H", "H"), "I")]
+        assert verify_certificate(result, cs)
+
     def test_projective_contexts(self):
         cs = projective_pair_context_set()
         assert len(cs.contexts) == 2
@@ -806,6 +817,16 @@ class TestConstraintRow:
              "relations": [{"addends": ["A", "B"], "target": "I"}]},
             lambda name: [p, complement(p, "B")])
         assert cs.constraints() == [context, relation]
+
+    def test_a_kind_other_than_context_or_relation_is_rejected(self):
+        with pytest.raises(ValueError, match="^kind must be 'context' or "
+                           "'relation', got 'cntxt'$"):
+            AdditivityRelation(("A", "B"), "I", "cntxt")
+
+    def test_a_context_with_a_target_other_than_i_is_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^a context sums to 'I', not 'C'$"):
+            AdditivityRelation(("A", "B"), "C", "context")
 
     def test_a_long_constraint_describes_itself_in_one_short_line(self):
         assert (AdditivityRelation(("H", "H"), "I", "context").describe()

@@ -182,7 +182,7 @@ class TestEstimateValuation:
 
     def test_mixed_counts_arithmetic(self):
         povm = z_povm()
-        record = SampleRecord(povm.labels, (480, 520), 1000, seed=5)
+        record = SampleRecord(povm.labels, (480, 520), seed=5)
         table = estimate_valuation(record, povm)
         assert table.value("up") == pytest.approx(0.48, abs=1e-15)
         assert table.value("down") == pytest.approx(0.52, abs=1e-15)
@@ -207,7 +207,8 @@ class TestEstimateValuation:
         k = len(counts)
         rng = rng_from_seed(11)
         povm = random_povm(2, k, rng)
-        record = SampleRecord(povm.labels, tuple(counts), sum(counts), seed=0)
+        record = SampleRecord(povm.labels, tuple(counts), seed=0)
+        assert record.n == sum(counts)
         table = estimate_valuation(record, povm)
         assert sum(table.values()) == 1.0
         for label, c in zip(povm.labels, counts):
@@ -227,19 +228,15 @@ class TestSampleRecordJson:
         assert record.to_json_dict() == {"povm": ["up", "down"],
                                          "counts": [64, 0], "n": 64, "seed": 9}
 
-    def test_counts_must_sum_to_n(self):
-        with pytest.raises(ValueError):
-            SampleRecord(("a", "b"), (3, 3), 5, seed=0)
-
     def test_counts_and_labels_match_in_length(self):
         with pytest.raises(RecordMismatch, match="^counts and POVM label "
                            "list differ in length$"):
-            SampleRecord(("a", "b"), (1,), 1, seed=0)
+            SampleRecord(("a", "b"), (1,), seed=0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="^counts must be non-negative$"):
-            SampleRecord(("a", "b"), (2, -1), 1, seed=0)
+            SampleRecord(("a", "b"), (2, -1), seed=0)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shot count must be at least 1"):
-            SampleRecord(("a", "b"), (0, 0), 0, seed=0)
+            SampleRecord(("a", "b"), (0, 0), seed=0)
