@@ -22,20 +22,25 @@ may sum in another order, so ``reconstruct`` can print other bytes with
 Every command reads its files with the library's readers (``dfsearch``
 its context set with ``nogo.context_set_from_json``), so a file that
 ``validate`` cannot read fails with the message and exit code that
-``born`` or ``reconstruct`` give; its report lists only the checks
-the library makes. For a valuation: (P1) on every value, and with
-``--effects``, (P2) when that file carries I and (P3) for each ``--povm``
-file, read as the relation "its labels = I" (exit 2 unless its operators
-are the effects file's). Each ``--povm`` file is its own (P3) row,
+``born`` or ``reconstruct`` give. Its report lists the library's check
+rows alone, each with the ``bound`` its figure was judged against (``[lo,
+hi]`` when two-sided), and a constructor words its error from the row that
+failed: ``effect_checks`` for an effect, ``sum_to_identity`` (the sum's
+Frobenius ``residual`` from I) for a POVM, ``state_checks`` for a state.
+For a valuation: (P1) on every value, and with ``--effects``, (P2) when
+that file carries I and (P3) for each ``--povm`` file, read as the
+relation "its labels = I" (exit 2 unless its operators are the effects
+file's). Each ``--povm`` file is its own (P3) row,
 ``effect_valuation:<path>``, in the order given, and holds only that
 file's violation. With ``--effects`` the effects file is read before the
 valuation's entries, as ``reconstruct`` reads them. A matrix, effects file
 or valuation whose ``dim`` is not in 1..MAX_DIM exits 2 (a matrix ``dim``
 below 1 is a schema fault, exit 1), on one line abridging a huge ``dim``.
 
-An effects file that ``reconstruct``, ``validate --effects`` or a context
-set reads must not repeat a label (exit 2, ``invalid input: duplicate
-effect label``); a POVM file may, as a context may.
+Every effects file holds at least one effect (exit 2). One that
+``reconstruct``, ``validate --effects`` or a context set reads must not
+repeat a label (exit 2, ``invalid input: duplicate effect label``); a POVM
+file may, as a context may.
 
 An UNSAT ``dfsearch`` result carries ``"core_minimal": false`` right after
 ``"core"`` when a deletion trial ran out of ``--budget``, so a constraint of
@@ -85,12 +90,12 @@ from .effects import (
     effects_by_label,
     effects_from_json_dict,
     report_duplicate_operators,
+    sum_to_identity,
 )
 from .errors import (
     EffectKitError,
     FrameDeficient,
     SchemaError,
-    SumNotIdentity,
     ValuesInconsistent,
 )
 from .generate import random_density, random_effect, random_povm, rng_from_seed
@@ -195,21 +200,11 @@ def cmd_validate(args) -> int:
                                         "the valuation's labels")
     payload = _load_json(args.path)
     checks: list[dict] = []
-
-    def check(name: str, ok: bool, **detail):
-        checks.append({"name": name, "ok": bool(ok), **detail})
-
     if args.kind == "effect":
         array, _ = effect_from_json(payload)
         checks.extend(effect_checks(HermitianOperator(array)))
     elif args.kind == "povm":
-        try:
-            povm = Povm(effects_from_json_dict(payload))
-        except SumNotIdentity as exc:
-            check("sum_to_identity", False, error=type(exc).__name__,
-                  detail=str(exc))
-        else:
-            check("sum_to_identity", True, dim=povm.dim, outcomes=len(povm))
+        checks.append(sum_to_identity(effects_from_json_dict(payload)))
     elif args.kind == "state":
         checks.extend(state_checks(HermitianOperator(matrix_from_json(payload))))
     elif not args.effects:  # a valuation alone

@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     SumNotIdentity,
     TraceNotOne,
+    raise_first_failure,
     shown,
 )
 from .operators import (
@@ -38,6 +39,8 @@ from .operators import (
     hermitian_drift,
     hermitian_stack,
     matrix_from_json,
+    positive,
+    unit_trace,
 )
 
 # Standard Pauli convention; sigma_y = [[0, -i], [i, 0]].
@@ -49,15 +52,14 @@ for _s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
 
 
 def effect_checks(op: HermitianOperator) -> list[dict]:
-    """The effect checks ``hermitian_drift``, ``positive`` (minimum
-    eigenvalue >= -TOL.spectrum) and ``below_identity`` (maximum eigenvalue
-    <= 1 + TOL.spectrum), in that order."""
+    """The effect checks ``hermitian_drift``, ``positive`` and
+    ``below_identity`` (max_eig <= 1 + TOL.spectrum), in that order, each
+    with its ``bound``."""
     vals = eigenvalues_of(op)
-    lo, hi = float(vals[0]), float(vals[-1])
-    return [hermitian_drift(op),
-            {"name": "positive", "ok": lo >= -TOL.spectrum, "min_eig": lo},
+    hi = float(vals[-1])
+    return [hermitian_drift(op), positive(vals),
             {"name": "below_identity", "ok": hi <= 1.0 + TOL.spectrum,
-             "max_eig": hi}]
+             "max_eig": hi, "bound": 1.0 + TOL.spectrum}]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +73,9 @@ class Effect:
     label: str
 
     def __post_init__(self):
-        _, positive, below = effect_checks(self.op)
-        if not positive["ok"]:
-            raise NotPositive(f"effect {shown(self.label)}: minimum "
-                              f"eigenvalue {positive['min_eig']:.6e} < 0")
-        if not below["ok"]:
-            raise ExceedsIdentity(f"effect {shown(self.label)}: maximum "
-                                  f"eigenvalue {below['max_eig']:.6e} > 1")
+        raise_first_failure("effect", zip((NotPositive, ExceedsIdentity),
+                                          effect_checks(self.op)[1:]),
+                            self.label)
 
     @property
     def dim(self) -> int:
@@ -127,12 +125,20 @@ def operator_equals(a, b):
     return distance < bound, distance, bound
 
 
+def sum_to_identity(effects) -> dict:
+    """The POVM check of nonempty ``effects``: their sum's Frobenius
+    ``residual`` from I by :func:`sum_equals`, with its ``bound``."""
+    holds, residual, bound = sum_equals([e.op.array for e in effects])
+    return {"name": "sum_to_identity", "ok": bool(holds),
+            "residual": float(residual), "bound": bound}
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Finite, nonempty list of effects whose sum is I by
-    :func:`sum_equals`, the test of every sum identity (contexts and
-    relations too); its dimension is its first effect's, and an effect of
-    another dimension raises DimMismatch."""
+    :func:`sum_to_identity`: :func:`sum_equals`, the test of every sum
+    identity (contexts and relations too); its dimension is its first
+    effect's, and an effect of another dimension raises DimMismatch."""
 
     effects: tuple[Effect, ...]
 
@@ -140,10 +146,8 @@ class Povm:
         object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise SumNotIdentity("a POVM needs at least one effect")
-        holds, residual, _ = sum_equals([e.op.array for e in self.effects])
-        if not holds:
-            raise SumNotIdentity(
-                f"effects sum to I only within {residual:.6e} (Frobenius)")
+        raise_first_failure("POVM", [(SumNotIdentity,
+                                      sum_to_identity(self.effects))])
 
     @property
     def dim(self) -> int:
@@ -210,17 +214,14 @@ def bloch_to_operator(a: BlochVector) -> HermitianOperator:
 
 
 def operator_to_bloch(h: HermitianOperator) -> BlochVector:
-    """Extract a_k = tr[h sigma_k] from a qubit operator whose trace is 1
-    within ``TOL.unit_trace``.
+    """Extract a_k = tr[h sigma_k] from a qubit operator that passes
+    :func:`operators.unit_trace` (else TraceNotOne).
 
     Round-trips with :func:`bloch_to_operator` to 1e-12.
     """
     if h.dim != 2:
         raise NotDimTwo(f"Bloch extraction needs a 2x2 operator, got dim {h.dim}")
-    tr = np.trace(h.array)
-    if abs(tr - 1.0) > TOL.unit_trace:
-        raise TraceNotOne(
-            f"trace {tr:.12g} is not 1 within {TOL.unit_trace:g}")
+    raise_first_failure("operator", [(TraceNotOne, unit_trace(h))])
     arr = h.array
     ax = float(np.einsum("ij,ji->", arr, SIGMA_X).real)
     ay = float(np.einsum("ij,ji->", arr, SIGMA_Y).real)
@@ -259,10 +260,10 @@ def spectral_split(e: Effect) -> list[tuple[float, Effect]]:
 def effects_from_json_dict(obj) -> list[Effect]:
     """Parse ``{"dim": d, "effects": [...]}`` (shared by POVM and frame files).
 
-    A d outside 1..MAX_DIM raises ValueError before any item is read.
-    Each item is read by :func:`effect_from_json`, and the first fault in
-    file order is the one raised. The items are read up to the first
-    schema error or the first matrix that is not d x d, which is a
+    A d outside 1..MAX_DIM, then no effect, raises ValueError before any
+    item is read. Each item is read by :func:`effect_from_json`, and the
+    first fault in file order is the one raised. The items are read up to
+    the first schema error or the first matrix that is not d x d, which is a
     DimMismatch; the effects before it are built as one stack by
     :func:`operators.hermitian_stack`, with one eigensolve call for all,
     and checked in order, and that fault is raised only if they all pass.
@@ -273,6 +274,8 @@ def effects_from_json_dict(obj) -> list[Effect]:
     items = jsonio.expect_list(jsonio.expect_key(obj, "effects", "effects file"),
                                "effects.effects")
     check_dim(dim)
+    if not items:
+        raise ValueError("an effects file needs at least one effect")
     arrays, labels, fault = [], [], None
     for item in items:
         try:

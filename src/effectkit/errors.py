@@ -2,10 +2,10 @@
 
 Every domain error derives from :class:`EffectKitError` so callers (and the
 CLI exit-code mapping) can distinguish validation failures from genuine bugs.
-An error carries its message alone; the exact figures a message quotes are
-in the check rows (``effect_checks``, ``state_checks``). Messages echo labels through :func:`shown` and lists of them through
-:func:`listed`, so a long label or a long list keeps a message one short
-line.
+An error carries its message alone; a failed check row is worded by
+:func:`raise_first_failure`. Messages echo labels through :func:`shown` and
+lists of them through :func:`listed`, so a long label or a long list keeps
+a message one short line.
 """
 
 import reprlib
@@ -35,6 +35,22 @@ def listed(items: list[str], sep: str) -> str:
         return sep.join(items)
     rest = len(items) - _LISTED_MAX
     return sep.join(items[:_LISTED_MAX]) + f"{sep}... ({rest} more)"
+
+
+def raise_first_failure(subject: str, checks, label=None) -> None:
+    """Raise ``error`` for the first failed row of the ``(error, row)``
+    pairs ``checks``, a row as ``validate`` prints it (``{"name", "ok",
+    <figure>, "bound"}``): ``<subject> [<label>]: <name> fails: <figure>
+    <value> (<|>|not in) bound <bound>``, each float as ``str`` prints it."""
+    for error, row in checks:
+        if not row["ok"]:
+            if label is not None:
+                subject = f"{subject} {shown(label)}"
+            (_, name), _, (key, value), (_, bound) = row.items()
+            relation = ("not in" if isinstance(bound, list)
+                        else "<" if value < bound else ">")
+            raise error(f"{subject}: {name} fails: {key} {value} {relation} "
+                        f"bound {bound}")
 
 
 class EffectKitError(Exception):

@@ -120,22 +120,22 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
     """
     for name, vec in (("n", n), ("m", m)):
         if abs(vec.norm - 1.0) > TOL.unit_vector:
-            raise NotUnitVectors(
-                f"{name} has norm {vec.norm:.12g}, expected a unit vector")
+            raise NotUnitVectors("%s has norm %s, not 1 within %s"
+                                 % (name, vec.norm, TOL.unit_vector))
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise DegenerateLambda(f"mixing weight {lam:g} must lie strictly in (0, 1)")
     dot = sum(a * b for a, b in zip(n.a, m.a))
     angle = math.acos(min(1.0, max(-1.0, dot)))
     if angle <= TOL.min_angle:
-        raise ParallelVectors(
-            f"directions subtend only {angle:.3e} rad; the mixture is "
-            "(numerically) a projection and carries no contradiction")
+        raise ParallelVectors("directions subtend only %s rad <= bound %s; the "
+                              "mixture is (numerically) a projection"
+                              % (angle, TOL.min_angle))
     c = BlochVector(tuple(lam * a + (1.0 - lam) * b for a, b in zip(n.a, m.a)))
-    if c.norm >= 1.0 - TOL.mixture_margin:
-        raise ParallelVectors(
-            f"|c| = {c.norm:.12g} is too close to 1; the spectral weights "
-            "degenerate and no contradiction arises")
+    bound = 1.0 - TOL.mixture_margin
+    if c.norm >= bound:
+        raise ParallelVectors("|c| = %s >= bound %s; the spectral weights "
+                              "degenerate" % (c.norm, bound))
 
     p = Effect(bloch_to_operator(n), "P")
     q = Effect(bloch_to_operator(m), "Q")
@@ -143,8 +143,8 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
     mu = (1.0 + c.norm) / 2.0
     top = float(eigenvalues_of(e.op)[-1])
     if abs(mu - top) > TOL.eig:
-        raise ConvergenceFailure(
-            f"closed-form weight {mu:.15g} disagrees with eigensolver {top:.15g}")
+        raise ConvergenceFailure("closed-form weight %s disagrees with "
+                                 "eigensolver %s by > %s" % (mu, top, TOL.eig))
 
     if c.norm <= TOL.zero:
         # E is maximally degenerate (E = I/2); any complementary projection
@@ -156,9 +156,9 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
     rprime = Effect(bloch_to_operator(BlochVector(tuple(-v for v in chat))),
                     "Rprime")
     relation = (
-        f"v(E) = {lam:g}*v(P) + {1.0 - lam:g}*v(Q) = 0 by linearity, but the "
-        f"spectral decomposition E = mu*R + (1-mu)*R' forces v(E) in "
-        f"{{{mu:.12g}, {1.0 - mu:.12g}}}")
+        "v(E) = %g*v(P) + %g*v(Q) = 0 by linearity, but the spectral "
+        "decomposition E = mu*R + (1-mu)*R' forces v(E) in {%.12g, %.12g}"
+        % (lam, 1.0 - lam, mu, 1.0 - mu))
     return Witness2D(n=n, m=m, lam=lam, c=c, mu=mu, E=e, R=r, Rprime=rprime,
                      P=p, Q=q, violated_relation=relation)
 

@@ -265,9 +265,25 @@ def hermitian_stack(arrays: Sequence[np.ndarray]
 
 def hermitian_drift(h: HermitianOperator) -> dict:
     """Check ``herm_deviation <= TOL.hermitian``. Every check is a dict
-    ``{"name", "ok", <measured values>}``, the form ``validate`` prints."""
+    ``{"name", "ok", <figure>, "bound"}``, the form ``validate`` prints."""
     return {"name": "hermitian_drift", "ok": h.herm_deviation <= TOL.hermitian,
-            "deviation": h.herm_deviation}
+            "deviation": h.herm_deviation, "bound": TOL.hermitian}
+
+
+def positive(vals: np.ndarray) -> dict:
+    """Check the least of the ascending eigenvalues ``vals``: min_eig >=
+    -TOL.spectrum."""
+    lo = float(vals[0])
+    return {"name": "positive", "ok": lo >= -TOL.spectrum, "min_eig": lo,
+            "bound": -TOL.spectrum}
+
+
+def unit_trace(h: HermitianOperator) -> dict:
+    """Check the trace in [1 - TOL.unit_trace, 1 + TOL.unit_trace]."""
+    tr = float(np.trace(h.array).real)
+    bound = [1.0 - TOL.unit_trace, 1.0 + TOL.unit_trace]
+    return {"name": "unit_trace", "ok": bound[0] <= tr <= bound[1],
+            "trace": tr, "bound": bound}
 
 
 def _require_same_dim(a, b) -> None:
@@ -298,15 +314,15 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    norm = np.linalg.norm(arr)
+    bound = TOL.eig * (1.0 + np.linalg.norm(arr))
     residual = np.linalg.norm((vecs * vals) @ vecs.conj().T - arr)
-    if residual > TOL.eig * (1.0 + norm):
-        raise ConvergenceFailure(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance")
+    if residual > bound:
+        raise ConvergenceFailure(f"eigendecomposition residual {residual} "
+                                 f"> bound {bound}")
     gram_dev = np.max(np.abs(vecs.conj().T @ vecs - np.eye(h.dim)))
     if gram_dev > TOL.eig:
-        raise ConvergenceFailure(
-            f"eigenvectors not orthonormal (deviation {gram_dev:.3e})")
+        raise ConvergenceFailure(f"eigenvectors not orthonormal (deviation "
+                                 f"{gram_dev} > bound {TOL.eig})")
     return vals, vecs
 
 

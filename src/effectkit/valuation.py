@@ -42,6 +42,7 @@ from .errors import (
     UnknownLabel,
     ValuesInconsistent,
     listed,
+    raise_first_failure,
     shown,
 )
 from .operators import (
@@ -53,19 +54,15 @@ from .operators import (
     eigenvalues_of,
     frobenius_inner,
     hermitian_drift,
+    positive,
+    unit_trace,
 )
 
 
 def state_checks(op: HermitianOperator) -> list[dict]:
-    """The state checks ``hermitian_drift``, ``positive`` (minimum eigenvalue
-    >= -TOL.spectrum) and ``unit_trace`` (|tr - 1| <= TOL.unit_trace), in
-    that order."""
-    lo = float(eigenvalues_of(op)[0])
-    tr = float(np.trace(op.array).real)
-    return [hermitian_drift(op),
-            {"name": "positive", "ok": lo >= -TOL.spectrum, "min_eig": lo},
-            {"name": "unit_trace", "ok": abs(tr - 1.0) <= TOL.unit_trace,
-             "trace": tr}]
+    """The state checks ``hermitian_drift``, ``positive`` and
+    ``unit_trace``, in that order, each with its ``bound``."""
+    return [hermitian_drift(op), positive(eigenvalues_of(op)), unit_trace(op)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +74,8 @@ class DensityOperator:
     op: HermitianOperator
 
     def __post_init__(self):
-        _, positive, unit_trace = state_checks(self.op)
-        if not positive["ok"]:
-            raise NotPositive(
-                f"state has negative eigenvalue {positive['min_eig']:.6e}")
-        if not unit_trace["ok"]:
-            raise TraceNotOne(
-                f"state trace {unit_trace['trace']:.12g} is not 1")
+        raise_first_failure("state", zip((NotPositive, TraceNotOne),
+                                         state_checks(self.op)[1:]))
 
     @property
     def dim(self) -> int:
@@ -355,9 +347,11 @@ def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
 
 def p1_range(values: Iterable[tuple[str, float]]) -> dict:
     """The (P1) check of ``(label, value)`` pairs: ``out_of_range`` lists,
-    in order, the labels whose value fails :func:`p1_in_range`."""
+    in order, the labels whose value fails :func:`p1_in_range`, that is
+    lies outside ``bound`` = [-TOL.p1_slack, 1 + TOL.p1_slack]."""
     bad = [label for label, value in values if not p1_in_range(value)]
-    return {"name": "p1_range", "ok": not bad, "out_of_range": bad}
+    return {"name": "p1_range", "ok": not bad, "out_of_range": bad,
+            "bound": [-TOL.p1_slack, 1.0 + TOL.p1_slack]}
 
 
 def _violations(relation: str, lhs: float, rhs: float) -> list[dict]:
@@ -372,17 +366,20 @@ def _violations(relation: str, lhs: float, rhs: float) -> list[dict]:
 def check_gpm(v: ValuationTable,
               relations: Sequence[AdditivityRelation]) -> list[dict]:
     """Check axioms (P1)-(P3) of a candidate valuation table; the checks
-    are dicts ``{"name", "ok", ...}``, the form ``validate`` prints:
+    are dicts ``{"name", "ok", ..., "bound"}``, the form ``validate``
+    prints, each with the bound its figures were judged against:
 
     - ``p1_range``: :func:`p1_range` on every stored value;
     - ``p2_identity``, only when some label's operator is the same as I
       by :func:`effects.operator_equals`: its ``violations``
-      hold each such label whose value is not 1 within ``TOL.check``, as
-      ``{"relation": "P2: v(<label>) = 1", "lhs", "rhs", "deviation"}``;
+      hold each such label whose value is not 1 within ``bound`` =
+      ``TOL.check``, as ``{"relation": "P2: v(<label>) = 1", "lhs", "rhs",
+      "deviation"}``;
     - one ``p3_additivity`` row per relation, in the order given (a
       relation given twice is checked twice): its ``violations`` hold the
       relation, as ``"<label> + ... = <target>"``, when the label values
-      do not sum to the target's value (1 for ``"I"``) within ``TOL.check``.
+      do not sum to the target's value (1 for ``"I"``) within ``bound`` =
+      ``TOL.check``.
 
     Each relation's operator identity is first tested by
     :meth:`AdditivityRelation.check_identity`, at the per-dimension bound
@@ -401,7 +398,8 @@ def check_gpm(v: ValuationTable,
         p2 = []
         for label in identity:
             p2 += _violations(f"P2: v({label}) = 1", v.value(label), 1.0)
-        checks.append({"name": "p2_identity", "ok": not p2, "violations": p2})
+        checks.append({"name": "p2_identity", "ok": not p2, "violations": p2,
+                       "bound": TOL.check})
 
     for rel in relations:
         rel.check_identity(v.effect)
@@ -410,7 +408,7 @@ def check_gpm(v: ValuationTable,
         text = " + ".join(rel.labels) + " = " + rel.target
         p3 = _violations(text, lhs, rhs)
         checks.append({"name": "p3_additivity", "ok": not p3,
-                       "violations": p3})
+                       "violations": p3, "bound": TOL.check})
     return checks
 
 
@@ -421,12 +419,11 @@ def extend_to_positive(v_effect: Callable[[HermitianOperator], float],
     Writes A = alpha E with alpha = max(||A||, 1), so E = A/alpha is an
     effect, and returns alpha * v(E). Homogeneity of valuations makes the
     result independent of which admissible alpha is chosen; that
-    independence is a tested property, not an assumption. An eigenvalue
-    below -``TOL.spectrum`` raises NotPositive.
+    independence is a tested property, not an assumption. An operator
+    that fails the check :func:`operators.positive` raises NotPositive.
     """
     vals = eigenvalues_of(a)
-    if vals[0] < -TOL.spectrum:
-        raise NotPositive(f"operator has negative eigenvalue {vals[0]:.6e}")
+    raise_first_failure("operator", [(NotPositive, positive(vals))])
     alpha = float(max(abs(vals[0]), abs(vals[-1]), 1.0))
     scaled = HermitianOperator(a.array / alpha)
     return alpha * v_effect(scaled)
@@ -646,8 +643,8 @@ def sample_outcomes(rho: DensityOperator, povm: Povm, n: int,
     probs = np.array([born(rho, e) for e in povm.effects])
     total = float(probs.sum())
     if abs(total - 1.0) > TOL.check:
-        raise ProbabilityDeficit(
-            f"outcome probabilities sum to {total:.12g}, not 1")
+        raise ProbabilityDeficit(f"outcome probabilities sum to {total}, "
+                                 f"not 1 within {TOL.check}")
     probs = probs / total
     cum = np.cumsum(probs)
     cum[-1] = 1.0

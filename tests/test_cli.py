@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from effectkit import (
+    TOL,
     DensityOperator,
     Effect,
     HermitianOperator,
@@ -27,6 +28,10 @@ from effectkit.effects import effects_from_json_dict
 from effectkit.valuation import SampleRecord
 
 from conftest import PERES_CORE, orthogonal_tetrads, pauli_op, peres_rays
+
+
+# The bound of every (P1) row.
+P1_BOUND = [-TOL.p1_slack, 1.0 + TOL.p1_slack]
 
 
 def write(path, payload):
@@ -71,7 +76,9 @@ class TestValidate:
         path = write(tmp_path / "p.json", payload)
         code, report = run_cli(["validate", path, "--kind", "povm"], capsys)
         assert code == 2
-        assert report["checks"][0]["error"] == "SumNotIdentity"
+        assert report["checks"] == [{"name": "sum_to_identity", "ok": False,
+                                     "residual": pytest.approx(0.5 ** 0.5),
+                                     "bound": 2 * TOL.sum_per_dim}]
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -139,7 +146,8 @@ class TestValidate:
         assert code == 0
         assert captured.out == (
             '{"kind": "valuation", "valid": true, "checks": [{"name": '
-            '"p1_range", "ok": true, "out_of_range": []}]}\n')
+            '"p1_range", "ok": true, "out_of_range": [], "bound": '
+            '[-9.9999999999999998e-13, 1.0000000000010001]}]}\n')
         assert captured.err == ""
         # An unresolved label is an input error, not a failed check.
         bad = write(tmp_path / "b.json", {"dim": 2, "entries": [
@@ -190,11 +198,13 @@ class TestValidate:
         assert captured.err == ""
         assert captured.out == (
             '{"kind": "valuation", "valid": false, "checks": [{"name": '
-            '"p1_range", "ok": true, "out_of_range": []}, {"name": '
+            '"p1_range", "ok": true, "out_of_range": [], "bound": '
+            '[-9.9999999999999998e-13, 1.0000000000010001]}, {"name": '
             '"p2_identity", "ok": false, "violations": [{"relation": '
             '"P2: v(Id) = 1", "lhs": 0.90000000000000002, "rhs": 1.0, '
-            '"deviation": 0.099999999999999978}]}, {"name": '
-            f'"effect_valuation:{povm}", "ok": true, "violations": []}}]}}\n')
+            '"deviation": 0.099999999999999978}], "bound": 1e-08}, {"name": '
+            f'"effect_valuation:{povm}", "ok": true, "violations": [], '
+            '"bound": 1e-08}]}\n')
 
     def test_povm_rows_are_its_relation_once_per_file(self, tmp_path, capsys):
         # up = 1.2 is out of range, and only p1_range says so; the sum is
@@ -213,11 +223,12 @@ class TestValidate:
         row = {"relation": "up + down = I", "lhs": 2.2, "rhs": 1.0,
                "deviation": pytest.approx(1.2)}
         assert report["checks"] == [
-            {"name": "p1_range", "ok": False, "out_of_range": ["up"]},
+            {"name": "p1_range", "ok": False, "out_of_range": ["up"],
+             "bound": P1_BOUND},
             {"name": f"effect_valuation:{povm}", "ok": False,
-             "violations": [row]},
+             "violations": [row], "bound": TOL.check},
             {"name": f"effect_valuation:{again}", "ok": False,
-             "violations": [row]}]
+             "violations": [row], "bound": TOL.check}]
 
     def test_povms_with_the_same_label_text_keep_their_own_rows(
             self, tmp_path, capsys):
@@ -240,11 +251,13 @@ class TestValidate:
              "--povm", p1, "--povm", p2], capsys)
         assert code == 2
         assert report["checks"] == [
-            {"name": "p1_range", "ok": True, "out_of_range": []},
-            {"name": f"effect_valuation:{p1}", "ok": True, "violations": []},
+            {"name": "p1_range", "ok": True, "out_of_range": [],
+             "bound": P1_BOUND},
+            {"name": f"effect_valuation:{p1}", "ok": True, "violations": [],
+             "bound": TOL.check},
             {"name": f"effect_valuation:{p2}", "ok": False, "violations": [
                 {"relation": "A + B + C = I", "lhs": 1.4, "rhs": 1.0,
-                 "deviation": pytest.approx(0.4)}]}]
+                 "deviation": pytest.approx(0.4)}], "bound": TOL.check}]
 
     @pytest.mark.parametrize("with_effects", [False, True],
                              ids=["alone", "with effects"])
@@ -260,8 +273,10 @@ class TestValidate:
         values = write(tmp_path / "v.json", {"dim": dim, "entries": []})
         argv = ["validate", values, "--kind", "valuation"]
         if with_effects:
-            argv += ["--effects",
-                     write(tmp_path / "e.json", {"dim": 2, "effects": []})]
+            up = {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                        [0.0, 0.0]]}
+            argv += ["--effects", write(tmp_path / "e.json", {
+                "dim": 2, "effects": [{"label": "up", "op": up}]})]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -279,6 +294,25 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == (
             "invalid input: matrix dimension must be at least 1\n")
+
+    @pytest.mark.parametrize("command", ["valuation", "povm", "dfsearch"])
+    def test_an_effects_file_with_no_effect_is_an_input_error(
+            self, tmp_path, capsys, command):
+        # The empty file's dim 3 differs from the valuation's dim 2, which
+        # no effect of it can show.
+        empty = write(tmp_path / "e.json", {"dim": 3, "effects": []})
+        values = write(tmp_path / "v.json", {"dim": 2, "entries": []})
+        argv = {"valuation": ["validate", values, "--kind", "valuation",
+                              "--effects", empty],
+                "povm": ["validate", empty, "--kind", "povm"],
+                "dfsearch": ["dfsearch", write(tmp_path / "c.json", {
+                    "effects_file": "e.json", "contexts": []})]}[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid input: an effects file needs at least one effect\n")
 
     def test_valuation_p1_violation(self, tmp_path, capsys):
         table = {"dim": 2, "entries": [{"label": "up", "value": 1.4}]}
@@ -526,8 +560,8 @@ def test_validate_reports_a_povm_of_non_effects_as_born_does(tmp_path, capsys):
     assert code == born_code == 2
     assert captured == born_out
     assert captured.out == ""
-    assert captured.err == ("ExceedsIdentity: effect 'A': maximum eigenvalue "
-                            "1.500000e+00 > 1\n")
+    assert captured.err == ("ExceedsIdentity: effect 'A': below_identity "
+                            "fails: max_eig 1.5 > bound 1.000000001\n")
 
 
 # Matrices of plain-float pairs, which jsonio packs as it reads them, that
@@ -686,7 +720,7 @@ class TestReconstruct:
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "invalid input: reconstruction needs a nonempty frame\n")
+            "invalid input: an effects file needs at least one effect\n")
 
 
 class TestNogo2d:
@@ -718,8 +752,8 @@ class TestNogo2d:
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "ParallelVectors: |c| = 0.999999999999 is too close to 1; the "
-            "spectral weights degenerate and no contradiction arises\n")
+            "ParallelVectors: |c| = 0.999999999999 >= bound 0.999999999; "
+            "the spectral weights degenerate\n")
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--n", "1,2", "--n expects ax,ay,az"),

@@ -55,14 +55,16 @@ class TestValidateEffect:
         op = HermitianOperator(np.diag([1.2, 0.0]).astype(complex))
         with pytest.raises(ExceedsIdentity) as info:
             Effect(op, "E")
-        assert str(info.value) == "effect 'E': maximum eigenvalue 1.200000e+00 > 1"
+        assert str(info.value) == ("effect 'E': below_identity fails: "
+                                   "max_eig 1.2 > bound 1.000000001")
         assert effect_checks(op)[2]["max_eig"] == pytest.approx(1.2, abs=1e-12)
 
     def test_not_positive(self):
         op = HermitianOperator(np.diag([-0.1, 0.5]).astype(complex))
         with pytest.raises(NotPositive) as info:
             Effect(op, "E")
-        assert str(info.value) == "effect 'E': minimum eigenvalue -1.000000e-01 < 0"
+        assert str(info.value) == ("effect 'E': positive fails: "
+                                   "min_eig -0.1 < bound -1e-09")
         assert effect_checks(op)[1]["min_eig"] == pytest.approx(-0.1, abs=1e-12)
 
     def test_tilted_effect(self):
@@ -85,8 +87,8 @@ class TestValidatePovm:
     def test_single_projection_fails(self):
         with pytest.raises(SumNotIdentity) as info:
             Povm((Effect(pauli_op(0, 0, 1), "P"),))
-        residual = re.fullmatch(r"effects sum to I only within (\S+) "
-                                r"\(Frobenius\)", str(info.value))[1]
+        residual = re.fullmatch(r"POVM: sum_to_identity fails: residual "
+                                r"(\S+) > bound 2e-08", str(info.value))[1]
         assert float(residual) > 0.1
 
     def test_dim_mismatch(self):
@@ -154,7 +156,7 @@ class TestEffectsFile:
         payload = _effects_file(2, [
             ("a", half), ("b", np.diag([-0.1, 0.5])), ("c", half),
             {"label": "d", "op": {"dim": 2}}])
-        with pytest.raises(NotPositive, match="effect 'b': minimum eigenvalue"):
+        with pytest.raises(NotPositive, match="effect 'b': positive fails: min_eig"):
             effects_from_json_dict(payload)
 
     def test_a_non_finite_item_comes_before_a_later_spectral_fault(self):
@@ -173,7 +175,7 @@ class TestEffectsFile:
             ("a", 0.5 * np.eye(2)), ("b", np.diag([1.5, 0.5])),
             {"label": "c", "op": inf}])
         with pytest.raises(ExceedsIdentity,
-                           match="effect 'b': maximum eigenvalue"):
+                           match="effect 'b': below_identity fails: max_eig"):
             effects_from_json_dict(payload)
 
     def test_a_valid_item_of_another_dim_is_a_dim_mismatch(self):
@@ -197,7 +199,7 @@ class TestEffectsFile:
             ("a", 0.5 * np.eye(2)), ("c", np.diag([1.5, 0.5])),
             ("wide", np.eye(3) / 3)])
         with pytest.raises(ExceedsIdentity,
-                           match="effect 'c': maximum eigenvalue"):
+                           match="effect 'c': below_identity fails: max_eig"):
             effects_from_json_dict(payload)
 
 
@@ -265,8 +267,10 @@ class TestBlochMaps:
             operator_to_bloch(HermitianOperator.identity(3) * (1 / 3))
 
     def test_wrong_trace(self):
-        with pytest.raises(TraceNotOne):
+        with pytest.raises(TraceNotOne) as info:
             operator_to_bloch(HermitianOperator.identity(2))
+        assert str(info.value) == ("operator: unit_trace fails: trace 2.0 "
+                                   "not in bound [0.999999999, 1.000000001]")
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(23)

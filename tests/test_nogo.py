@@ -86,8 +86,11 @@ class TestWitness2D:
         assert np.allclose(w.E.op.array, 0.5 * np.eye(2), atol=1e-15)
 
     def test_parallel_vectors_rejected(self):
-        with pytest.raises(ParallelVectors):
+        with pytest.raises(ParallelVectors) as info:
             witness_2d(zhat(), zhat(), 0.5)
+        assert str(info.value) == (
+            "directions subtend only 0.0 rad <= bound 1e-06; the mixture is "
+            "(numerically) a projection")
 
     def test_nearly_parallel_rejected(self):
         tilt = BlochVector((1e-8, 0.0, np.sqrt(1 - 1e-16)))
@@ -100,8 +103,9 @@ class TestWitness2D:
             witness_2d(zhat(), xhat(), lam)
 
     def test_non_unit_vectors(self):
-        with pytest.raises(NotUnitVectors):
+        with pytest.raises(NotUnitVectors) as info:
             witness_2d(BlochVector((0.0, 0.0, 2.0)), xhat(), 0.5)
+        assert str(info.value) == "n has norm 2.0, not 1 within 1e-09"
 
     @staticmethod
     def _eigensolver_off_by(monkeypatch, shift):
@@ -112,8 +116,8 @@ class TestWitness2D:
             lambda op: operators.eigenvalues_of(op) + shift)
         mu = (1.0 + np.sqrt(0.5)) / 2.0
         top = float(np.linalg.eigvalsh(pauli_op(0.5, 0.5, 0.0).array)[-1])
-        return (f"closed-form weight {mu:.15g} disagrees with eigensolver "
-                f"{top + shift:.15g}")
+        return (f"closed-form weight {mu} disagrees with eigensolver "
+                f"{top + shift} by > 1e-09")
 
     def test_closed_form_weight_checked_against_the_eigensolver(
             self, monkeypatch):
@@ -289,7 +293,7 @@ class TestBuildContextSet:
         pool = [p, complement(p, "Pp"), q, complement(q, "Qp"), third]
         ok = [["P", "Pp"], ["t", "t", "t"], ["Q", "Qp"]]
         with pytest.raises(BadContext, match=r"^context #3 \['P', 'Q'\]: "
-                                             r"effects sum to I only within"):
+                                             r"POVM: sum_to_identity fails"):
             build_context_set(pool, ok + [["P", "Q"], ["t", "t"], ["nope"]])
         with pytest.raises(BadContext, match=r"^context #3 \['t', 't'\]: "):
             build_context_set(pool, ok + [["t", "t"], ["P", "Q"]])

@@ -216,7 +216,8 @@ class TestEigensolverFailures:
         with pytest.raises(ConvergenceFailure) as info:
             eig_hermitian(herm(np.eye(2)))
         assert str(info.value) == (
-            "eigendecomposition residual 1.000e-03 exceeds tolerance")
+            "eigendecomposition residual 0.0009999999999998899 > bound "
+            "2.414213562373095e-09")
 
     def test_eig_orthonormality_failure(self, monkeypatch):
         # Zero eigenvalues reassemble the zero matrix from any vectors.
@@ -224,7 +225,7 @@ class TestEigensolverFailures:
         with pytest.raises(ConvergenceFailure) as info:
             eig_hermitian(herm(np.zeros((2, 2))))
         assert str(info.value) == (
-            "eigenvectors not orthonormal (deviation 3.000e+00)")
+            "eigenvectors not orthonormal (deviation 3.0 > bound 1e-09)")
 
     def test_eigenvalues_of_wraps_the_solver_failure(self, monkeypatch):
         op = herm(np.eye(2))

@@ -95,8 +95,10 @@ class TestSampleOutcomes:
         e0 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "a")
         e1 = Effect(HermitianOperator(0.5 * np.eye(2) + 0.5 * delta * SZ), "b")
         povm = Povm((e0, e1))
-        with pytest.raises(ProbabilityDeficit):
+        with pytest.raises(ProbabilityDeficit) as info:
             sample_outcomes(ground_state(), povm, 10, seed=0)
+        assert str(info.value) == ("outcome probabilities sum to "
+                                   "1.000000012, not 1 within 1e-08")
 
     def test_sampling_consistency_many_shots(self):
         # agreement at 5 sigma is a failure; the 4-5 sigma band only flags

@@ -19,7 +19,8 @@ search and its certificate re-check read one equation per constraint, and
 ``nogo`` compares no constraint's ``kind`` or ``target``. A seventh keeps
 the ``json`` module inside ``jsonio``, so the package has one emitter and
 one float format. An eighth keeps the axiom report rows built in the
-library: the CLI neither names a relation nor tests a value's range. A
+library: the CLI neither names a relation nor tests a value's range, and
+writes no row of its own. A
 ninth keeps every module to the public names of its siblings. A tenth
 keeps the eigenvalue solver in ``operators``, where each spectrum is
 computed once and kept on its operator. An eleventh keeps every function
@@ -33,11 +34,15 @@ once. A fourteenth keeps ``__init__`` out of every class in ``errors``, so
 an error carries its message alone and the exact figures it quotes are
 read from the check rows that ``validate`` prints. A fifteenth keeps
 ``print`` out of every ``cmd_*`` function of the CLI, so ``main`` prints
-every command's failure line.
+every command's failure line. A sixteenth keeps every ``NotPositive``,
+``ExceedsIdentity``, ``SumNotIdentity`` and ``TraceNotOne`` worded by
+``errors.raise_first_failure`` from its failed row, so the message and
+the row that ``validate`` prints quote one figure and one bound.
 """
 
 import ast
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -152,9 +157,10 @@ def test_cli_imports_neither_numpy_nor_the_tolerance_table():
 
 
 def test_cli_builds_no_axiom_row_of_its_own():
-    """``cli.py`` calls no ``describe`` and does not import ``p1_in_range``:
-    ``check_gpm`` and ``p1_range`` build every row ``validate`` prints for a
-    valuation, so the CLI only names the rows it is given."""
+    """``cli.py`` calls no ``describe``, imports neither ``p1_in_range`` nor
+    ``SumNotIdentity`` and writes no dict display with an ``"ok"`` key: the
+    library's checks build every row ``validate`` prints, so the CLI only
+    names the rows it is given."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     called = [node.func.attr if isinstance(node.func, ast.Attribute)
               else getattr(node.func, "id", "")
@@ -163,7 +169,12 @@ def test_cli_builds_no_axiom_row_of_its_own():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    assert "p1_in_range" not in imported
+    assert not imported & {"p1_in_range", "SumNotIdentity"}
+    rows = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            and any(isinstance(key, ast.Constant) and key.value == "ok"
+                    for key in node.keys)]
+    assert not rows, rows
 
 
 def test_only_jsonio_imports_json():
@@ -315,6 +326,31 @@ def test_no_error_class_defines_an_init():
     assert not found, found
 
 
+# The errors of a failed check row, and the one message of such an error
+# that has no row: a POVM of no effect has no sum to measure.
+CHECK_ERRORS = {"NotPositive", "ExceedsIdentity", "SumNotIdentity",
+                "TraceNotOne"}
+ROWLESS = {"a POVM needs at least one effect"}
+
+
+def test_check_errors_are_worded_from_their_rows():
+    """No module calls a check error's class itself, except for the
+    row-less message above: ``errors.raise_first_failure`` writes every
+    other one from its failed row, so the message quotes the row's figure
+    and bound."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", "") in CHECK_ERRORS
+                    and not (len(call.args) == 1
+                             and isinstance(call.args[0], ast.Constant)
+                             and call.args[0].value in ROWLESS)):
+                found.append(f"{path.name}:{call.lineno}: {call.func.id}")
+    assert not found, found
+
+
 def test_no_command_prints():
     """A command reports a failure by raising; ``main`` prints its one
     stderr line and returns its exit code."""
@@ -435,6 +471,25 @@ def _accepts(build) -> bool:
     return True
 
 
+def _quoted(build) -> tuple:
+    """The check name, figure name, figure and bound that the error of
+    ``build`` quotes, read back as JSON reads them."""
+    with pytest.raises(effectkit.EffectKitError) as info:
+        build()
+    found = re.fullmatch(r".*: (\w+) fails: (\w+) (\S+) (?:<|>|not in) "
+                         r"bound (.+)", str(info.value))
+    assert found, str(info.value)
+    name, key, value, bound = found.groups()
+    return name, key, float(value), json.loads(bound)
+
+
+def _failed_row(report: dict) -> tuple:
+    """The first failed row of a report, as :func:`_quoted` reads one."""
+    row = next(row for row in report["checks"] if not row["ok"])
+    (_, name), _, (key, value), (_, bound) = row.items()
+    return name, key, value, bound
+
+
 def _effect_boundary_cases(rng):
     """Diagonal operators with one eigenvalue 1e-12 inside or outside the
     slack below 0 or above 1, and whether that is an effect."""
@@ -449,12 +504,16 @@ def _effect_boundary_cases(rng):
 
 
 def test_effect_and_validate_agree_at_the_boundary(tmp_path):
+    """Just past each bound the library's error quotes the very figure and
+    bound of the row that ``validate`` prints as failed."""
     for diag, inside in _effect_boundary_cases(np.random.default_rng(20)):
         op = HermitianOperator(np.diag(diag))
         assert _accepts(lambda: Effect(op, "E")) is inside, diag
         report = _validate(tmp_path, "effect",
                            {"label": "E", "op": op.to_json_dict()})
         assert report["valid"] is inside, diag
+        if not inside:
+            assert _quoted(lambda: Effect(op, "E")) == _failed_row(report)
 
 
 def _state_boundary_cases(rng):
@@ -486,3 +545,48 @@ def test_density_operator_and_validate_agree_at_the_boundary(tmp_path):
         assert _accepts(lambda: DensityOperator(op)) is inside, diag
         report = _validate(tmp_path, "state", op.to_json_dict())
         assert report["valid"] is inside, diag
+        if not inside:
+            assert _quoted(lambda: DensityOperator(op)) == _failed_row(report)
+
+
+def test_every_row_of_every_kind_carries_its_bound(tmp_path):
+    """Every row that ``validate`` prints, for each kind and for a
+    valuation with ``--effects`` and ``--povm``, passed or failed, has a
+    ``bound``: a number, or ``[lo, hi]`` for ``unit_trace`` and
+    ``p1_range``."""
+    def op(*diag):
+        return HermitianOperator(np.diag(diag)).to_json_dict()
+
+    effects = [{"label": "A", "op": op(1.0, 0.0)},
+               {"label": "B", "op": op(0.0, 1.0)},
+               {"label": "Id", "op": op(1.0, 1.0)}]
+    povm = {"dim": 2, "effects": effects[:2]}
+    jsonio.dump({"dim": 2, "effects": effects}, tmp_path / "e.json")
+    jsonio.dump(povm, tmp_path / "p.json")
+    reports = []
+    for a in (0.5, 1.5):
+        reports += [
+            _validate(tmp_path, "effect", effects[0] | {"op": op(a, 0.0)}),
+            _validate(tmp_path, "povm", {"dim": 2, "effects": [
+                effects[0] | {"op": op(a / 1.5, 0.0)}, effects[1]]}),
+            _validate(tmp_path, "state", op(a, 0.5))]
+        values = {"dim": 2, "entries": [
+            {"label": label, "value": value}
+            for label, value in (("A", a), ("B", 0.5), ("Id", a))]}
+        reports.append(_validate(tmp_path, "valuation", values))
+        path = tmp_path / "v.json"
+        jsonio.dump(values, path)
+        out = tmp_path / "report.json"
+        main(["validate", str(path), "--kind", "valuation", "--effects",
+              str(tmp_path / "e.json"), "--povm", str(tmp_path / "p.json"),
+              "--out", str(out)])
+        reports.append(json.loads(out.read_text()))
+    rows = [row for report in reports for row in report["checks"]]
+    assert {row["name"] for row in rows} >= {
+        "hermitian_drift", "positive", "below_identity", "sum_to_identity",
+        "unit_trace", "p1_range", "p2_identity",
+        f"effect_valuation:{tmp_path / 'p.json'}"}
+    assert {row["ok"] for row in rows} == {True, False}
+    for row in rows:
+        two_sided = row["name"] in ("unit_trace", "p1_range")
+        assert isinstance(row["bound"], list if two_sided else float), row

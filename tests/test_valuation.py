@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from effectkit import (
+    TOL,
     AdditivityRelation,
     BadRelation,
     DensityOperator,
@@ -56,12 +57,17 @@ def violations(checks) -> list[tuple[str, dict]]:
 
 class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPositive):
+        with pytest.raises(NotPositive) as info:
             state(1.5, -0.5)
+        assert str(info.value) == (
+            "state: positive fails: min_eig -0.5 < bound -1e-09")
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(TraceNotOne):
+        with pytest.raises(TraceNotOne) as info:
             state(0.6, 0.6)
+        assert str(info.value) == (
+            "state: unit_trace fails: trace 1.2 not in bound "
+            "[0.999999999, 1.000000001]")
 
 
 class TestBorn:
@@ -117,7 +123,8 @@ class TestCheckGpm:
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
         table = ValuationTable(2, [TableEntry(half, 1.3)])
         assert check_gpm(table, []) == [
-            {"name": "p1_range", "ok": False, "out_of_range": ["H"]}]
+            {"name": "p1_range", "ok": False, "out_of_range": ["H"],
+             "bound": [-TOL.p1_slack, 1.0 + TOL.p1_slack]}]
 
     def test_p2_checked_when_identity_present(self):
         half = Effect(0.5 * HermitianOperator.identity(2), "H")
@@ -179,7 +186,8 @@ class TestCheckGpm:
                 for name, v in violations(checks)] == [
             ("p2_identity", 0.9, 1.0), ("p3_additivity", 0.9, 1.0)]
         assert checks[0] == {"name": "p1_range", "ok": True,
-                             "out_of_range": []}
+                             "out_of_range": [],
+                             "bound": [-TOL.p1_slack, 1.0 + TOL.p1_slack]}
 
     def test_unknown_label_raises(self):
         with pytest.raises(UnknownLabel):
@@ -262,7 +270,8 @@ class TestCheckEffectValuation:
         povm = Povm((e, f))
         table = ValuationTable(2, [TableEntry(e, 1.2), TableEntry(f, -0.2)])
         assert self.check(table, povm)[0] == {
-            "name": "p1_range", "ok": False, "out_of_range": ["E", "F"]}
+            "name": "p1_range", "ok": False, "out_of_range": ["E", "F"],
+            "bound": [-TOL.p1_slack, 1.0 + TOL.p1_slack]}
 
     def test_povm_relation_needs_the_tables_operators(self):
         a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
@@ -301,8 +310,10 @@ class TestExtendToPositive:
 
     def test_rejects_indefinite(self):
         v = born_functional(half_identity())
-        with pytest.raises(NotPositive):
+        with pytest.raises(NotPositive) as info:
             extend_to_positive(v, HermitianOperator(np.diag([-1.0, 0.0])))
+        assert str(info.value) == (
+            "operator: positive fails: min_eig -1.0 < bound -1e-09")
 
     def test_homogeneity(self):
         rng = rng_from_seed(40)
