@@ -80,7 +80,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__, jsonio
+from . import __version__, generate, jsonio
 from .effects import (
     BlochVector,
     Effect,
@@ -394,11 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outcomes", type=int,
-                   help="POVM outcome count, --kind povm only "
-                        "(default: dim); memory and run time grow linearly "
-                        "with no cap: about 2.7 kB and 50 to 80 us per "
-                        "outcome at --dim 2 on one core of a 2-vCPU Xeon "
-                        "guest, so 10**5 outcomes take about 0.3 GB and 8 s")
+                   help="POVM outcome count, --kind povm only (default: "
+                        "dim), outcomes * dim**2 at most MAX_POVM_ENTRIES="
+                        "%d; memory and run time grow linearly: about 2.7 kB "
+                        "and 50 to 80 us per outcome at --dim 2 on one core "
+                        "of a 2-vCPU Xeon guest, so 10**5 outcomes take "
+                        "about 0.3 GB and 8 s" % generate.MAX_POVM_ENTRIES)
     common(p)
     return parser
 

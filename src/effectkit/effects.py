@@ -157,9 +157,6 @@ class Povm:
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.effects)
 
-    def __len__(self) -> int:
-        return len(self.effects)
-
     def to_json_dict(self) -> dict:
         return {"dim": self.dim,
                 "effects": [e.to_json_dict() for e in self.effects]}
@@ -297,14 +294,18 @@ def effects_from_json_dict(obj) -> list[Effect]:
 
 
 def effects_by_label(effects) -> dict[str, Effect]:
-    """Each effect under its label, in input order; a label given twice
-    raises ValueError. A pool of effects (a frame, a valuation's or a
-    context set's effects file) is mapped here; a POVM, like a context, may
-    repeat a label and is not."""
+    """Each effect under its label, in input order: a pool of effects on one
+    Hilbert space (a frame, a valuation's or a context set's effects file).
+    A repeated label raises ValueError, then an effect whose dim is not the
+    first one's DimMismatch. A POVM or a context may repeat a label."""
+    effects = list(effects)
     pool: dict[str, Effect] = {}
     for e in effects:
         if e.label in pool:
             raise ValueError(f"duplicate effect label {shown(e.label)}")
+        if e.dim != effects[0].dim:
+            raise DimMismatch(f"effect {shown(e.label)} has dim {e.dim}, "
+                              f"pool has dim {effects[0].dim}")
         pool[e.label] = e
     return pool
 
@@ -337,11 +338,12 @@ def warn_duplicate_operators(effects) -> None:
     :func:`report_duplicate_operators` each message goes to its handler
     instead.
 
-    Effects are compared within each dimension d, in one filtered pass: only
+    The effects are of one dimension d, as in a pool of
+    :func:`effects_by_label`, and are compared in one filtered pass: only
     the pairs that pass a Gram-matrix filter are decided, each by the exact
-    test :func:`operator_equals` on the arrays. The real and
-    imaginary parts of an operator's entries form a vector x_k of n = 2d^2
-    reals, and ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared
+    test :func:`operator_equals` on the arrays. The real and imaginary parts
+    of an operator's entries form a vector x_k of n = 2d^2 reals, and
+    ||A_i - A_j||_F = |x_i - x_j|. The filter reads the squared
     distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j from the Gram matrix of the x_k
     (formed ``BLOCK_ROWS`` rows at a time) and passes a pair when its
     squared distance is at most T^2 + 4(n + 2) eps (T^2 + |x_i|^2 +
@@ -357,22 +359,15 @@ def warn_duplicate_operators(effects) -> None:
     flags.
     """
     items = list(effects)
-    groups: dict[int, list[int]] = {}
-    for k, e in enumerate(items):
-        groups.setdefault(e.dim, []).append(k)
-    flagged = []
-    for members in groups.values():
-        for a, b in _near_pairs(np.array([items[k].op.array
-                                          for k in members])):
-            i, j = members[a], members[b]
-            if (items[i].label != items[j].label
-                    and operator_equals(items[i].op.array,
-                                        items[j].op.array)[0]):
-                flagged.append((i, j))
+    if not items:
+        return
     handler = _duplicate_handler.get()
-    for i, j in sorted(flagged):
-        message = (f"labels {shown(items[i].label)} and "
-                   f"{shown(items[j].label)} carry "
+    for i, j in _near_pairs(np.array([e.op.array for e in items])):
+        a, b = items[i], items[j]
+        if a.label == b.label or not operator_equals(a.op.array,
+                                                     b.op.array)[0]:
+            continue
+        message = (f"labels {shown(a.label)} and {shown(b.label)} carry "
                    f"the same operator (Frobenius distance < "
                    f"{TOL.same_operator:g})")
         if handler is None:

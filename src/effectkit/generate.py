@@ -5,16 +5,26 @@ outputs), so every artifact is bit-reproducible from its seed. Unitaries are
 Haar-distributed (QR of a complex Ginibre sample with the standard phase
 fix); POVMs are built by symmetric normalization of random positive
 operators, which gives full-support outcome sets. Each generator checks its
-dimension against ``MAX_DIM`` before it draws anything.
+dimension against ``MAX_DIM``, and :func:`random_povm` its size against
+``MAX_POVM_ENTRIES``, before it draws anything.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 import numpy as np
 
 from .effects import Effect, Povm
 from .operators import HermitianOperator, check_dim
 from .valuation import DensityOperator
+
+# Most operator entries, outcomes * dim**2, of one random_povm. `gen --kind
+# povm` holds every outcome's operator and its JSON at once: its tracemalloc
+# peak grew by 598 B per entry at dim 2 (250 to 2 000 outcomes) and 374 B
+# at dim 16 (4 to 32 outcomes), so the largest call traces about 1.2 GB,
+# within the 1.5 GB peak of the measurement behind MAX_DIM.
+MAX_POVM_ENTRIES = 2_000_000
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -74,25 +84,22 @@ def random_pure_density(dim: int, rng: np.random.Generator) -> DensityOperator:
 
 def random_povm(dim: int, outcomes: int, rng: np.random.Generator,
                 label_prefix: str = "E") -> Povm:
-    """Normalize random positive operators A_i by S^{-1/2} A_i S^{-1/2}."""
+    """Normalize random positive operators A_i by S^{-1/2} A_i S^{-1/2}.
+    Raises ValueError when outcomes * dim**2 exceeds ``MAX_POVM_ENTRIES``."""
     check_dim(dim)
     if outcomes < 1:
         raise ValueError("a POVM needs at least one outcome")
-    ops = []
-    for _ in range(outcomes):
-        g = _ginibre(dim, rng)
-        ops.append(g @ g.conj().T)
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    for a in ops:
-        s = s + a
-    vals, vecs = np.linalg.eigh(s)
+    if outcomes * dim * dim > MAX_POVM_ENTRIES:
+        raise ValueError(f"outcomes * dim**2 = "
+                         f"{reprlib.repr(outcomes * dim * dim)} exceeds "
+                         f"MAX_POVM_ENTRIES={MAX_POVM_ENTRIES}")
+    ops = [g @ g.conj().T
+           for g in (_ginibre(dim, rng) for _ in range(outcomes))]
+    vals, vecs = np.linalg.eigh(sum(ops, np.zeros((dim, dim), complex)))
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    effects = []
-    for i, a in enumerate(ops):
-        e = inv_sqrt @ a @ inv_sqrt
-        effects.append(Effect(HermitianOperator(e),
-                              f"{label_prefix}{i}"))
-    return Povm(tuple(effects))
+    return Povm(tuple(Effect(HermitianOperator(inv_sqrt @ a @ inv_sqrt),
+                             f"{label_prefix}{i}")
+                      for i, a in enumerate(ops)))
 
 
 def random_frame(dim: int, size: int, rng: np.random.Generator,

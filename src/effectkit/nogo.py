@@ -57,7 +57,6 @@ from .errors import (
     BadContext,
     ConvergenceFailure,
     DegenerateLambda,
-    DimMismatch,
     NotUnitVectors,
     ParallelVectors,
     SchemaError,
@@ -124,7 +123,8 @@ def witness_2d(n: BlochVector, m: BlochVector, lam: float) -> Witness2D:
                                  % (name, vec.norm, TOL.unit_vector))
     lam = float(lam)
     if not 0.0 < lam < 1.0:
-        raise DegenerateLambda(f"mixing weight {lam:g} must lie strictly in (0, 1)")
+        raise DegenerateLambda(
+            f"mixing weight {lam} must lie strictly in (0, 1)")
     dot = sum(a * b for a, b in zip(n.a, m.a))
     angle = math.acos(min(1.0, max(-1.0, dot)))
     if angle <= TOL.min_angle:
@@ -196,8 +196,9 @@ def build_context_set(effects: Iterable[Effect],
     Relations are checked next, in order, and a claimed operator identity
     that fails raises BadRelation (the test ``check_gpm`` runs too,
     ``AdditivityRelation.check_identity``). Both are the one sum-identity
-    test, ``effects.sum_equals``, at d * ``TOL.sum_per_dim``; a relation
-    over effects of different dimension raises DimMismatch. With
+    test, ``effects.sum_equals``, at d * ``TOL.sum_per_dim``, on the one
+    dimension of the pool: ``effects.effects_by_label`` maps it first and
+    raises DimMismatch for an effect of another dimension. With
     ``discover``, :func:`discover_sum_relations` adds every pair and triple
     identity that test accepts; deeper scans are intentionally not
     attempted.
@@ -217,7 +218,7 @@ def build_context_set(effects: Iterable[Effect],
         members = tuple(resolve(lb) for lb in labels)
         try:
             Povm(members)
-        except (SumNotIdentity, DimMismatch) as exc:
+        except SumNotIdentity as exc:
             names = listed([shown(lb) for lb in labels], ", ")
             raise BadContext(f"context #{i} [{names}]: {exc}") from exc
         checked_contexts.append(AdditivityRelation(labels, "I", "context"))
@@ -240,32 +241,30 @@ def build_context_set(effects: Iterable[Effect],
 def discover_sum_relations(pool: Mapping[str, Effect]
                            ) -> list[AdditivityRelation]:
     """The pair and triple sum identities that ``effects.sum_equals``
-    accepts, the test of every declared relation: among effects of one
-    dimension, each pair against I and every other effect, each triple
-    against I. A pair's sum is formed once for all its targets and triples.
-    Dimensions come in pool order; within one, pairs (targets I, then pool
-    order) before triples, each in ``combinations_with_replacement``
-    order."""
-    groups: dict[int, list[str]] = {}
-    for label, e in pool.items():
-        groups.setdefault(e.dim, []).append(label)
+    accepts, the test of every declared relation: each pair against I and
+    every other effect, each triple against I. The pool is of one
+    dimension, read through ``effects.effects_by_label`` (else
+    DimMismatch). A pair's sum is formed once for all its targets and
+    triples. Pairs (targets I, then pool order) come before triples, each
+    in ``combinations_with_replacement`` order."""
+    pool = effects_by_label(pool.values())
+    if not pool:
+        return []
+    labels = list(pool)
+    stack = np.array([e.op.array for e in pool.values()])
+    targets = np.concatenate([np.eye(stack.shape[1])[None], stack])
     found: list[AdditivityRelation] = []
-    for labels in groups.values():
-        stack = np.array([pool[lb].op.array for lb in labels])
-        targets = np.concatenate([np.eye(stack.shape[1])[None], stack])
-        triples = []
-        for i, j in itertools.combinations_with_replacement(
-                range(len(labels)), 2):
-            total = stack[i] + stack[j]
-            found += [AdditivityRelation((labels[i], labels[j]),
-                                         labels[k - 1] if k else "I")
-                      for k in np.flatnonzero(sum_equals([total], targets)[0])
-                      if k - 1 not in (i, j)]
-            triples += [AdditivityRelation(
-                (labels[i], labels[j], labels[j + k]), "I")
-                for k in np.flatnonzero(sum_equals([total, stack[j:]])[0])]
-        found += triples
-    return found
+    triples = []
+    for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
+        total = stack[i] + stack[j]
+        found += [AdditivityRelation((labels[i], labels[j]),
+                                     labels[k - 1] if k else "I")
+                  for k in np.flatnonzero(sum_equals([total], targets)[0])
+                  if k - 1 not in (i, j)]
+        triples += [AdditivityRelation((labels[i], labels[j], labels[j + k]),
+                                       "I")
+                    for k in np.flatnonzero(sum_equals([total, stack[j:]])[0])]
+    return found + triples
 
 
 @dataclass(frozen=True)

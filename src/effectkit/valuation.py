@@ -146,9 +146,7 @@ class ValuationTable:
     @classmethod
     def from_born(cls, rho: DensityOperator, effects: Iterable[Effect]
                   ) -> "ValuationTable":
-        effects = list(effects)
-        dim = effects[0].dim if effects else rho.dim
-        return cls(dim, (TableEntry(e, born(rho, e)) for e in effects))
+        return cls(rho.dim, (TableEntry(e, born(rho, e)) for e in effects))
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -279,7 +277,7 @@ class AdditivityRelation:
                           " + ")
             raise BadRelation(
                 f"claimed identity {text} = {shown(self.target, quote=False)} "
-                f"fails: Frobenius deviation {dev:.3e} > {bound:g}")
+                f"fails: Frobenius deviation {dev} > {bound}")
 
 
 @dataclass(frozen=True)
@@ -340,8 +338,8 @@ def povm_relation(v: ValuationTable, povm: Povm) -> AdditivityRelation:
         if not same:
             raise BadRelation(
                 f"POVM effect {shown(e.label)} is not the valuation's effect "
-                f"{shown(e.label)}: Frobenius deviation {dev:.3e} "
-                f"{'>' if dev > bound else '>='} {bound:g}")
+                f"{shown(e.label)}: Frobenius deviation {dev} "
+                f"{'>' if dev > bound else '>='} {bound}")
     return AdditivityRelation(povm.labels, "I")
 
 
@@ -604,8 +602,8 @@ def reconstruct_density(frame: Sequence[Effect], values: Sequence[float],
     health, pre = _health(design, vals, solution), None
     if health["residual"] > TOL.residual:
         raise ValuesInconsistent(
-            f"values violate linearity: residual {health['residual']:.3e} > "
-            f"{TOL.residual:g}")
+            f"values violate linearity: residual {health['residual']} > "
+            f"{TOL.residual}")
     if project_psd:
         pre, solution = health, project_to_density(solution).op
         health = _health(design, vals, solution)

@@ -17,8 +17,10 @@ file in the copied directories after the call (the ``--out`` bytes among
 them), with each directory written as ``<D0>``, ``<D1>``, ... . A call that
 returned is replayed once more with ``--pretty`` appended.
 
-``compare`` prints every record that differs between two files and exits 1
-if any does. To compare two trees, record each with its own ``src`` on
+``compare`` pairs the two files' records test by test, matching each test's
+argv lists as sequences, so a call that only one side makes does not shift
+the later pairs. It prints every pair that differs and every record left
+unpaired, and exits 1 if there is any. To compare two trees, record each with its own ``src`` on
 ``PYTHONPATH`` and the same test directory, then compare the two files.
 pytest does not collect this script: its name does not start with
 ``test_``.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -168,27 +171,41 @@ def record(out: Path, tests: Path) -> int:
     return 0
 
 
+def _by_test(records) -> dict[str, list[dict]]:
+    groups: dict[str, list[dict]] = {}
+    for rec in records:
+        groups.setdefault(rec["test"], []).append(rec)
+    return groups
+
+
 def compare(a: Path, b: Path) -> int:
-    left, right = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
-    differ = 0
-    if left["calls"] != right["calls"]:
-        print(f"call counts differ: {left['calls']} vs {right['calls']}")
-        differ += 1
-    for k, (x, y) in enumerate(zip(left["records"], right["records"])):
-        keys = sorted(key for key in x.keys() | y.keys()
-                      if x.get(key) != y.get(key))
-        if keys:
-            differ += 1
-            print(f"record {k}: {x['test']}\n  argv {x['argv']}")
-            for key in keys:
-                print(f"  {key}: {x.get(key)!r}\n  {' ' * len(key)}  "
-                      f"{y.get(key)!r}")
-    if len(left["records"]) != len(right["records"]):
-        print(f"record counts differ: {len(left['records'])} vs "
-              f"{len(right['records'])}")
-        differ += 1
-    print(f"{len(left['records'])} records compared, {differ} differ")
-    return 1 if differ else 0
+    left, right = (_by_test(json.loads(p.read_text(encoding="utf-8"))
+                            ["records"]) for p in (a, b))
+    paired = differ = alone = 0
+    for test in dict.fromkeys([*left, *right]):
+        xs, ys = left.get(test, []), right.get(test, [])
+        match = difflib.SequenceMatcher(
+            None, [json.dumps(x["argv"]) for x in xs],
+            [json.dumps(y["argv"]) for y in ys], autojunk=False)
+        for tag, i1, i2, j1, j2 in match.get_opcodes():
+            if tag != "equal":
+                for path, recs in ((a, xs[i1:i2]), (b, ys[j1:j2])):
+                    for rec in recs:
+                        alone += 1
+                        print(f"only in {path}: {test}\n  argv {rec['argv']}")
+                continue
+            for x, y in zip(xs[i1:i2], ys[j1:j2]):
+                paired += 1
+                keys = sorted(key for key in x.keys() | y.keys()
+                              if x.get(key) != y.get(key))
+                if keys:
+                    differ += 1
+                    print(f"differ: {test}\n  argv {x['argv']}")
+                    for key in keys:
+                        print(f"  {key}: {x.get(key)!r}\n  {' ' * len(key)}  "
+                              f"{y.get(key)!r}")
+    print(f"{paired} pairs compared, {differ} differ, {alone} unpaired")
+    return 1 if differ or alone else 0
 
 
 def main(argv=None) -> int:

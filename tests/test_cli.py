@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == (
             "BadRelation: POVM effect 'B' is not the valuation's effect 'B': "
-            "Frobenius deviation 7.906e-01 > 1e-10\n")
+            "Frobenius deviation 0.7905694150420949 > 1e-10\n")
 
     def test_identity_valued_below_one_fails_p2(self, tmp_path, capsys):
         values, effects, povm = self._label_files(tmp_path, (0.0, 1.0))
@@ -710,7 +711,7 @@ class TestReconstruct:
         assert main(["reconstruct", frame, values]) == 4
         assert capsys.readouterr().err == (
             "ValuesInconsistent: values violate linearity: residual "
-            "8.944e-02 > 1e-06\n")
+            "0.08944271909999157 > 1e-06\n")
 
     def test_empty_frame_is_an_input_error(self, tmp_path, capsys):
         frame = write(tmp_path / "f.json", {"dim": 2, "effects": []})
@@ -1140,7 +1141,7 @@ class TestOneSumRule:
         assert main(["dfsearch", files["relation"]]) == 2
         assert capsys.readouterr().err == (
             "BadRelation: claimed identity up + down = I fails: Frobenius "
-            "deviation 3.000e-08 > 2e-08\n")
+            "deviation 3.0000000039720476e-08 > 2e-08\n")
 
 
 @pytest.mark.parametrize("where", ["valuation", "context"])
@@ -1300,6 +1301,47 @@ class TestSampleAndGen:
                                  "--outcomes", "0"], capsys)
         assert code == 2
         assert payload is None
+
+    def test_gen_povm_entries_are_bounded(self, capsys, monkeypatch):
+        monkeypatch.setattr(generate, "MAX_POVM_ENTRIES", 16)
+        assert main(["gen", "--kind", "povm", "--dim", "2",
+                     "--outcomes", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid input: outcomes * dim**2 = 20 "
+                                "exceeds MAX_POVM_ENTRIES=16\n")
+        code, payload = run_cli(["gen", "--kind", "povm", "--dim", "2",
+                                 "--outcomes", "4"], capsys)
+        assert code == 0
+        assert len(payload["effects"]) == 4
+
+    def test_gen_povm_past_the_real_limit_allocates_nothing(self, capsys):
+        # the request would hold about 600 B per entry, over 1 GB
+        outcomes = generate.MAX_POVM_ENTRIES + 1
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--kind", "povm", "--dim", "1",
+                         "--outcomes", str(outcomes)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: outcomes * dim**2 = {outcomes} exceeds "
+            f"MAX_POVM_ENTRIES={generate.MAX_POVM_ENTRIES}\n")
+        assert peak < 1_000_000
+
+    def test_gen_povm_of_max_dim_by_default_passes_the_bound(self,
+                                                             monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def drew(dim, rng):
+            raise Drew
+
+        monkeypatch.setattr(generate, "_ginibre", drew)
+        with pytest.raises(Drew):
+            main(["gen", "--kind", "povm", "--dim", str(operators.MAX_DIM)])
 
     @pytest.mark.parametrize("kind", ["state", "effect"])
     @pytest.mark.parametrize("outcomes", ["3", "-3"])

@@ -35,8 +35,8 @@ from effectkit import (
     spectral_split,
 )
 from effectkit import jsonio
-from effectkit.effects import (effect_from_json, effects_from_json_dict,
-                               warn_duplicate_operators)
+from effectkit.effects import (effect_from_json, effects_by_label,
+                               effects_from_json_dict, warn_duplicate_operators)
 
 from conftest import char_poly_eigs_2x2, duplicate_messages_by_pairs, pauli_op
 
@@ -404,11 +404,11 @@ def _near_copy(e: Effect, factor: float, rng, label: str) -> Effect:
     return Effect(HermitianOperator(e.op.array + step * z), label)
 
 
-def _planted_pool(dims, size, rng) -> list[Effect]:
-    """``size`` random effects of each dimension in ``dims``, then a copy
-    of random members at every PLANTED distance and one copy under the
-    same label, each inserted at a random position."""
-    pool = [e for d in dims for e in random_frame(d, size, rng, f"d{d}_")]
+def _planted_pool(dim, size, rng) -> list[Effect]:
+    """``size`` random effects of dimension ``dim``, then a copy of random
+    members at every PLANTED distance and one copy under the same label,
+    each inserted at a random position."""
+    pool = random_frame(dim, size, rng, f"d{dim}_")
     rng.shuffle(pool)
     if not pool:
         return pool
@@ -433,15 +433,32 @@ def _duplicate_messages(effects) -> list[str]:
 # 24 and 32 are the pool sizes of the ks-unsat and ks-sat benchmark inputs
 @pytest.mark.parametrize("size", [0, 1, 2, 24, 32, 48, 49, 60])
 def test_duplicate_scan_matches_pairwise_scan(dims, size):
+    # a pool holds one dimension, so each of several is scanned on its own
     rng = rng_from_seed(1000 * size + sum(dims))
     flagged = 0
     for _ in range(3):
-        pool = _planted_pool(dims, size, rng)
-        expected = duplicate_messages_by_pairs(pool)
-        assert _duplicate_messages(pool) == expected
-        flagged += len(expected)
+        for dim in dims:
+            pool = _planted_pool(dim, size, rng)
+            expected = duplicate_messages_by_pairs(pool)
+            assert _duplicate_messages(pool) == expected
+            flagged += len(expected)
     # at least the copies at 0, 0.5 and 0.99 tolerances, in each pool
-    assert flagged >= (9 if size else 0)
+    assert flagged >= (9 * len(dims) if size else 0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 24])
+def test_a_pool_of_several_dimensions_is_a_dim_mismatch(size):
+    rng = rng_from_seed(size)
+    pool = [e for d in (1, 2, 4) for e in random_frame(d, size, rng, f"d{d}_")]
+    rng.shuffle(pool)
+    other = next(e for e in pool if e.dim != pool[0].dim)
+    with pytest.raises(DimMismatch) as info:
+        effects_by_label(pool)
+    assert str(info.value) == (f"effect {other.label!r} has dim {other.dim}, "
+                               f"pool has dim {pool[0].dim}")
+    # a repeated label is reported first, as it comes first in the pool
+    with pytest.raises(ValueError, match="duplicate effect label"):
+        effects_by_label([pool[0], pool[0], other])
 
 
 def test_effect_json_round_trip():

@@ -97,10 +97,12 @@ class TestWitness2D:
         with pytest.raises(ParallelVectors):
             witness_2d(zhat(), tilt, 0.5)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.7, 1.0000000001])
     def test_degenerate_lambda(self, lam):
-        with pytest.raises(DegenerateLambda):
+        with pytest.raises(DegenerateLambda) as info:
             witness_2d(zhat(), xhat(), lam)
+        assert str(info.value) == (f"mixing weight {float(lam)} must lie "
+                                   "strictly in (0, 1)")
 
     def test_non_unit_vectors(self):
         with pytest.raises(NotUnitVectors) as info:
@@ -284,12 +286,12 @@ class TestBuildContextSet:
             build_context_set([p], [["P", "missing"]])
 
     def test_contexts_fail_in_order_across_sizes_and_dims(self):
-        # contexts of two sizes and two dimensions are checked in groups;
-        # the first failing context in input order is the one named, and an
-        # unknown label waits for the contexts before it
+        # contexts of two sizes are checked one at a time; the first failing
+        # context in input order is the one named, and an unknown label
+        # waits for the contexts before it
         p = Effect(pauli_op(0, 0, 1), "P")
         q = Effect(pauli_op(1, 0, 0), "Q")
-        third = Effect(HermitianOperator(np.eye(3) / 3), "t")
+        third = Effect(HermitianOperator(np.eye(2) / 3), "t")
         pool = [p, complement(p, "Pp"), q, complement(q, "Qp"), third]
         ok = [["P", "Pp"], ["t", "t", "t"], ["Q", "Qp"]]
         with pytest.raises(BadContext, match=r"^context #3 \['P', 'Q'\]: "
@@ -297,13 +299,15 @@ class TestBuildContextSet:
             build_context_set(pool, ok + [["P", "Q"], ["t", "t"], ["nope"]])
         with pytest.raises(BadContext, match=r"^context #3 \['t', 't'\]: "):
             build_context_set(pool, ok + [["t", "t"], ["P", "Q"]])
-        with pytest.raises(BadContext, match=r"^context #3 \['P', 't'\]: "
-                                             r"dimension mismatch: 2 vs 3$"):
-            build_context_set(pool, ok + [["P", "t"], [], ["P", "Q"]])
         with pytest.raises(BadContext, match=r"^context #3 \[\]: "):
             build_context_set(pool, ok + [[], ["nope"]])
         with pytest.raises(UnknownLabel, match="'nope'"):
             build_context_set(pool, ok + [["nope"], ["P", "Q"]])
+        # a pool of two dimensions is refused before any context is read
+        wide = Effect(HermitianOperator(np.eye(3) / 3), "w")
+        with pytest.raises(DimMismatch,
+                           match=r"^effect 'w' has dim 3, pool has dim 2$"):
+            build_context_set(pool + [wide], [["P", "Q"], ["w", "w", "w"]])
 
     def test_empty_addends_rejected(self):
         p = Effect(pauli_op(0, 0, 1), "P")
@@ -343,20 +347,28 @@ class TestBuildContextSet:
         assert (("a", "b"), "c") in keys
 
     def test_relation_over_two_dimensions_is_a_dim_mismatch(self):
+        # the pool's dimension is checked before any relation
         a, b, c = mixed_dimension_effects()
-        with pytest.raises(DimMismatch, match="dimension mismatch: 2 vs 3"):
-            build_context_set([a, b, c], [],
-                              [AdditivityRelation(("A", "B"), "C")])
-        with pytest.raises(DimMismatch):
-            build_context_set([a, b, c], [],
-                              [AdditivityRelation(("A", "C"), "I")])
+        for rel in (AdditivityRelation(("A", "B"), "C"),
+                    AdditivityRelation(("A", "C"), "I")):
+            with pytest.raises(DimMismatch, match=r"^effect 'C' has dim 3, "
+                                                  r"pool has dim 2$"):
+                build_context_set([a, b, c], [], [rel])
 
-    def test_discovery_compares_one_dimension_at_a_time(self):
+    def test_discovery_takes_a_pool_of_one_dimension(self):
         a, b, c = mixed_dimension_effects()
         c_rest = Effect(HermitianOperator(np.diag([0.0, 1.0, 1.0])), "Cc")
-        cs = build_context_set([a, b, c, c_rest], [], [], discover=True)
-        assert cs.sum_relations == (AdditivityRelation(("A", "B"), "I"),
-                                    AdditivityRelation(("C", "Cc"), "I"))
+        assert discover_sum_relations({"A": a, "B": b}) == [
+            AdditivityRelation(("A", "B"), "I")]
+        assert discover_sum_relations({"C": c, "Cc": c_rest}) == [
+            AdditivityRelation(("C", "Cc"), "I")]
+        assert discover_sum_relations({}) == []
+        mixed = {"A": a, "B": b, "C": c, "Cc": c_rest}
+        with pytest.raises(DimMismatch, match=r"^effect 'C' has dim 3, "
+                                              r"pool has dim 2$"):
+            discover_sum_relations(mixed)
+        with pytest.raises(DimMismatch, match=r"^effect 'C' has dim 3, "):
+            build_context_set(mixed.values(), [], [], discover=True)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_discovery_returns_what_the_relation_check_accepts(self, seed):

@@ -253,6 +253,11 @@ class TestNearestState:
 
 
 class TestMalformedFrames:
+    def test_a_frame_needs_an_effect(self):
+        with pytest.raises(ValueError,
+                           match="^reconstruction needs a nonempty frame$"):
+            reconstruct_density([], [])
+
     def test_values_must_match_the_frame_in_length(self):
         frame = [Effect(HermitianOperator.identity(2), "E")]
         with pytest.raises(ValueError,

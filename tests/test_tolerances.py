@@ -439,7 +439,7 @@ def test_duplicates_povms_and_p2_agree_at_the_same_operator_bound():
             TableEntry(Effect(near_i, "N"), 0.5)])
     povm = Povm((Effect(shifted, "A"), complement(a, "B")))
     with pytest.raises(BadRelation, match=r"^POVM effect 'A' .*: Frobenius "
-                                          r"deviation 1\.000e-10 >= 1e-10$"):
+                                          r"deviation 1e-10 >= 1e-10$"):
         povm_relation(table, povm)
     assert [row["name"] for row in check_gpm(table, [])] == ["p1_range"]
 

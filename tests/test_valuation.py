@@ -1,5 +1,7 @@
 """Valuations: Born functional, axiom checks, and the extension pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,25 @@ class TestCheckGpm:
             build_context_set([a, b], [], [rel])
         assert str(from_gpm.value) == str(from_contexts.value) == (
             "claimed identity A + B = I fails: Frobenius deviation "
-            "7.906e-01 > 2e-08")
+            "0.7905694150420949 > 2e-08")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_relation_just_past_its_bound_reads_past_it(self, dim):
+        # off by bound * (1 + 1e-8), which four digits print as the bound
+        bound = dim * TOL.sum_per_dim
+        rest = np.ones(dim)
+        rest[0] = 0.0
+        rest[1] -= bound * (1 + 1e-8)
+        a = Effect(HermitianOperator(np.diag(np.eye(dim)[0])), "A")
+        b = Effect(HermitianOperator(np.diag(rest)), "B")
+        with pytest.raises(BadRelation) as info:
+            AdditivityRelation(("A", "B"), "I").check_identity(
+                {"A": a, "B": b}.__getitem__)
+        figure, shown_bound = re.fullmatch(
+            r"claimed identity A \+ B = I fails: Frobenius deviation (\S+) "
+            r"> (\S+)", str(info.value)).groups()
+        assert float(shown_bound) == bound
+        assert float(figure) > bound
 
     def test_p2_checked_on_every_identity_label_only(self):
         eye = HermitianOperator.identity(3)
@@ -273,13 +293,28 @@ class TestCheckEffectValuation:
             "name": "p1_range", "ok": False, "out_of_range": ["E", "F"],
             "bound": [-TOL.p1_slack, 1.0 + TOL.p1_slack]}
 
+    def test_a_povm_effect_just_past_the_same_operator_bound_reads_past_it(
+            self):
+        step = TOL.same_operator * (1 + 1e-8)
+        a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
+        b = Effect(HermitianOperator(np.diag([0.0, 1.0])), "B")
+        moved = Effect(HermitianOperator(np.diag([step, 1.0])), "B")
+        table = ValuationTable(2, [TableEntry(a, 0.5), TableEntry(moved, 0.5)])
+        with pytest.raises(BadRelation) as info:
+            povm_relation(table, Povm((a, b)))
+        assert str(info.value) == (
+            "POVM effect 'B' is not the valuation's effect 'B': Frobenius "
+            f"deviation {step} > {TOL.same_operator}")
+        assert step > TOL.same_operator
+
     def test_povm_relation_needs_the_tables_operators(self):
         a = Effect(HermitianOperator(np.diag([1.0, 0.0])), "A")
         b = Effect(0.25 * HermitianOperator.identity(2), "B")
         table = ValuationTable(2, [TableEntry(a, 0.5), TableEntry(b, 0.5)])
         povm = Povm((a, Effect(HermitianOperator(np.diag([0.0, 1.0])), "B")))
-        with pytest.raises(BadRelation, match=r"POVM effect 'B' .* "
-                                              r"Frobenius deviation 7\.906e-01"):
+        with pytest.raises(BadRelation, match=r"POVM effect 'B' .* Frobenius "
+                                              r"deviation 0\.7905694150420949 "
+                                              r"> 1e-10$"):
             povm_relation(table, povm)
         matching = Povm((a, complement(a, "B")))
         table = ValuationTable(2, [TableEntry(a, 0.5),
